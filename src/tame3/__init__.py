@@ -21,6 +21,7 @@ from .forms import (
     differentials_wedge,
     jacobian_det,
     wedge,
+    wedge_degree,
 )
 from .univariate import (
     AuxPoly,

@@ -481,29 +481,24 @@ def z_independent(d1: DegreeValue, d2: DegreeValue) -> bool:
     return False
 
 
-def _primitive_direction(vec: tuple) -> tuple:
+def parallel_multipliers(base: Sequence[int], *vecs: Sequence[int]) -> tuple:
+    """Integers m with v == m * e for v in (base, *vecs), where e is the
+    lex-positive primitive direction of the nonzero vector base; None for a
+    vector off that line.  base's own multiplier comes first."""
     g = 0
-    for c in vec:
+    for c in base:
         g = math.gcd(g, abs(c))
-    prim = tuple(c // g for c in vec)
-    if prim < (0,) * len(prim):
-        prim = tuple(-c for c in prim)
-    return prim
-
-
-def _parallel_multiplier(vec: tuple, direction: tuple) -> Optional[int]:
-    """Integer m with vec == m * direction, if one exists."""
-    for v, d in zip(vec, direction):
-        if d:
-            if v % d:
-                return None
-            m = v // d
-            break
-    else:
-        return 0 if not any(vec) else None
-    if all(v == m * d for v, d in zip(vec, direction)):
-        return m
-    return None
+    if not g:
+        raise ValueError("the zero vector has no direction")
+    e = tuple(c // g for c in base)
+    if e < (0,) * len(e):
+        e = tuple(-c for c in e)
+    k = next(i for i, d in enumerate(e) if d)
+    out = []
+    for vec in (base, *vecs):
+        m = vec[k] // e[k]
+        out.append(m if all(v == m * d for v, d in zip(vec, e)) else None)
+    return tuple(out)
 
 
 def semigroup_member(
@@ -536,11 +531,8 @@ def semigroup_member(
                     return (p, q)
                 return None
     # Parallel case: reduce along the common primitive direction.
-    e = _primitive_direction(a)
-    ma = _parallel_multiplier(a, e)
-    mb = _parallel_multiplier(b, e)
-    mt = _parallel_multiplier(t, e)
-    if mb is None or mt is None or ma is None:
+    ma, mb, mt = parallel_multipliers(a, b, t)
+    if mb is None or mt is None:
         return None
     if ma <= 0 or mb <= 0 or mt < 0:
         return None
@@ -564,11 +556,8 @@ def all_semigroup_pairs(
             if a[i] * b[j] - a[j] * b[i]:
                 sol = semigroup_member(d, d1, d2)
                 return [sol] if sol else []
-    e = _primitive_direction(a)
-    ma = _parallel_multiplier(a, e)
-    mb = _parallel_multiplier(b, e)
-    mt = _parallel_multiplier(t, e)
-    if mb is None or mt is None or ma is None or ma <= 0 or mb <= 0 or mt < 0:
+    ma, mb, mt = parallel_multipliers(a, b, t)
+    if mb is None or mt is None or ma <= 0 or mb <= 0 or mt < 0:
         return []
     if mt // ma > guard:
         raise ValueError(f"semigroup enumeration exceeds guard ({mt // ma} > {guard})")
@@ -792,18 +781,16 @@ def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
     return x
 
 
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """One exact solution of A x = b (free variables set to 0), or None.
+def solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Exact solution set of A x = b as (particular, kernel_basis), or None.
 
-    Deterministic: Gaussian elimination with first-nonzero pivoting in the
-    given row/column order.
+    Gauss-Jordan elimination with first-nonzero pivoting in the given
+    row/column order; the particular solution sets free unknowns to 0.
     """
     m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if m else 0
     aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     row = 0
     for col in range(ncols):
         piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
@@ -816,17 +803,24 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
             if i != row and aug[i][col] != 0:
                 factor = aug[i][col]
                 aug[i] = [v - factor * w for v, w in zip(aug[i], aug[row])]
-        pivots.append((row, col))
+        pivots.append(col)
         row += 1
         if row == m:
             break
     for i in range(row, m):
         if aug[i][ncols] != 0:
             return None
-    x = [ZERO] * ncols
-    for prow, pcol in pivots:
-        x[pcol] = aug[prow][ncols]
-    return x
+    particular = [ZERO] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = aug[r][ncols]
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for r, col in enumerate(pivots):
+            vec[col] = -aug[r][fc]
+        kernel.append(vec)
+    return particular, kernel
 
 
 def poly_sqrt(p: Poly) -> Optional[Poly]:

@@ -34,9 +34,11 @@ from .engine import (
     factor_tame,
     nagata_endo,
     reduce_to_floor,
+    stuck_rigorous,
     su_number,
     verify_automorphism,
 )
+from .forms import differentials_wedge
 from .search import DEFAULT_LIMITS, SearchLimits
 from .univariate import AuxPoly, su_inequality_report
 from .engine import random_tame
@@ -57,9 +59,12 @@ def _parse_weight(spec: str) -> WeightSystem:
         vectors = []
         for part in spec.split(";"):
             vectors.append(tuple(int(c) for c in part.split(",")))
-        return WeightSystem(tuple(vectors))
+        ws = WeightSystem(tuple(vectors))
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad weight spec {spec!r}: {exc}") from exc
+    if ws.n != N:
+        raise InputError(f"bad weight spec {spec!r}: expected {N} vectors, got {ws.n}")
+    return ws
 
 
 def _parse_limits(args) -> SearchLimits:
@@ -76,17 +81,23 @@ def _parse_limits(args) -> SearchLimits:
         key, _, val = chunk.partition("=")
         if key.strip() not in values:
             raise InputError(f"unknown TAME3_LIMITS key {key!r}")
-        values[key.strip()] = int(val)
+        try:
+            values[key.strip()] = int(val)
+        except ValueError as exc:
+            raise InputError(f"bad TAME3_LIMITS entry {chunk!r}") from exc
     if getattr(args, "limits_bidegree", None) is not None:
         values["bidegree"] = args.limits_bidegree
     if getattr(args, "limits_rounds", None) is not None:
         values["rounds"] = args.limits_rounds
-    return SearchLimits(
-        max_bidegree=values["bidegree"],
-        max_cancellation_rounds=values["rounds"],
-        max_candidates=values["candidates"],
-        max_product_terms=values["product-terms"],
-    )
+    try:
+        return SearchLimits(
+            max_bidegree=values["bidegree"],
+            max_cancellation_rounds=values["rounds"],
+            max_candidates=values["candidates"],
+            max_product_terms=values["product-terms"],
+        )
+    except ValueError as exc:
+        raise InputError(f"bad search limits: {exc}") from exc
 
 
 def _read_lines(path: str) -> list[str]:
@@ -113,14 +124,19 @@ def _parse_triple(lines: list[str], where: str) -> tuple:
     return tuple(polys)
 
 
-def _parse_pair(lines: list[str], where: str) -> tuple:
+def _split_blocks(lines: list[str]) -> list[list[str]]:
+    """Nonempty runs of nonblank lines."""
     blocks: list[list[str]] = [[]]
     for line in lines:
         if line.strip():
             blocks[-1].append(line)
         elif blocks[-1]:
             blocks.append([])
-    blocks = [b for b in blocks if b]
+    return [b for b in blocks if b]
+
+
+def _parse_pair(lines: list[str], where: str) -> tuple:
+    blocks = _split_blocks(lines)
     if len(blocks) != 2:
         raise InputError(f"{where}: expected two triples separated by a blank line")
     return (_parse_triple(blocks[0], where), _parse_triple(blocks[1], where))
@@ -157,6 +173,8 @@ def cmd_deg(args) -> int:
 
 def _load_endo(args) -> Endo3:
     triple = _parse_triple(_read_lines(args.file), args.file)
+    if differentials_wedge(list(triple)).is_zero:
+        raise InputError(f"{args.file}: components are algebraically dependent")
     inverse = None
     if args.inverse:
         inverse = _parse_triple(_read_lines(args.inverse), args.inverse)
@@ -175,7 +193,7 @@ def cmd_reduce(args) -> int:
     payload["automorphism_status"] = "verified" if verified else "unverified"
     payload["su_steps"] = su_number(trace)
     stuck = trace.result == "stuck"
-    rigorous = stuck and _stuck_rigorous(trace.stuck_reasons)
+    rigorous = stuck and stuck_rigorous(trace.stuck_reasons)
     if stuck:
         if verified and rigorous:
             payload["verdict"] = (
@@ -189,16 +207,6 @@ def cmd_reduce(args) -> int:
         lines.append(f"verdict: {payload['verdict']}")
     _emit(args, payload, lines)
     return 2 if stuck else 0
-
-
-def _stuck_rigorous(reasons) -> bool:
-    if not reasons:
-        return False
-    elem = reasons.get("elementary", {})
-    if not elem or not all(a.get("absent", {}).get("rigorous") for a in elem.values()):
-        return False
-    su = reasons.get("su", [])
-    return all(a.get("absent", {}).get("rigorous", False) for a in su if "absent" in a)
 
 
 def cmd_factor(args) -> int:
@@ -263,14 +271,7 @@ def cmd_check(args) -> int:
 
 def cmd_check_inequality(args) -> int:
     ws = _parse_weight(args.weight)
-    lines = _read_lines(args.file)
-    blocks: list[list[str]] = [[]]
-    for line in lines:
-        if line.strip():
-            blocks[-1].append(line)
-        elif blocks[-1]:
-            blocks.append([])
-    blocks = [b for b in blocks if b]
+    blocks = _split_blocks(_read_lines(args.file))
     if len(blocks) != 3:
         raise InputError("expected three blocks: generators, coefficients, g")
     try:

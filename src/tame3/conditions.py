@@ -22,12 +22,13 @@ from .algebra import (
     Poly,
     WeightSystem,
     half,
+    parallel_multipliers,
     proportionality,
-    solve_linear,
+    solve_sparse_int,
     total_weight,
     z_independent,
 )
-from .forms import deg_form, differential, differentials_wedge, wedge
+from .forms import differential, differentials_wedge, wedge, wedge_degree
 from .search import (
     DEFAULT_LIMITS,
     BiPoly,
@@ -36,6 +37,7 @@ from .search import (
     homogeneous_membership,
     leading_membership_search,
     membership_in_single,
+    peel,
     permute_triple,
     PERMUTATIONS_3,
 )
@@ -59,19 +61,14 @@ class ConditionReport:
         return {**self.conditions, "overall": self.overall}
 
 
-def _wedge_degree(ws: WeightSystem, p: Poly, q: Poly) -> DegreeValue:
-    return deg_form(ws, wedge(differential(p), differential(q)))
-
-
 def _decompose(ws: WeightSystem, target: Poly, atoms: Sequence[Poly]):
     """Exact coefficients c with target == sum c_k atom_k, or None."""
     monos = set(target.terms)
     for a in atoms:
         monos.update(a.terms)
-    mono_list = sorted(monos, reverse=True)
-    rows = [[a.terms.get(m, Fraction(0)) for a in atoms] for m in mono_list]
-    rhs = [target.terms.get(m, Fraction(0)) for m in mono_list]
-    return solve_linear(rows, rhs)
+    rows = (({k: a.terms[m] for k, a in enumerate(atoms) if m in a.terms},
+             target.terms.get(m, 0)) for m in sorted(monos, reverse=True))
+    return solve_sparse_int(rows, len(atoms))
 
 
 def _power_proportionality_exponent(
@@ -85,12 +82,8 @@ def _power_proportionality_exponent(
         return 0 if p.is_constant else None
     if z_independent(dp, db):
         return None
-    from .algebra import _parallel_multiplier, _primitive_direction
-
-    e = _primitive_direction(db.vec)
-    mb = _parallel_multiplier(db.vec, e)
-    mp = _parallel_multiplier(dp.vec, e)
-    if mp is None or mb is None or mp % mb:
+    mb, mp = parallel_multipliers(db.vec, dp.vec)
+    if mp is None or mp % mb:
         return None
     m = mp // mb
     if m < 0:
@@ -110,15 +103,10 @@ def _odd_power_relation(
     d1, d2 = ws.deg(g1), ws.deg(g2)
     if d1.is_bottom or d2.is_bottom:
         return None
-    lhs = 2 * d1
-    from .algebra import _parallel_multiplier, _primitive_direction
-
     if not any(d2.vec):
         return None
-    e = _primitive_direction(d2.vec)
-    m2 = _parallel_multiplier(d2.vec, e)
-    ml = _parallel_multiplier(lhs.vec, e)
-    if m2 is None or ml is None or m2 <= 0 or ml % m2:
+    m2, ml = parallel_multipliers(d2.vec, (2 * d1).vec)
+    if ml is None or m2 <= 0 or ml % m2:
         return None
     s = ml // m2
     if s < 3 or s % 2 == 0:
@@ -197,7 +185,7 @@ def check_su_conditions(
     rep.set("SU5", ws.deg(g3) < ws.deg(f3),
             deg_g3=ws.deg(g3).to_json(), deg_f3=ws.deg(f3).to_json())
 
-    bound = ws.deg(g1) - ws.deg(g2) + _wedge_degree(ws, g1, g2)
+    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
     rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
     return rep
 
@@ -246,7 +234,7 @@ def check_quasi_su(
 
     rep.set("SU5", ws.deg(g3) < ws.deg(f3))
 
-    bound = ws.deg(g1) - ws.deg(g2) + _wedge_degree(ws, g1, g2)
+    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
     rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
     return rep
 
@@ -311,7 +299,7 @@ def verify_properties(
             rep.set(name, False, skipped="no odd power relation")
         return rep
 
-    w12 = _wedge_degree(ws, g1, g2)
+    w12 = wedge_degree(ws, g1, g2)
     rep.set("P2", d3 >= (s - 2) * delta + w12)
 
     rep.set("P3", d2 == ws.deg(g2))
@@ -431,9 +419,9 @@ def verify_properties(
             psi={str(k): str(v) for k, v in psi_coeffs.items()},
             uniqueness="checked only against supplied pairs")
 
-    w13 = _wedge_degree(ws, f1, f3)
-    w23 = _wedge_degree(ws, f2, f3)
-    wf12 = _wedge_degree(ws, f1, f2)
+    w13 = wedge_degree(ws, f1, f3)
+    w23 = wedge_degree(ws, f2, f3)
+    wf12 = wedge_degree(ws, f1, f2)
     if a != 0:
         first_ok = wf12 == d3 + w23
     elif b != 0:
@@ -582,33 +570,6 @@ def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
     return [t] if t else []
 
 
-def _peel_for_type(ws, h3: Poly, gens: tuple[Poly, Poly], limits,
-                   accept) -> Optional[tuple[BiPoly, Poly]]:
-    """Peel h3 over gens until `accept(g3)` holds; (phi, g3) with
-    g3 = h3 + phi.value()."""
-    from .search import _ProductCache
-
-    cache = _ProductCache(*gens, ws)
-    residual = h3
-    acc: dict = {}
-    for _ in range(48):
-        if accept(residual) and acc:
-            return BiPoly(gens, {k: -v for k, v in acc.items()}), residual
-        if residual.is_zero or residual.is_constant:
-            return None
-        out = leading_membership_search(ws, residual, gens, limits, cache)
-        if out.found is None:
-            return None
-        for key, cc in out.found.coeffs.items():
-            val = acc.get(key, Fraction(0)) + cc
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-        residual = residual - out.found.value()
-    return None
-
-
 def detect_type(
     F: Triple,
     which: str,
@@ -686,21 +647,20 @@ def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
         if not wedge(differential(ws.leading_form(g1)),
                      differential(ws.leading_form(g2))).is_zero:
             continue
-        w12 = _wedge_degree(ws, g1, g2)
+        w12 = wedge_degree(ws, g1, g2)
         bound = DegreeValue.of(s * l) + w12
 
-        def accept(res: Poly) -> bool:
+        def accept(res: Poly, peeled: dict) -> bool:
             if res.is_zero:
                 return False
             if not ws.deg(res) < ws.deg(h3):
                 return False
-            return _wedge_degree(ws, g1, res) < bound
+            return wedge_degree(ws, g1, res) < bound and bool(peeled)
 
-        peeled = _peel_for_type(ws, h3, (g1, g2), limits, accept)
-        if peeled is None:
+        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
+        if phi is None:
             continue
-        phi, g3 = peeled
-        return TypeWitness(type="I", l=l, sigma=sigma, alpha=alpha, g=phi,
+        return TypeWitness(type="I", l=l, sigma=sigma, alpha=alpha, g=phi.negate(),
                            derived=(g1, g2, g3))
     return None
 
@@ -729,22 +689,21 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
         if not wedge(differential(ws.leading_form(g1)),
                      differential(ws.leading_form(g2))).is_zero:
             continue
-        w12 = _wedge_degree(ws, g1, g2)
+        w12 = wedge_degree(ws, g1, g2)
         bound = DegreeValue.of(3 * l) + w12
 
-        def accept(res: Poly) -> bool:
+        def accept(res: Poly, peeled: dict) -> bool:
             if res.is_zero:
                 return False
             if not ws.deg(res) < ws.deg(h3):
                 return False
-            return _wedge_degree(ws, g1, res) < bound
+            return wedge_degree(ws, g1, res) < bound and bool(peeled)
 
-        peeled = _peel_for_type(ws, h3, (g1, g2), limits, accept)
-        if peeled is None:
+        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
+        if phi is None:
             continue
-        phi, g3 = peeled
         return TypeWitness(type="II", l=l, sigma=sigma, alpha=alpha, beta=beta,
-                           g=phi, derived=(g1, g2, g3))
+                           g=phi.negate(), derived=(g1, g2, g3))
     return None
 
 
@@ -775,45 +734,44 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
         if not wedge(differential(ws.leading_form(g1)),
                      differential(ws.leading_form(g2))).is_zero:
             continue
-        w12 = _wedge_degree(ws, g1, g2)
+        w12 = wedge_degree(ws, g1, g2)
         wedge_bound = DegreeValue.of(3 * l) + w12
         if which == "III":
             if (alpha, beta, gamma) == (0, 0, 0):
                 continue
             deg_bound = DegreeValue.of(l) + w12
 
-            def accept(res: Poly) -> bool:
+            def accept(res: Poly, peeled: dict) -> bool:
                 if res.is_zero:
                     return False
                 d = ws.deg(res)
                 return (2 * d.vec[0] <= 3 * l and d < deg_bound
-                        and _wedge_degree(ws, g1, res) < wedge_bound)
+                        and wedge_degree(ws, g1, res) < wedge_bound and bool(peeled))
 
         else:
 
-            def accept(res: Poly) -> bool:
+            def accept(res: Poly, peeled: dict) -> bool:
                 if res.is_zero or res.is_constant:
                     return False
                 d = ws.deg(res)
                 if not (2 * d.vec[0] <= 3 * l
-                        and _wedge_degree(ws, g1, res) < wedge_bound):
+                        and wedge_degree(ws, g1, res) < wedge_bound):
                     return False
                 if 2 * d.vec[0] != 3 * l:
                     return False
                 t = proportionality(ws.leading_form(g2), ws.leading_form(res * res))
                 if t is None:
                     return False
-                return _scalar_deg(ws, g2 - (res * res).scale(t)) <= 2 * l
+                return _scalar_deg(ws, g2 - (res * res).scale(t)) <= 2 * l and bool(peeled)
 
-        peeled = _peel_for_type(ws, h3, (g1, g2), limits, accept)
-        if peeled is None:
+        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
+        if phi is None:
             continue
-        phi, g3 = peeled
         mu = None
         if which == "IV":
             mu = proportionality(ws.leading_form(g2), ws.leading_form(g3 * g3))
         return TypeWitness(type=which, l=l, sigma=sigma, alpha=alpha, beta=beta,
-                           gamma=gamma, mu=mu, sigma_scalar=Fraction(1), g=phi,
+                           gamma=gamma, mu=mu, sigma_scalar=Fraction(1), g=phi.negate(),
                            derived=(g1, g2, g3))
     return None
 

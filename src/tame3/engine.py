@@ -39,6 +39,7 @@ from .search import (
     exact_membership,
 )
 from .conditions import normalize_to_su
+from .forms import differentials_wedge
 from .univariate import BiPoly
 
 Triple = tuple[Poly, Poly, Poly]
@@ -223,35 +224,34 @@ def invert_factors(factors: Sequence[TameFactor]) -> list[TameFactor]:
 # ---------------------------------------------------------------------------
 
 
+def stuck_rigorous(reasons: Optional[dict]) -> bool:
+    """Whether a stuck result's absences are all rigorous: every component
+    has a rigorous elementary absence, and every structured-search absence
+    is rigorous.  No recorded elementary absence means not rigorous."""
+    elem = (reasons or {}).get("elementary")
+    if not elem or not all(a.get("absent", {}).get("rigorous") for a in elem.values()):
+        return False
+    su = reasons.get("su", [])
+    return all(a.get("absent", {}).get("rigorous", False) for a in su if "absent" in a)
+
+
 @dataclass
-class StepResult:
+class TraceStep:
+    """One reduction attempt; the trace records the elementary and su ones,
+    with the degree of the triple they produce."""
+
     kind: str  # at-floor | elementary | su | stuck
     elementary: Optional[ElementaryStep] = None
     su_witness: Optional[SUWitness] = None
     su_reduced: Optional[Triple] = None
     su_normalized: bool = False
-    reasons: Optional[dict] = None
+    reasons: Optional[dict] = None  # stuck only
+    degree_after: Optional[DegreeValue] = None
 
     @property
     def rigorous(self) -> bool:
         """All recorded absences rigorous (meaningful for stuck results)."""
-        if self.kind != "stuck" or not self.reasons:
-            return False
-        elem = self.reasons.get("elementary", {})
-        if not all(a.get("absent", {}).get("rigorous") for a in elem.values()):
-            return False
-        su = self.reasons.get("su", [])
-        return all(a.get("absent", {}).get("rigorous", False) for a in su if "absent" in a)
-
-
-@dataclass
-class TraceStep:
-    kind: str  # elementary | su
-    elementary: Optional[ElementaryStep] = None
-    su_witness: Optional[SUWitness] = None
-    su_reduced: Optional[Triple] = None
-    su_normalized: bool = False
-    degree_after: Optional[DegreeValue] = None
+        return self.kind == "stuck" and stuck_rigorous(self.reasons)
 
     def to_json(self) -> dict:
         if self.kind == "elementary":
@@ -270,10 +270,14 @@ class TraceStep:
 class ReductionTrace:
     origin: Triple
     steps: list = field(default_factory=list)
-    ledger: list = field(default_factory=list)
     final: Optional[Triple] = None
     result: str = "floor"  # floor | stuck | budget
     stuck_reasons: Optional[dict] = None
+
+    @property
+    def ledger(self) -> list:
+        """deg F after each step."""
+        return [step.degree_after for step in self.steps]
 
     def recompose_origin(self) -> Triple:
         """Undo the steps from the final triple; must reproduce the origin."""
@@ -365,12 +369,18 @@ def reduce_step(
     limits: SearchLimits = DEFAULT_LIMITS,
     su_normalize: bool = True,
     prefer: str = "elementary",
-) -> StepResult:
-    """One reduction attempt: floor test, then the two search families."""
+) -> TraceStep:
+    """One reduction attempt: floor test, then the two search families.
+
+    Raises ValueError when F is algebraically dependent at the floor or
+    below it.
+    """
     deg = ws.deg_endo(F)
     floor = ws.total
     if deg == floor:
-        return StepResult("at-floor")
+        if differentials_wedge(list(F)).is_zero:
+            raise ValueError("components are algebraically dependent")
+        return TraceStep("at-floor")
     if deg < floor:
         raise ValueError("degree below the floor; components cannot be independent")
     reasons: dict = {}
@@ -378,7 +388,7 @@ def reduce_step(
     def try_elementary():
         out = find_elementary_reduction(ws, F, limits, check_independent=False)
         if out.step is not None:
-            return StepResult("elementary", elementary=out.step)
+            return TraceStep("elementary", elementary=out.step)
         reasons["elementary"] = {str(i): a.to_json() for i, a in out.reasons.items()}
         return None
 
@@ -392,8 +402,8 @@ def reduce_step(
                 if packed is not None:
                     witness, reduced = packed
                     normalized = True
-            return StepResult("su", su_witness=witness, su_reduced=reduced,
-                              su_normalized=normalized)
+            return TraceStep("su", su_witness=witness, su_reduced=reduced,
+                             su_normalized=normalized)
         reasons["su"] = out.reasons
         return None
 
@@ -402,7 +412,7 @@ def reduce_step(
         result = attempt()
         if result is not None:
             return result
-    return StepResult("stuck", reasons=reasons)
+    return TraceStep("stuck", reasons=reasons)
 
 
 def _normalize_su_step(ws, F, witness, reduced, limits):
@@ -454,15 +464,10 @@ def reduce_to_floor(
             comps = list(current)
             comps[st.index - 1] = comps[st.index - 1] + st.phi.value()
             current = tuple(comps)
-            trace.steps.append(TraceStep("elementary", elementary=st,
-                                         degree_after=ws.deg_endo(current)))
         else:
             current = step.su_reduced
-            trace.steps.append(TraceStep(
-                "su", su_witness=step.su_witness, su_reduced=step.su_reduced,
-                su_normalized=step.su_normalized,
-                degree_after=ws.deg_endo(current)))
-        trace.ledger.append(ws.deg_endo(current))
+        step.degree_after = ws.deg_endo(current)
+        trace.steps.append(step)
     trace.final = current
     trace.result = "budget"
     return trace

@@ -148,6 +148,11 @@ def deg_form(ws: WeightSystem, omega: DiffForm) -> DegreeValue:
     return best
 
 
+def wedge_degree(ws: WeightSystem, p: Poly, q: Poly) -> DegreeValue:
+    """deg(dp ^ dq), the wedge term of the SU6 bound and the cancellation floor."""
+    return deg_form(ws, wedge(differential(p), differential(q)))
+
+
 def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
     return wedge_all([differential(f) for f in fs])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     DegreeValue,
@@ -30,13 +30,15 @@ from .algebra import (
     all_semigroup_pairs,
     exists_multiple_exceeding,
     half,
+    parallel_multipliers,
     proportionality,
     semigroup_member,
+    solve_affine,
     solve_sparse_int,
     sqrt_up_to_scalar,
     z_independent,
 )
-from .forms import differentials_wedge
+from .forms import differentials_wedge, wedge_degree
 from .univariate import BiPoly
 
 PERMUTATIONS_3 = (
@@ -324,8 +326,7 @@ def leading_membership_search(
     # Any element whose representation degree exceeds its value degree obeys
     # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
     # below it cannot be reached by the widened ansatz at all.
-    wedge_deg = _wedge_deg(ws, f, g)
-    floor = scaled.q * d1 + wedge_deg - d1 - d2
+    floor = scaled.q * d1 + wedge_degree(ws, f, g) - d1 - d2
     if d < floor:
         if not exact_pairs:
             return MembershipOutcome(
@@ -366,28 +367,32 @@ def leading_membership_search(
     )
 
 
-def exact_membership(
+def peel(
     ws: WeightSystem,
     target: Poly,
     gens: tuple[Poly, Poly],
-    limits: SearchLimits = DEFAULT_LIMITS,
-    max_peels: int = 200,
-) -> MembershipOutcome:
-    """Full membership target in k[gens] by repeated leading peeling."""
-    if target.is_zero:
-        return MembershipOutcome(BiPoly(gens, {}))
+    limits: SearchLimits,
+    accept: Callable[[Poly, dict], bool],
+    budget: int,
+) -> tuple:
+    """Subtract leading representations over gens from target until
+    ``accept(residual, coeffs)`` holds, at most ``budget`` times.
+
+    Returns (phi, residual) with target == phi.value() + residual, or
+    (None, absence) when a leading form has no representation, the residual
+    is an unaccepted constant, or the budget runs out.
+    """
     cache = _ProductCache(*gens, ws)
     residual = target
     acc: dict[tuple[int, int], Fraction] = {}
-    for _ in range(max_peels):
-        if residual.is_zero:
-            return MembershipOutcome(BiPoly(gens, acc))
+    for _ in range(budget):
+        if accept(residual, acc):
+            return BiPoly(gens, acc), residual
         if residual.is_constant:
-            acc[(0, 0)] = acc.get((0, 0), Fraction(0)) + residual.constant_term()
-            return MembershipOutcome(BiPoly(gens, acc))
+            return None, Absence("limits-exhausted", False, "constant residual")
         out = leading_membership_search(ws, residual, gens, limits, cache)
         if out.found is None:
-            return MembershipOutcome(None, out.absence)
+            return None, out.absence
         for key, c in out.found.coeffs.items():
             s = acc.get(key, Fraction(0)) + c
             if s:
@@ -397,7 +402,23 @@ def exact_membership(
         new_residual = residual - out.found.value()
         assert ws.deg(new_residual) < ws.deg(residual)
         residual = new_residual
-    return MembershipOutcome(None, Absence("limits-exhausted", False, "peel budget"))
+    return None, Absence("limits-exhausted", False, "peel budget")
+
+
+def exact_membership(
+    ws: WeightSystem,
+    target: Poly,
+    gens: tuple[Poly, Poly],
+    limits: SearchLimits = DEFAULT_LIMITS,
+    max_peels: int = 200,
+) -> MembershipOutcome:
+    """Full membership target in k[gens] by repeated leading peeling."""
+    phi, rest = peel(ws, target, gens, limits, lambda res, _: res.is_constant, max_peels)
+    if phi is None:
+        return MembershipOutcome(None, rest)
+    coeffs = dict(phi.coeffs)
+    coeffs[(0, 0)] = coeffs.get((0, 0), Fraction(0)) + rest.constant_term()
+    return MembershipOutcome(BiPoly(gens, coeffs))
 
 
 def membership_in_single(
@@ -459,15 +480,10 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
     if z_independent(df, dg):
         return None
     # df = a*e, dg = b*e along the primitive common direction.
-    from .algebra import _parallel_multiplier, _primitive_direction
-    import math as _math
-
-    e = _primitive_direction(df.vec)
-    a = _parallel_multiplier(df.vec, e)
-    b = _parallel_multiplier(dg.vec, e)
-    if a is None or b is None or a <= 0 or b <= 0:
+    a, b = parallel_multipliers(df.vec, dg.vec)
+    if b is None or a <= 0 or b <= 0:
         return None
-    g0 = _math.gcd(a, b)
+    g0 = math.gcd(a, b)
     p, q = a // g0, b // g0
     if proportionality(gw**p, fw**q) is None:
         return None
@@ -584,45 +600,6 @@ class SUOutcome:
     reasons: list = field(default_factory=list)
 
 
-def _solve_affine(rows, rhs):
-    """RREF solve returning (particular, kernel_basis) or None."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][ncols] != 0:
-            return None
-    particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][ncols]
-    kernel = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fc]
-        kernel.append(vec)
-    return particular, kernel
-
-
 def _odd_s_values(
     ws: WeightSystem,
     delta: DegreeValue,
@@ -712,12 +689,18 @@ def find_su_reduction(
                     reasons.append({"sigma": list(sigma), "s": s,
                                     "skip": "third leading form lies in the new graded pair"})
                     continue
-                peeled = _peel_third(ws, f1, f2, f3, g1, g2, limits)
-                if peeled is None:
+                bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+
+                def below_bounds(res: Poly, _) -> bool:
+                    d = ws.deg(res)
+                    return d < d3 and d < bound
+
+                phi3, g3 = peel(ws, f3, (g1, g2), limits, below_bounds, 64)
+                if phi3 is None:
                     reasons.append({"sigma": list(sigma), "s": s,
                                     "skip": "no admissible third-component correction"})
                     continue
-                phi3, g3 = peeled
+                phi3 = phi3.negate()
                 if differentials_wedge([g1, g2, g3]).is_zero:
                     continue
                 witness = SUWitness(
@@ -751,7 +734,7 @@ def _assemble_first_component(ws, f1, f2, f3, u, s, delta, limits):
         return None
     rows = [[p.terms.get(m, Fraction(0)) for p in columns] for m in mono_list]
     rhs = [-f1.terms.get(m, Fraction(0)) for m in mono_list]
-    solved = _solve_affine(rows, rhs)
+    solved = solve_affine(rows, rhs)
     if solved is None:
         return None
     particular, kernel = solved
@@ -775,37 +758,3 @@ def _assemble_first_component(ws, f1, f2, f3, u, s, delta, limits):
     if g1.is_zero or ws.deg(g1) != target_deg:
         return None
     return a, c, psi_coeffs, g1
-
-
-def _peel_third(ws, f1, f2, f3, g1, g2, limits):
-    """Reduce f3 against (g1, g2) until the reduced-pair degree conditions
-    hold; returns (phi3, g3) with g3 = f3 + phi3.value()."""
-    d3 = ws.deg(f3)
-    bound = ws.deg(g1) - ws.deg(g2) + _wedge_deg(ws, g1, g2)
-    cache = _ProductCache(g1, g2, ws)
-    residual = f3
-    acc: dict[tuple[int, int], Fraction] = {}
-    for _ in range(64):
-        d_res = ws.deg(residual)
-        if d_res < d3 and d_res < bound:
-            phi3 = BiPoly((g1, g2), {k: -v for k, v in acc.items()})
-            return phi3, residual
-        if residual.is_zero or residual.is_constant:
-            return None
-        out = leading_membership_search(ws, residual, (g1, g2), limits, cache)
-        if out.found is None:
-            return None
-        for key, cc in out.found.coeffs.items():
-            val = acc.get(key, Fraction(0)) + cc
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-        residual = residual - out.found.value()
-    return None
-
-
-def _wedge_deg(ws, p, q):
-    from .forms import deg_form, differential, wedge
-
-    return deg_form(ws, wedge(differential(p), differential(q)))

@@ -142,11 +142,6 @@ class BiPoly:
     def negate(self) -> "BiPoly":
         return BiPoly(self.gens, {k: -c for k, c in self.coeffs.items()})
 
-    def rebase(self, gens: tuple[Poly, Poly]) -> "BiPoly":
-        if gens != self.gens:
-            raise ValueError("rebase requires identical generators")
-        return self
-
     def to_json(self) -> dict:
         return {
             "pairs": [

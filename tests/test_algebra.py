@@ -16,7 +16,7 @@ from tame3.algebra import (
     poly_to_text,
     proportionality,
     semigroup_member,
-    solve_linear,
+    solve_affine,
     solve_sparse_int,
     sqrt_up_to_scalar,
     total_weight,
@@ -274,8 +274,12 @@ def test_printer_descending_order():
 
 def test_solve_linear_simple():
     rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    assert solve_linear(rows, [Fraction(5), Fraction(2)]) == [Fraction(1), Fraction(2)]
-    assert solve_linear([[Fraction(0)]], [Fraction(1)]) is None
+    assert solve_affine(rows, [Fraction(5), Fraction(2)]) == ([Fraction(1), Fraction(2)], [])
+    assert solve_affine([[Fraction(0)]], [Fraction(1)]) is None
+    # x + 2y = 4: free y set to 0 in the particular solution, kernel (-2, 1)
+    rows = [[Fraction(1), Fraction(2)]]
+    assert solve_affine(rows, [Fraction(4)]) == ([Fraction(4), Fraction(0)],
+                                                 [[Fraction(-2), Fraction(1)]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,15 +291,21 @@ def test_sparse_solver_agrees_with_dense(m, n, rng):
         rhs = [sum(r[j] * x0[j] for j in range(n)) for r in rows]
     else:
         rhs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
-    dense = solve_linear(rows, rhs)
+    dense = solve_affine(rows, rhs)
     sparse = solve_sparse_int(
         iter([({j: r[j] for j in range(n) if r[j]}, rhs[i]) for i, r in enumerate(rows)]),
         n,
     )
     assert (dense is None) == (sparse is None)
     if sparse is not None:
+        # both set free unknowns to 0 over the same pivot columns, so the
+        # vectors agree exactly, not just as solutions
+        particular, kernel = dense
+        assert sparse == particular
         for i, r in enumerate(rows):
             assert sum(r[j] * sparse[j] for j in range(n)) == rhs[i]
+            for vec in kernel:
+                assert sum(r[j] * vec[j] for j in range(n)) == 0
 
 
 def test_poly_sqrt(xyz):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from tame3.engine import reduce_step
+
 PKG_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -178,3 +180,34 @@ def test_custom_weight_vector(tmp_path):
     assert payload["degrees"] == [[2, 0], [0, 1], [0, 1]]
     out = run_cli(["deg", str(path), "--weight", "0,0;0,1;0,1"])
     assert out.returncode == 3
+
+
+def test_reduce_step_rejects_dependent_floor(wt, xyz):
+    # (x1, x1, x3) sits at the degree floor but has a zero Jacobian
+    x1, _, x3 = xyz
+    with pytest.raises(ValueError, match="dependent"):
+        reduce_step(wt, (x1, x1, x3))
+
+
+def test_reduce_dependent_triple_is_input_error(tmp_path):
+    path = tmp_path / "dep.txt"
+    path.write_text("x1\nx1\nx3\n")
+    out = run_cli(["reduce", str(path)])
+    assert out.returncode == 3
+    assert "result: floor" not in out.stdout
+    assert "dependent" in out.stderr
+
+
+@pytest.mark.parametrize("argv, text, env", [
+    (["deg", "{f}", "--weight", "1,0;0,1"], "x1\nx2\nx3\n", None),
+    (["reduce", "{f}"], "x1 + x2^2\nx2\nx3\n", {"TAME3_LIMITS": "bidegree=abc"}),
+    (["reduce", "{f}"], "x1\n0\nx3\n", None),
+    (["factor", "{f}"], "x1 + x2^2\nx1^2 + 2*x1*x2^2 + x2^4\nx3\n", None),
+], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent"])
+def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    out = run_cli([a.format(f=path) for a in argv], env_extra=env)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1

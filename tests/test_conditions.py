@@ -4,7 +4,6 @@ import pytest
 
 from tame3.algebra import DegreeValue, Poly
 from tame3.conditions import (
-    _wedge_degree,
     check_not_er,
     check_quasi_su,
     check_su_conditions,
@@ -13,6 +12,7 @@ from tame3.conditions import (
     su_pair_uniqueness,
     verify_properties,
 )
+from tame3.forms import wedge_degree
 from tame3.search import find_elementary_reduction, find_su_reduction, permute_triple
 
 D = DegreeValue.of
@@ -79,10 +79,10 @@ def test_p12_wedge_relations(su_pair_family):
         rep = verify_properties(ws, F, G)
         s = rep["P1"]["s"]
         delta = DegreeValue(rep["P1"]["delta"])
-        w13 = _wedge_degree(ws, F[0], F[2])
-        w23 = _wedge_degree(ws, F[1], F[2])
+        w13 = wedge_degree(ws, F[0], F[2])
+        w23 = wedge_degree(ws, F[1], F[2])
         assert w13 == (s - 2) * delta + w23
-        assert w23 >= s * delta + _wedge_degree(ws, G[0], G[1])
+        assert w23 >= s * delta + wedge_degree(ws, G[0], G[1])
 
 
 # --- normalization -----------------------------------------------------------
@@ -238,7 +238,7 @@ def test_type_i_appendix_identity(su_pair_family, wt):
     wit = detect_type(F_tau, "I")
     assert wit is not None
     H = permute_triple(F_tau, wit.sigma)
-    assert _wedge_degree(wt, H[0], H[1]) == _wedge_degree(wt, H[0], H[2])
+    assert wedge_degree(wt, H[0], H[1]) == wedge_degree(wt, H[0], H[2])
 
 
 def test_type_witness_reconstructs(su_pair_family):
@@ -292,10 +292,10 @@ def test_wedge_relations_on_multistep_witnesses(su_pair_family, small_corpus, wt
             H = permute_triple(T, wit.sigma)
             l = wit.l
             g1, g2, g3 = wit.derived
-            assert _wedge_degree(wt, H[0], H[2]) == \
-                _wedge_degree(wt, g1, g2) + DegreeValue.of(3 * l)
-            assert _wedge_degree(wt, H[1], H[2]) == \
-                _wedge_degree(wt, H[0], H[2]) + DegreeValue.of(l)
+            assert wedge_degree(wt, H[0], H[2]) == \
+                wedge_degree(wt, g1, g2) + DegreeValue.of(3 * l)
+            assert wedge_degree(wt, H[1], H[2]) == \
+                wedge_degree(wt, H[0], H[2]) + DegreeValue.of(l)
 
 
 def test_nagata_shifted_pair_fails_su3(nagata, nagata_ws):

@@ -1,0 +1,42 @@
+"""Module boundaries inside the package: a private name stays in its module.
+
+A helper that another module needs is public in the module that owns it, so
+each primitive has one implementation rather than private copies and
+cross-module reaches into them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "tame3"
+
+
+def _private_imports(path: Path) -> list[str]:
+    """'line: name from module' for every import of an underscore name from
+    another tame3 module, at module level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module != "tame3" and not module.startswith("tame3."):
+            continue
+        found.extend(f"{node.lineno}: {alias.name} from {'.' * node.level}{module}"
+                     for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert _private_imports(path) == []
+
+
+def test_detector_sees_function_level_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nfrom os import _exit\n"
+                     "def f():\n    from .algebra import _hidden, visible\n"
+                     "from tame3.search import _Cache\n")
+    assert set(_private_imports(probe)) == {"4: _hidden from .algebra",
+                                            "5: _Cache from tame3.search"}
