@@ -326,6 +326,14 @@ class Poly:
         return f"Poly({poly_to_text(self)!r})"
 
 
+def power_sum(p: Poly, coeffs: dict) -> Poly:
+    """sum of coeffs[m] * p^m over ascending m (zero for empty coeffs)."""
+    acc = Poly.zero(p.n)
+    for m in sorted(coeffs):
+        acc = acc + (p**m).scale(coeffs[m])
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Weight systems and weighted degrees
 # ---------------------------------------------------------------------------

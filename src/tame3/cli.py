@@ -13,7 +13,6 @@ import os
 import sys
 
 from .algebra import (
-    Poly,
     PolyParseError,
     WeightSystem,
     lex_weight,
@@ -22,6 +21,7 @@ from .algebra import (
     total_weight,
 )
 from .conditions import (
+    TYPE_NAMES,
     check_quasi_su,
     check_su_conditions,
     detect_type,
@@ -36,7 +36,6 @@ from .engine import (
     reduce_to_floor,
     stuck_rigorous,
     su_number,
-    verify_automorphism,
 )
 from .forms import differentials_wedge
 from .search import DEFAULT_LIMITS, SearchLimits
@@ -178,9 +177,10 @@ def _load_endo(args) -> Endo3:
     inverse = None
     if args.inverse:
         inverse = _parse_triple(_read_lines(args.inverse), args.inverse)
-        if not verify_automorphism(triple, inverse):
-            raise InputError("supplied inverse fails the two-sided check")
-    return Endo3(triple, inverse, check_inverse=False)
+    try:
+        return Endo3(triple, inverse)
+    except ValueError as exc:
+        raise InputError("supplied inverse fails the two-sided check") from exc
 
 
 def cmd_reduce(args) -> int:
@@ -248,17 +248,19 @@ def cmd_check(args) -> int:
     limits = _parse_limits(args)
     F, G = _parse_pair(_read_lines(args.file), args.file)
     which = args.which
-    if which == "su":
-        rep = check_su_conditions(ws, F, G, limits)
+    checkers = {
+        "su": check_su_conditions,
+        "quasi": check_quasi_su,
+        "properties": verify_properties,
+    }
+    if which in checkers:
+        try:
+            rep = checkers[which](ws, F, G, limits)
+        except ValueError as exc:
+            raise InputError(f"{args.file}: {exc}") from exc
         payload, ok = rep.to_json(), rep.overall
-    elif which == "quasi":
-        rep = check_quasi_su(ws, F, G, limits)
-        payload, ok = rep.to_json(), rep.overall
-    elif which == "properties":
-        rep = verify_properties(ws, F, G, limits)
-        payload, ok = rep.to_json(), rep.overall
-    elif which.startswith("type:"):
-        kind = which.split(":", 1)[1]
+    elif which.startswith("type:") and which[len("type:"):] in TYPE_NAMES:
+        kind = which[len("type:"):]
         witness = detect_type(F, kind, limits)
         payload = {f"type{kind}": witness.to_json() if witness else None}
         ok = witness is not None
@@ -281,9 +283,13 @@ def cmd_check_inequality(args) -> int:
             idx, _, body = line.partition(":")
             coeffs[int(idx)] = parse_poly(body, N)
         g = parse_poly(blocks[2][0], N)
+        phi = AuxPoly(N, coeffs)
     except (PolyParseError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    report = su_inequality_report(ws, fs, AuxPoly(N, coeffs), g)
+    try:
+        report = su_inequality_report(ws, fs, phi, g)
+    except ValueError as exc:
+        raise InputError(f"{args.file}: {exc}") from exc
     payload = report.to_json()
     _emit(args, payload, [json.dumps(payload, sort_keys=True)])
     return 0 if report.holds is True else 1

@@ -23,7 +23,9 @@ from .algebra import (
     WeightSystem,
     half,
     parallel_multipliers,
+    power_sum,
     proportionality,
+    semigroup_member,
     solve_sparse_int,
     total_weight,
     z_independent,
@@ -40,6 +42,7 @@ from .search import (
     peel,
     permute_triple,
     PERMUTATIONS_3,
+    shift_atoms,
 )
 
 Triple = tuple[Poly, Poly, Poly]
@@ -69,31 +72,6 @@ def _decompose(ws: WeightSystem, target: Poly, atoms: Sequence[Poly]):
     rows = (({k: a.terms[m] for k, a in enumerate(atoms) if m in a.terms},
              target.terms.get(m, 0)) for m in sorted(monos, reverse=True))
     return solve_sparse_int(rows, len(atoms))
-
-
-def _power_proportionality_exponent(
-    ws: WeightSystem, p: Poly, base: Poly
-) -> Optional[int]:
-    """m >= 0 with p ~ base^m (exact scalar proportionality), else None."""
-    dp, db = ws.deg(p), ws.deg(base)
-    if not db.is_positive():
-        raise ValueError("base must be nonconstant")
-    if dp == DegreeValue.of(*([0] * ws.r)):
-        return 0 if p.is_constant else None
-    if z_independent(dp, db):
-        return None
-    mb, mp = parallel_multipliers(db.vec, dp.vec)
-    if mp is None or mp % mb:
-        return None
-    m = mp // mb
-    if m < 0:
-        return None
-    return m if proportionality(p, base**m) is not None else None
-
-
-def _in_algebra_of_single_form(ws: WeightSystem, p: Poly, base: Poly) -> bool:
-    """Membership of a form in k[base-form]: some power matches exactly."""
-    return _power_proportionality_exponent(ws, p, base) is not None
 
 
 def _odd_power_relation(
@@ -220,9 +198,9 @@ def check_quasi_su(
 
     rep.set("SU2'", ws.deg(f1) <= ws.deg(g1) and ws.deg(f2) <= ws.deg(g2))
 
-    su3p = ws.deg(g2) < ws.deg(g1) and not _in_algebra_of_single_form(
+    su3p = ws.deg(g2) < ws.deg(g1) and membership_in_single(
         ws, ws.leading_form(g1), ws.leading_form(g2)
-    )
+    ) is None
     rep.set("SU3'", su3p)
 
     su4_deg = ws.deg(f3) <= ws.deg(g1)
@@ -248,15 +226,14 @@ def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
     """(a, b, c, d, psi-coeffs) for the canonical shift shapes, or None."""
     f1, f2, f3 = F
     g1, g2, g3 = G
-    psi_max = (s - 1) // 2
-    atoms = [f3 * f3, f3] + [f2**m for m in range(psi_max + 1)]
+    atoms = shift_atoms(f2, f3, s)
     shift1 = g1 - f1
     sol1 = (
         [Fraction(0)] * len(atoms) if shift1.is_zero else _decompose(ws, shift1, atoms)
     )
     if sol1 is None:
         return None
-    psi_coeffs = {m: sol1[2 + m] for m in range(psi_max + 1) if sol1[2 + m]}
+    psi_coeffs = {m: e for m, e in enumerate(sol1[2:]) if e}
     shift2 = g2 - f2
     sol2 = (
         [Fraction(0), Fraction(0)]
@@ -266,13 +243,6 @@ def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
     if sol2 is None:
         return None
     return sol1[0], sol2[0], sol1[1], sol2[1], psi_coeffs
-
-
-def _psi_poly(f2: Poly, psi_coeffs: dict) -> Poly:
-    acc = Poly.zero(f2.n)
-    for m in sorted(psi_coeffs):
-        acc = acc + (f2**m).scale(psi_coeffs[m])
-    return acc
 
 
 def verify_properties(
@@ -323,8 +293,7 @@ def verify_properties(
             break
     if not (g1 - f1).is_zero:
         family4.append(g1 - f1)
-    psi_max = (s - 1) // 2
-    atoms4 = [f3 * f3, f3] + [f2**m for m in range(psi_max + 1)]
+    atoms4 = shift_atoms(f2, f3, s)
     p4_ok = all(_decompose(ws, phi, atoms4) is not None for phi in family4)
     rep.set("P4", p4_ok, quantifier="sampled", family_size=len(family4))
 
@@ -350,12 +319,12 @@ def verify_properties(
     # P8: pairwise leading-form algebra exclusions, with the one allowed case.
     p8_pairs_ok = True
     for (i, j) in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 1)):
-        if _in_algebra_of_single_form(
+        if membership_in_single(
             ws, ws.leading_form(F[i - 1]), ws.leading_form(F[j - 1])
-        ):
+        ) is not None:
             p8_pairs_ok = False
     p8_latter = True
-    if _in_algebra_of_single_form(ws, ws.leading_form(f1), ws.leading_form(f3)):
+    if membership_in_single(ws, ws.leading_form(f1), ws.leading_form(f3)) is not None:
         p8_latter = (
             s == 3
             and proportionality(ws.leading_form(f1), ws.leading_form(f3) ** 2)
@@ -394,7 +363,7 @@ def verify_properties(
                     continue
                 atoms10 = [f1] + [
                     f2**m
-                    for m in range(psi_max + 1)
+                    for m in range((s - 1) // 2 + 1)
                     if 2 * m * delta <= min((s - 1) * delta, ws.deg(phi))
                 ]
                 sol = _decompose(ws, phi, atoms10)
@@ -407,7 +376,7 @@ def verify_properties(
         rep.set("P12", False, note="scalars unavailable")
         return rep
     a, b, c, dconst, psi_coeffs = decomp
-    psi = _psi_poly(f2, psi_coeffs)
+    psi = power_sum(f2, psi_coeffs)
     p11 = True
     if not psi.is_zero and not ws.deg(psi) <= (s - 1) * delta:
         p11 = False
@@ -476,16 +445,9 @@ def normalize_to_su(
     a, b, c, dconst, psi_coeffs = decomp
     n = F[0].n
     y1, y2, y3 = (Poly.variable(i, n) for i in range(n))
-
-    def psi_at(p: Poly) -> Poly:
-        acc = Poly.zero(n)
-        for m in sorted(psi_coeffs):
-            acc = acc + (p**m).scale(psi_coeffs[m])
-        return acc
-
-    e1 = (y1 - psi_at(y2 - Poly.constant(dconst, n)), y2, y3)
+    e1 = (y1 - power_sum(y2 - Poly.constant(dconst, n), psi_coeffs), y2, y3)
     e2 = (y1, y2 - Poly.constant(dconst, n), y3)
-    g1p = G[0] - psi_at(G[1] - Poly.constant(dconst, n))
+    g1p = G[0] - power_sum(G[1] - Poly.constant(dconst, n), psi_coeffs)
     g2p = G[1] - Poly.constant(dconst, n)
     normalized = (g1p, g2p, G[2])
     if ws.deg(g1p) != ws.deg(G[0]):
@@ -502,6 +464,9 @@ def normalize_to_su(
 # ---------------------------------------------------------------------------
 # Type detectors (total degree only)
 # ---------------------------------------------------------------------------
+
+
+TYPE_NAMES = ("I", "II", "III", "IV")
 
 
 @dataclass
@@ -581,7 +546,7 @@ def detect_type(
     Only the rank-one all-ones weight is meaningful here; other weights are
     rejected loudly.
     """
-    if which not in ("I", "II", "III", "IV"):
+    if which not in TYPE_NAMES:
         raise ValueError(f"unknown type {which!r}")
     if ws is None:
         ws = total_weight(3)
@@ -625,6 +590,50 @@ def _detect_on_permuted(ws, H: Triple, sigma: tuple, which: str, limits):
     return _detect_type_iii_iv(ws, H, sigma, l, which, limits)
 
 
+def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):
+    """First candidate pair over which h3 peels to an accepted third component.
+
+    ``candidates`` yields (key, g1, g2) lazily; a pair qualifies when
+    deg g1 = 2l, deg g2 = top and the leading forms are dependent.
+    ``make_accept(key, g1, g2, w12)`` gives the peel's accept predicate, or
+    None to skip the pair.  Returns (key, g, (g1, g2, g3)) with
+    h3 + g(g1, g2) = g3, or None.
+    """
+    for key, g1, g2 in candidates:
+        if _scalar_deg(ws, g1) != 2 * l or _scalar_deg(ws, g2) != top:
+            continue
+        if not wedge(differential(ws.leading_form(g1)),
+                     differential(ws.leading_form(g2))).is_zero:
+            continue
+        w12 = wedge_degree(ws, g1, g2)
+        accept = make_accept(key, g1, g2, w12)
+        if accept is None:
+            continue
+        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
+        if phi is not None:
+            return key, phi.negate(), (g1, g2, g3)
+    return None
+
+
+def _lower_third(ws, h3, top: int):
+    """Types I and II accept a nonzero remainder below h3 whose wedge with
+    g1 stays under top + deg(dg1 ^ dg2), after at least one peel."""
+
+    def make_accept(_key, g1, _g2, w12):
+        bound = DegreeValue.of(top) + w12
+
+        def accept(res: Poly, peeled: dict) -> bool:
+            if res.is_zero:
+                return False
+            if not ws.deg(res) < ws.deg(h3):
+                return False
+            return wedge_degree(ws, g1, res) < bound and bool(peeled)
+
+        return accept
+
+    return make_accept
+
+
 def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
     h1, h2, h3 = H
     v3 = _scalar_deg(ws, h3)
@@ -639,30 +648,13 @@ def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
         alphas = [t for t in _leading_dependence_scalars(ws, h1w, h2w, h3w) if t != 0]
     else:
         alphas = [Fraction(1)] if _leading_dependence_scalars(ws, h1w, h2w, None) else []
-    for alpha in alphas:
-        g1 = h1
-        g2 = h2 - h3.scale(alpha)
-        if _scalar_deg(ws, g2) != s * l:
-            continue
-        if not wedge(differential(ws.leading_form(g1)),
-                     differential(ws.leading_form(g2))).is_zero:
-            continue
-        w12 = wedge_degree(ws, g1, g2)
-        bound = DegreeValue.of(s * l) + w12
-
-        def accept(res: Poly, peeled: dict) -> bool:
-            if res.is_zero:
-                return False
-            if not ws.deg(res) < ws.deg(h3):
-                return False
-            return wedge_degree(ws, g1, res) < bound and bool(peeled)
-
-        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
-        if phi is None:
-            continue
-        return TypeWitness(type="I", l=l, sigma=sigma, alpha=alpha, g=phi.negate(),
-                           derived=(g1, g2, g3))
-    return None
+    candidates = ((alpha, h1, h2 - h3.scale(alpha)) for alpha in alphas)
+    found = _peel_candidates(ws, h3, l, s * l, candidates, _lower_third(ws, h3, s * l),
+                             limits)
+    if found is None:
+        return None
+    alpha, g, derived = found
+    return TypeWitness(type="I", l=l, sigma=sigma, alpha=alpha, g=g, derived=derived)
 
 
 def _detect_type_ii(ws, H, sigma, l: int, limits):
@@ -677,34 +669,18 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
         alphas = _leading_dependence_scalars(ws, h2w, h1w, h3w)
     else:
         alphas = [Fraction(0)] if _leading_dependence_scalars(ws, h2w, h1w, None) else []
-    candidates = []
-    for alpha in alphas:
-        betas = [Fraction(0), Fraction(1)] if alpha != 0 else [Fraction(1)]
-        candidates.extend((alpha, beta) for beta in betas)
-    for alpha, beta in candidates:
-        g1 = h1 - h3.scale(alpha)
-        g2 = h2 - h3.scale(beta)
-        if _scalar_deg(ws, g1) != 2 * l or _scalar_deg(ws, g2) != 3 * l:
-            continue
-        if not wedge(differential(ws.leading_form(g1)),
-                     differential(ws.leading_form(g2))).is_zero:
-            continue
-        w12 = wedge_degree(ws, g1, g2)
-        bound = DegreeValue.of(3 * l) + w12
-
-        def accept(res: Poly, peeled: dict) -> bool:
-            if res.is_zero:
-                return False
-            if not ws.deg(res) < ws.deg(h3):
-                return False
-            return wedge_degree(ws, g1, res) < bound and bool(peeled)
-
-        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
-        if phi is None:
-            continue
-        return TypeWitness(type="II", l=l, sigma=sigma, alpha=alpha, beta=beta,
-                           g=phi.negate(), derived=(g1, g2, g3))
-    return None
+    candidates = (
+        ((alpha, beta), h1 - h3.scale(alpha), h2 - h3.scale(beta))
+        for alpha in alphas
+        for beta in ([Fraction(0), Fraction(1)] if alpha != 0 else [Fraction(1)])
+    )
+    found = _peel_candidates(ws, h3, l, 3 * l, candidates, _lower_third(ws, h3, 3 * l),
+                             limits)
+    if found is None:
+        return None
+    (alpha, beta), g, derived = found
+    return TypeWitness(type="II", l=l, sigma=sigma, alpha=alpha, beta=beta, g=g,
+                       derived=derived)
 
 
 def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
@@ -724,21 +700,12 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
             )
     else:
         alphas = [Fraction(0)] if _leading_dependence_scalars(ws, h1w, h2w, None) else []
-    beta = Fraction(0)
-    gamma = Fraction(0)
-    for alpha in alphas:
-        g1 = h1 - h3.scale(beta)
-        g2 = h2 - h3.scale(gamma) - h3sq.scale(alpha)
-        if _scalar_deg(ws, g1) != 2 * l or _scalar_deg(ws, g2) != 3 * l:
-            continue
-        if not wedge(differential(ws.leading_form(g1)),
-                     differential(ws.leading_form(g2))).is_zero:
-            continue
-        w12 = wedge_degree(ws, g1, g2)
+
+    def make_accept(alpha, g1, g2, w12):
         wedge_bound = DegreeValue.of(3 * l) + w12
         if which == "III":
-            if (alpha, beta, gamma) == (0, 0, 0):
-                continue
+            if alpha == 0:
+                return None
             deg_bound = DegreeValue.of(l) + w12
 
             def accept(res: Poly, peeled: dict) -> bool:
@@ -748,32 +715,36 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
                 return (2 * d.vec[0] <= 3 * l and d < deg_bound
                         and wedge_degree(ws, g1, res) < wedge_bound and bool(peeled))
 
-        else:
+            return accept
 
-            def accept(res: Poly, peeled: dict) -> bool:
-                if res.is_zero or res.is_constant:
-                    return False
-                d = ws.deg(res)
-                if not (2 * d.vec[0] <= 3 * l
-                        and wedge_degree(ws, g1, res) < wedge_bound):
-                    return False
-                if 2 * d.vec[0] != 3 * l:
-                    return False
-                t = proportionality(ws.leading_form(g2), ws.leading_form(res * res))
-                if t is None:
-                    return False
-                return _scalar_deg(ws, g2 - (res * res).scale(t)) <= 2 * l and bool(peeled)
+        def accept(res: Poly, peeled: dict) -> bool:
+            if res.is_zero or res.is_constant:
+                return False
+            d = ws.deg(res)
+            if not (2 * d.vec[0] <= 3 * l
+                    and wedge_degree(ws, g1, res) < wedge_bound):
+                return False
+            if 2 * d.vec[0] != 3 * l:
+                return False
+            t = proportionality(ws.leading_form(g2), ws.leading_form(res * res))
+            if t is None:
+                return False
+            return _scalar_deg(ws, g2 - (res * res).scale(t)) <= 2 * l and bool(peeled)
 
-        phi, g3 = peel(ws, h3, (g1, g2), limits, accept, 48)
-        if phi is None:
-            continue
-        mu = None
-        if which == "IV":
-            mu = proportionality(ws.leading_form(g2), ws.leading_form(g3 * g3))
-        return TypeWitness(type=which, l=l, sigma=sigma, alpha=alpha, beta=beta,
-                           gamma=gamma, mu=mu, sigma_scalar=Fraction(1), g=phi.negate(),
-                           derived=(g1, g2, g3))
-    return None
+        return accept
+
+    candidates = ((alpha, h1, h2 - h3sq.scale(alpha)) for alpha in alphas)
+    found = _peel_candidates(ws, h3, l, 3 * l, candidates, make_accept, limits)
+    if found is None:
+        return None
+    alpha, g, derived = found
+    g1, g2, g3 = derived
+    mu = None
+    if which == "IV":
+        mu = proportionality(ws.leading_form(g2), ws.leading_form(g3 * g3))
+    return TypeWitness(type=which, l=l, sigma=sigma, alpha=alpha, beta=Fraction(0),
+                       gamma=Fraction(0), mu=mu, sigma_scalar=Fraction(1), g=g,
+                       derived=derived)
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +802,6 @@ def check_not_er(
         j, k = [x for x in (1, 2, 3) if x != i]
         fi, fj, fk = F[i - 1], F[j - 1], F[k - 1]
         dj, dk = ws.deg(fj), ws.deg(fk)
-        from .algebra import semigroup_member
-
         if z_independent(dj, dk) and semigroup_member(ws.deg(fi), dj, dk) is None:
             out[f"i{i}"] = {"non_membership": True, "rigorous": True,
                             "reason": "semigroup-obstruction"}

@@ -23,8 +23,8 @@ from .algebra import (
     half,
     lex_weight,
     poly_to_text,
+    power_sum,
     semigroup_member,
-    total_weight,
     z_independent,
 )
 from .search import (
@@ -61,10 +61,6 @@ def verify_automorphism(F: Sequence[Poly], G: Sequence[Poly]) -> bool:
     """Exact two-sided inverse check."""
     ident = identity_endo(F[0].n)
     return compose_endo(F, G) == ident and compose_endo(G, F) == ident
-
-
-def apply_permutation(F: Sequence[Poly], sigma: tuple) -> Triple:
-    return permute_triple(F, sigma)
 
 
 def apply_scaling(F: Sequence[Poly], scalars: Sequence[Fraction]) -> Triple:
@@ -253,6 +249,32 @@ class TraceStep:
         """All recorded absences rigorous (meaningful for stuck results)."""
         return self.kind == "stuck" and stuck_rigorous(self.reasons)
 
+    def undo_factors(self) -> list[TameFactor]:
+        """Factors taking the triple this step produced back to the one it
+        started from, in application order.
+
+        An elementary step is undone by one elementary inverse.  For an su
+        step, with H = F_sigma: H . E1 . E2 . E3 = G_sigma, so
+        F = G . P_sigma . E3^-1 . E2^-1 . E1^-1 . P_sigma^-1, which in
+        application order reads [P_sigma^-1, E1^-1, E2^-1, E3^-1, P_sigma].
+        """
+        if self.kind == "elementary":
+            st = self.elementary
+            j, k = [x for x in range(N) if x != st.index - 1]
+            return [TameFactor.elementary(st.index, -_bipoly_as_twovar(st.phi, j, k))]
+        w = self.su_witness
+        y2 = Poly.variable(1, N)
+        y3 = Poly.variable(2, N)
+        e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c) + power_sum(y2, w.psi)
+        e2_phi = y3.scale(w.b) + Poly.constant(w.d, N)
+        e3_phi = _bipoly_as_twovar(w.phi3, 0, 1)
+        factors = [_perm_factor(unpermute_triple((1, 2, 3), w.sigma))]
+        for idx, phi in ((1, e1_phi), (2, e2_phi), (3, e3_phi)):
+            if not phi.is_zero:
+                factors.append(TameFactor.elementary(idx, -phi))
+        factors.append(_perm_factor(w.sigma))
+        return factors
+
     def to_json(self) -> dict:
         if self.kind == "elementary":
             payload = self.elementary.to_json()
@@ -283,14 +305,8 @@ class ReductionTrace:
         """Undo the steps from the final triple; must reproduce the origin."""
         current = self.final
         for step in reversed(self.steps):
-            if step.kind == "elementary":
-                st = step.elementary
-                j, k = [x for x in range(N) if x != st.index - 1]
-                phi_poly = _bipoly_as_twovar(st.phi, j, k)
-                e_inv = TameFactor.elementary(st.index, -phi_poly)
-                current = compose_endo(current, e_inv.as_endo())
-            else:
-                current = _su_step_undo(current, step)
+            for factor in reversed(step.undo_factors()):
+                current = compose_endo(current, factor.as_endo())
         return current
 
     def to_json(self, ws: WeightSystem) -> dict:
@@ -316,58 +332,16 @@ def _bipoly_as_twovar(phi: BiPoly, pos_f: int, pos_g: int) -> Poly:
     return Poly(N, terms)
 
 
-def _su_step_factors(step: TraceStep) -> list[TameFactor]:
-    """Three elementary factors plus permutation bookkeeping for one step.
-
-    With H = F_sigma: H . E1 . E2 . E3 = G_sigma, so
-    F = G . P_sigma . E3^-1 . E2^-1 . E1^-1 . P_sigma^-1.
-    In application order the undo-suffix reads
-    [P_sigma^-1, E1^-1, E2^-1, E3^-1, P_sigma].
-    """
-    w = step.su_witness
-    n = N
-    y2 = Poly.variable(1, n)
-    y3 = Poly.variable(2, n)
-    psi_poly = Poly.zero(n)
-    for m in sorted(w.psi):
-        psi_poly = psi_poly + (y2**m).scale(w.psi[m])
-    e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c) + psi_poly
-    e2_phi = y3.scale(w.b) + Poly.constant(w.d, n)
-    e3_phi = _bipoly_as_twovar(w.phi3, 0, 1)
-    perm = _perm_factor(w.sigma)
-    perm_inv = _perm_factor(_inverse_perm(w.sigma))
-    factors = [perm_inv]
-    for idx, phi in ((1, e1_phi), (2, e2_phi), (3, e3_phi)):
-        if not phi.is_zero:
-            factors.append(TameFactor.elementary(idx, -phi))
-    factors.append(perm)
-    return factors
-
-
-def _su_step_undo(current: Triple, step: TraceStep) -> Triple:
-    for f in reversed(_su_step_factors(step)):
-        current = compose_endo(current, f.as_endo())
-    return current
-
-
 def _perm_factor(sigma: tuple) -> TameFactor:
     matrix = [[Fraction(1) if sigma[i] - 1 == j else Fraction(0) for j in range(N)]
               for i in range(N)]
     return TameFactor.affine(matrix, [0, 0, 0])
 
 
-def _inverse_perm(sigma: tuple) -> tuple:
-    out = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        out[s - 1] = i + 1
-    return tuple(out)
-
-
 def reduce_step(
     ws: WeightSystem,
     F: Triple,
     limits: SearchLimits = DEFAULT_LIMITS,
-    su_normalize: bool = True,
     prefer: str = "elementary",
 ) -> TraceStep:
     """One reduction attempt: floor test, then the two search families.
@@ -395,15 +369,10 @@ def reduce_step(
     def try_su():
         out = find_su_reduction(ws, F, limits, check_independent=False)
         if out.witness is not None:
-            witness, reduced = out.witness, out.reduced
-            normalized = False
-            if su_normalize:
-                packed = _normalize_su_step(ws, F, witness, reduced, limits)
-                if packed is not None:
-                    witness, reduced = packed
-                    normalized = True
+            packed = _normalize_su_step(ws, F, out.witness, out.reduced, limits)
+            witness, reduced = packed or (out.witness, out.reduced)
             return TraceStep("su", su_witness=witness, su_reduced=reduced,
-                             su_normalized=normalized)
+                             su_normalized=packed is not None)
         reasons["su"] = out.reasons
         return None
 
@@ -441,7 +410,6 @@ def reduce_to_floor(
     ws: WeightSystem,
     F: Triple,
     limits: SearchLimits = DEFAULT_LIMITS,
-    su_normalize: bool = True,
     prefer: str = "elementary",
     itercap: int = 10_000,
 ) -> ReductionTrace:
@@ -449,7 +417,7 @@ def reduce_to_floor(
     trace = ReductionTrace(origin=tuple(F))
     current = tuple(F)
     for _ in range(itercap):
-        step = reduce_step(ws, current, limits, su_normalize, prefer)
+        step = reduce_step(ws, current, limits, prefer)
         if step.kind == "at-floor":
             trace.final = current
             trace.result = "floor"
@@ -538,7 +506,6 @@ def factor_tame(
     ws: WeightSystem,
     F: Endo3,
     limits: SearchLimits = DEFAULT_LIMITS,
-    su_normalize: bool = True,
     itercap: int = 10_000,
 ) -> tuple[Optional[list[TameFactor]], ReductionTrace]:
     """Full tame factorization via the reduction loop plus the floor step.
@@ -546,19 +513,10 @@ def factor_tame(
     On success the factors recompose exactly to F; a stuck trace is passed
     through with no factors.
     """
-    trace = reduce_to_floor(ws, F.components, limits, su_normalize, itercap=itercap)
+    trace = reduce_to_floor(ws, F.components, limits, itercap=itercap)
     if trace.result != "floor":
         return None, trace
-    factors: list[TameFactor] = []
-    undo: list[TameFactor] = []
-    for step in trace.steps:
-        if step.kind == "elementary":
-            st = step.elementary
-            j, k = [x for x in range(N) if x != st.index - 1]
-            undo.append(TameFactor.elementary(st.index, -_bipoly_as_twovar(st.phi, j, k)))
-        else:
-            undo.extend(_su_step_factors(step))
-    factors.extend(undo)
+    factors = [factor for step in trace.steps for factor in step.undo_factors()]
     factors.extend(triangularize_at_floor(ws, trace.final))
     return factors, trace
 

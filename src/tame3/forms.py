@@ -185,10 +185,7 @@ def max_complement_attained_twice(ws: WeightSystem, etas: Sequence[DiffForm]) ->
         raise ValueError("need at least two forms")
     values = []
     for i in range(len(etas)):
-        rest = [etas[j] for j in range(len(etas)) if j != i]
-        tilde = rest[0]
-        for w in rest[1:]:
-            tilde = wedge(tilde, w)
+        tilde = wedge_all([etas[j] for j in range(len(etas)) if j != i])
         values.append(deg_form(ws, etas[i]) + deg_form(ws, tilde))
     top = max(values)
     return sum(1 for v in values if v == top) >= 2

@@ -31,6 +31,7 @@ from .algebra import (
     exists_multiple_exceeding,
     half,
     parallel_multipliers,
+    power_sum,
     proportionality,
     semigroup_member,
     solve_affine,
@@ -297,47 +298,34 @@ def leading_membership_search(
         if found is not None:
             assert ws.deg(target - found.value()) < d
             return MembershipOutcome(found, rounds_used=0)
+
+    def decided_absent(shape_detail, note=None) -> MembershipOutcome:
+        """The exact slice decided: no pairs at all, or no solution on them."""
+        if exact_pairs:
+            return MembershipOutcome(None, Absence("degree-shape", True, shape_detail))
+        detail = {"target_degree": d.to_json()}
+        if note is not None:
+            detail["note"] = note
+        return MembershipOutcome(None, Absence("semigroup-obstruction", True, detail))
+
     if independent:
         # No cancellation between distinct products is possible, so the
         # exact slice decides membership outright.
-        if not exact_pairs:
-            return MembershipOutcome(
-                None, Absence("semigroup-obstruction", True,
-                              {"target_degree": d.to_json()})
-            )
-        return MembershipOutcome(
-            None, Absence("degree-shape", True, "homogeneous-slice-mismatch")
-        )
+        return decided_absent("homogeneous-slice-mismatch")
     # Cancellation among leading products forces a power proportionality of
     # the generator leading forms; without one, the exact slice already
     # decided membership rigorously.
     scaled = find_scaled_pair(ws, ws.leading_form(f), ws.leading_form(g))
     if scaled is None:
-        if not exact_pairs:
-            return MembershipOutcome(
-                None, Absence("semigroup-obstruction", True,
-                              {"target_degree": d.to_json(),
-                               "note": "independent leading forms"})
-            )
-        return MembershipOutcome(
-            None, Absence("degree-shape", True,
-                          "homogeneous-slice-mismatch (independent leading forms)")
-        )
+        return decided_absent("homogeneous-slice-mismatch (independent leading forms)",
+                              "independent leading forms")
     # Any element whose representation degree exceeds its value degree obeys
     # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
     # below it cannot be reached by the widened ansatz at all.
     floor = scaled.q * d1 + wedge_degree(ws, f, g) - d1 - d2
     if d < floor:
-        if not exact_pairs:
-            return MembershipOutcome(
-                None, Absence("semigroup-obstruction", True,
-                              {"target_degree": d.to_json(),
-                               "note": "below the cancellation floor"})
-            )
-        return MembershipOutcome(
-            None, Absence("degree-shape", True,
-                          {"cancellation_floor": floor.to_json()})
-        )
+        return decided_absent({"cancellation_floor": floor.to_json()},
+                              "below the cancellation floor")
     # Dependent leading structure: widen the ansatz so products above the
     # target degree may cancel among themselves.
     first_cap = d.first + 4 * max(d1.first, d2.first)
@@ -410,10 +398,9 @@ def exact_membership(
     target: Poly,
     gens: tuple[Poly, Poly],
     limits: SearchLimits = DEFAULT_LIMITS,
-    max_peels: int = 200,
 ) -> MembershipOutcome:
     """Full membership target in k[gens] by repeated leading peeling."""
-    phi, rest = peel(ws, target, gens, limits, lambda res, _: res.is_constant, max_peels)
+    phi, rest = peel(ws, target, gens, limits, lambda res, _: res.is_constant, 200)
     if phi is None:
         return MembershipOutcome(None, rest)
     coeffs = dict(phi.coeffs)
@@ -675,9 +662,7 @@ def find_su_reduction(
             upper = max(d1, 2 * d3)
             lower = max(d1, d3)
             for s in _odd_s_values(ws, delta, lower, upper, limits.max_candidates):
-                result = _assemble_first_component(
-                    ws, f1, f2, f3, u, s, delta, limits
-                )
+                result = _assemble_first_component(ws, f1, f2, f3, u, s, delta)
                 if result is None:
                     continue
                 a, c, psi_coeffs, g1 = result
@@ -714,7 +699,13 @@ def find_su_reduction(
     return SUOutcome(None, None, [Absence("limits-exhausted", False, reasons).to_json()])
 
 
-def _assemble_first_component(ws, f1, f2, f3, u, s, delta, limits):
+def shift_atoms(f2: Poly, f3: Poly, s: int) -> list[Poly]:
+    """[f3^2, f3, f2^0, ..., f2^((s-1)/2)]: the atoms of the first shift
+    g1 - f1 = a*f3^2 + c*f3 + psi(f2) of a reduction with odd exponent s."""
+    return [f3 * f3, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
+
+
+def _assemble_first_component(ws, f1, f2, f3, u, s, delta):
     """Solve the leading cancellation system for g1 = f1 + a f3^2 + c f3 + psi.
 
     Unknowns (a, c, e_0..e_M, gamma): every monomial of weighted degree
@@ -722,10 +713,7 @@ def _assemble_first_component(ws, f1, f2, f3, u, s, delta, limits):
     with gamma != 0 so the new top is exactly gamma*u^s.
     """
     target_deg = s * delta
-    f3sq = f3 * f3
-    us = u**s
-    psi_max = (s - 1) // 2
-    columns = [f3sq, f3] + [f2**m for m in range(psi_max + 1)] + [-us]
+    columns = shift_atoms(f2, f3, s) + [-(u**s)]
     monos = set()
     for p in columns + [f1]:
         monos.update(m for m in p.terms if ws.monomial_degree(m) >= target_deg)
@@ -750,11 +738,8 @@ def _assemble_first_component(ws, f1, f2, f3, u, s, delta, limits):
     if sol is None:
         return None
     a, c = sol[0], sol[1]
-    psi_coeffs = {m: sol[2 + m] for m in range(psi_max + 1) if sol[2 + m]}
-    psi = Poly.zero(f1.n)
-    for m, e in psi_coeffs.items():
-        psi = psi + (f2**m).scale(e)
-    g1 = f1 + f3sq.scale(a) + f3.scale(c) + psi
+    psi_coeffs = {m: e for m, e in enumerate(sol[2:gamma_idx]) if e}
+    g1 = f1 + columns[0].scale(a) + f3.scale(c) + power_sum(f2, psi_coeffs)
     if g1.is_zero or ws.deg(g1) != target_deg:
         return None
     return a, c, psi_coeffs, g1

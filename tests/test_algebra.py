@@ -14,6 +14,7 @@ from tame3.algebra import (
     parse_poly,
     poly_sqrt,
     poly_to_text,
+    power_sum,
     proportionality,
     semigroup_member,
     solve_affine,
@@ -22,6 +23,7 @@ from tame3.algebra import (
     total_weight,
     z_independent,
 )
+from tame3.univariate import AuxPoly
 
 D = DegreeValue.of
 
@@ -75,6 +77,19 @@ def test_pow_matches_repeated_mul(xyz):
     for k in range(5):
         assert f**k == acc
         acc = acc * f
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},
+    {0: Fraction(5)},
+    {0: Fraction(-3), 1: Fraction(2)},
+    {3: Fraction(1, 2), 1: Fraction(-1), 2: Fraction(0)},
+])
+def test_power_sum_matches_aux_evaluation(xyz, coeffs):
+    x1, x2, x3 = xyz
+    p = x1 * x3 + x2.scale(2) - Poly.constant(1, 3)
+    expected = AuxPoly(3, {m: Poly.constant(c, 3) for m, c in coeffs.items()}).evaluate(p)
+    assert power_sum(p, coeffs) == expected
 
 
 def test_compose_binomial(xyz):

@@ -203,7 +203,15 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["reduce", "{f}"], "x1 + x2^2\nx2\nx3\n", {"TAME3_LIMITS": "bidegree=abc"}),
     (["reduce", "{f}"], "x1\n0\nx3\n", None),
     (["factor", "{f}"], "x1 + x2^2\nx1^2 + 2*x1*x2^2 + x2^4\nx3\n", None),
-], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent"])
+    (["check", "{f}", "su"], "x1\nx1\nx3\n\nx1\nx1\nx3\n", None),
+    (["check", "{f}", "properties"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
+    (["check", "{f}", "type:V"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
+    (["check-inequality", "{f}"], "x1\n\n0: x1\n1: 1\n\n0\n", None),
+    (["check-inequality", "{f}"], "x1\nx1\n\n0: x1\n1: 1\n\nx2\n", None),
+    (["check-inequality", "{f}"], "x1\n\n-1: x1\n\nx2\n", None),
+], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
+        "check-dependent", "properties-outside-block", "unknown-type",
+        "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     path = tmp_path / "in.txt"
     path.write_text(text)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame3.algebra import DegreeValue, Poly
+from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
 from tame3.search import (
     DEFAULT_LIMITS,
     SearchLimits,
@@ -119,6 +119,50 @@ def test_membership_in_single(wt, xyz):
     coeffs = membership_in_single(wt, target, g)
     assert coeffs == {3: Fraction(2), 1: Fraction(-1), 0: Fraction(5)}
     assert membership_in_single(wt, x + y, g) is None
+
+
+def test_membership_in_single_leading_forms(wt, xyz):
+    x1, x2, _ = xyz
+    # a scalar multiple of a power of the base form is a member
+    assert membership_in_single(wt, (x1**3).scale(-2), x1) == {3: Fraction(-2)}
+    # same degree as a power, but not proportional to it
+    assert membership_in_single(wt, x1 * x2, x1) is None
+    assert membership_in_single(wt, Poly.constant(4, 3), x1) == {0: Fraction(4)}
+
+
+def _obstruction(target_degree, note=None):
+    detail = {"target_degree": target_degree}
+    if note is not None:
+        detail["note"] = note
+    return {"absent": {"reason": "semigroup-obstruction", "rigorous": True,
+                       "detail": detail}}
+
+
+def _shape(detail):
+    return {"absent": {"reason": "degree-shape", "rigorous": True, "detail": detail}}
+
+
+@pytest.mark.parametrize("weight, target, gens, expected", [
+    (lex_weight(3), "x1", ("x2", "x3"), _obstruction([1, 0, 0])),
+    (WeightSystem(((1, 0), (0, 1), (1, 0))), "x3*x2", ("x1", "x2"),
+     _shape("homogeneous-slice-mismatch")),
+    (total_weight(3), "x3", ("x1^2", "x2^2"),
+     _obstruction([1], "independent leading forms")),
+    (total_weight(3), "x3", ("x1", "x2"),
+     _shape("homogeneous-slice-mismatch (independent leading forms)")),
+    (total_weight(3), "x3", ("x1^2 + x2", "x1^3 + x3"),
+     _obstruction([1], "below the cancellation floor")),
+    (total_weight(3), "x3^4", ("x1^2 + x2", "x1^3 + x3"),
+     _shape({"cancellation_floor": [5]})),
+], ids=["independent-degrees-empty-slice", "independent-degrees-slice",
+        "independent-forms-empty-slice", "independent-forms-slice",
+        "below-floor-empty-slice", "below-floor-slice"])
+def test_leading_membership_rigorous_absences(weight, target, gens, expected):
+    # each exit where the exact slice decides, with and without slice pairs
+    out = leading_membership_search(
+        weight, parse_poly(target, 3), tuple(parse_poly(g, 3) for g in gens))
+    assert out.found is None
+    assert out.absence.to_json() == expected
 
 
 # --- scalar helpers ----------------------------------------------------------
