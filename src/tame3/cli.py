@@ -281,7 +281,12 @@ def cmd_check_inequality(args) -> int:
         coeffs = {}
         for line in blocks[1]:
             idx, _, body = line.partition(":")
-            coeffs[int(idx)] = parse_poly(body, N)
+            k = int(idx)
+            if k in coeffs:
+                raise InputError(f"coefficient index {k} given twice")
+            coeffs[k] = parse_poly(body, N)
+        if len(blocks[2]) != 1:
+            raise InputError(f"g block: expected 1 polynomial, found {len(blocks[2])}")
         g = parse_poly(blocks[2][0], N)
         phi = AuxPoly(N, coeffs)
     except (PolyParseError, ValueError) as exc:
@@ -296,6 +301,11 @@ def cmd_check_inequality(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag, value, least in (("--count", args.count, 0), ("--factors", args.factors, 0),
+                               ("--coeff-bound", args.coeff_bound, 1),
+                               ("--degree-bound", args.degree_bound, 1)):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
     out = []
     for k in range(args.count):
         seed = args.seed + k

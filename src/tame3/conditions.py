@@ -22,7 +22,6 @@ from .algebra import (
     Poly,
     WeightSystem,
     half,
-    parallel_multipliers,
     power_sum,
     proportionality,
     semigroup_member,
@@ -36,13 +35,13 @@ from .search import (
     BiPoly,
     SearchLimits,
     exact_membership,
+    find_scaled_pair,
     homogeneous_membership,
     leading_membership_search,
     membership_in_single,
     peel,
     permute_triple,
     PERMUTATIONS_3,
-    shift_atoms,
 )
 
 Triple = tuple[Poly, Poly, Poly]
@@ -78,21 +77,12 @@ def _odd_power_relation(
     ws: WeightSystem, g1: Poly, g2: Poly
 ) -> Optional[int]:
     """Odd s >= 3 with (g1^w)^2 proportional to (g2^w)^s."""
-    d1, d2 = ws.deg(g1), ws.deg(g2)
-    if d1.is_bottom or d2.is_bottom:
+    if g1.is_zero or g2.is_zero:
         return None
-    if not any(d2.vec):
+    pair = find_scaled_pair(ws, ws.leading_form(g2), ws.leading_form(g1))
+    if pair is None or pair.p != 2 or pair.q < 3:
         return None
-    m2, ml = parallel_multipliers(d2.vec, (2 * d1).vec)
-    if ml is None or m2 <= 0 or ml % m2:
-        return None
-    s = ml // m2
-    if s < 3 or s % 2 == 0:
-        return None
-    g1w, g2w = ws.leading_form(g1), ws.leading_form(g2)
-    if proportionality(g1w**2, g2w**s) is None:
-        return None
-    return s
+    return pair.q
 
 
 def _membership_flag(outcome) -> tuple[bool, dict]:
@@ -112,7 +102,6 @@ def check_su_conditions(
     F: Triple,
     G: Triple,
     limits: SearchLimits = DEFAULT_LIMITS,
-    su1_membership_known: bool = False,
 ) -> ConditionReport:
     """The six-block condition on an ordered pair of independent triples."""
     for name, triple in (("F", F), ("G", G)):
@@ -131,12 +120,7 @@ def check_su_conditions(
     )
     shift2 = g2 - f2
     sol2 = [Fraction(0)] if shift2.is_zero else _decompose(ws, shift2, [f3])
-    if su1_membership_known:
-        member3, payload3 = True, {"by_construction": True}
-    else:
-        member3, payload3 = _membership_flag(
-            exact_membership(ws, g3 - f3, (g1, g2), limits)
-        )
+    member3, payload3 = _membership_flag(exact_membership(ws, g3 - f3, (g1, g2), limits))
     rep.set(
         "SU1",
         sol1 is not None and sol2 is not None and member3,
@@ -173,7 +157,6 @@ def check_quasi_su(
     F: Triple,
     G: Triple,
     limits: SearchLimits = DEFAULT_LIMITS,
-    su1_membership_known: bool = False,
 ) -> ConditionReport:
     """Weakened first three conditions plus the shared last three."""
     for name, triple in (("F", F), ("G", G)):
@@ -188,12 +171,9 @@ def check_quasi_su(
     )
     shift2 = g2 - f2
     m2 = shift2.is_zero or membership_in_single(ws, shift2, f3) is not None
-    if su1_membership_known:
-        m3, p3 = True, {"by_construction": True}
-    else:
-        m3, p3 = (True, {"zero_shift": True}) if (g3 - f3).is_zero else _membership_flag(
-            exact_membership(ws, g3 - f3, (g1, g2), limits)
-        )
+    m3, p3 = (True, {"zero_shift": True}) if (g3 - f3).is_zero else _membership_flag(
+        exact_membership(ws, g3 - f3, (g1, g2), limits)
+    )
     rep.set("SU1'", m1 and m2 and m3, first=p1, second_in_third_gen=m2, third=p3)
 
     rep.set("SU2'", ws.deg(f1) <= ws.deg(g1) and ws.deg(f2) <= ws.deg(g2))
@@ -222,11 +202,17 @@ def check_quasi_su(
 # ---------------------------------------------------------------------------
 
 
+def _shift_atoms(f2: Poly, f3: Poly, s: int) -> list[Poly]:
+    """[f3^2, f3, f2^0, ..., f2^((s-1)/2)]: the atoms of the first shift
+    g1 - f1 = a*f3^2 + c*f3 + psi(f2) of a weak pair with odd exponent s."""
+    return [f3 * f3, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
+
+
 def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
     """(a, b, c, d, psi-coeffs) for the canonical shift shapes, or None."""
     f1, f2, f3 = F
     g1, g2, g3 = G
-    atoms = shift_atoms(f2, f3, s)
+    atoms = _shift_atoms(f2, f3, s)
     shift1 = g1 - f1
     sol1 = (
         [Fraction(0)] * len(atoms) if shift1.is_zero else _decompose(ws, shift1, atoms)
@@ -293,7 +279,7 @@ def verify_properties(
             break
     if not (g1 - f1).is_zero:
         family4.append(g1 - f1)
-    atoms4 = shift_atoms(f2, f3, s)
+    atoms4 = _shift_atoms(f2, f3, s)
     p4_ok = all(_decompose(ws, phi, atoms4) is not None for phi in family4)
     rep.set("P4", p4_ok, quantifier="sampled", family_size=len(family4))
 

@@ -23,7 +23,6 @@ from .algebra import (
     half,
     lex_weight,
     poly_to_text,
-    power_sum,
     semigroup_member,
     z_independent,
 )
@@ -34,11 +33,8 @@ from .search import (
     SUWitness,
     find_elementary_reduction,
     find_su_reduction,
-    permute_triple,
     unpermute_triple,
-    exact_membership,
 )
-from .conditions import normalize_to_su
 from .forms import differentials_wedge
 from .univariate import BiPoly
 
@@ -240,7 +236,6 @@ class TraceStep:
     elementary: Optional[ElementaryStep] = None
     su_witness: Optional[SUWitness] = None
     su_reduced: Optional[Triple] = None
-    su_normalized: bool = False
     reasons: Optional[dict] = None  # stuck only
     degree_after: Optional[DegreeValue] = None
 
@@ -263,10 +258,9 @@ class TraceStep:
             j, k = [x for x in range(N) if x != st.index - 1]
             return [TameFactor.elementary(st.index, -_bipoly_as_twovar(st.phi, j, k))]
         w = self.su_witness
-        y2 = Poly.variable(1, N)
         y3 = Poly.variable(2, N)
-        e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c) + power_sum(y2, w.psi)
-        e2_phi = y3.scale(w.b) + Poly.constant(w.d, N)
+        e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c)
+        e2_phi = y3.scale(w.b)
         e3_phi = _bipoly_as_twovar(w.phi3, 0, 1)
         factors = [_perm_factor(unpermute_triple((1, 2, 3), w.sigma))]
         for idx, phi in ((1, e1_phi), (2, e2_phi), (3, e3_phi)):
@@ -282,7 +276,6 @@ class TraceStep:
             payload = {
                 "witness": self.su_witness.to_json(),
                 "reduced": [poly_to_text(f) for f in self.su_reduced],
-                "normalized": self.su_normalized,
             }
         return {"kind": self.kind, "payload": payload,
                 "degree_after": self.degree_after.to_json()}
@@ -369,10 +362,7 @@ def reduce_step(
     def try_su():
         out = find_su_reduction(ws, F, limits, check_independent=False)
         if out.witness is not None:
-            packed = _normalize_su_step(ws, F, out.witness, out.reduced, limits)
-            witness, reduced = packed or (out.witness, out.reduced)
-            return TraceStep("su", su_witness=witness, su_reduced=reduced,
-                             su_normalized=packed is not None)
+            return TraceStep("su", su_witness=out.witness, su_reduced=out.reduced)
         reasons["su"] = out.reasons
         return None
 
@@ -382,28 +372,6 @@ def reduce_step(
         if result is not None:
             return result
     return TraceStep("stuck", reasons=reasons)
-
-
-def _normalize_su_step(ws, F, witness, reduced, limits):
-    """Fold the tail and constant out of an SU step (strict normal form)."""
-    sigma = witness.sigma
-    Fs = permute_triple(F, sigma)
-    Gs = permute_triple(reduced, sigma)
-    try:
-        norm = normalize_to_su(ws, Fs, Gs, limits)
-    except (ValueError, AssertionError):
-        return None
-    g1p, g2p, g3p = norm.normalized
-    member = exact_membership(ws, g3p - Fs[2], (g1p, g2p), limits)
-    if member.found is None:
-        return None
-    new_witness = SUWitness(
-        sigma=sigma,
-        a=norm.params["a"], b=norm.params["b"], c=norm.params["c"],
-        d=Fraction(0), psi={}, phi3=member.found,
-        s=norm.params["s"], delta=norm.params["delta"],
-    )
-    return new_witness, unpermute_triple(norm.normalized, sigma)
 
 
 def reduce_to_floor(

@@ -31,7 +31,6 @@ from .algebra import (
     exists_multiple_exceeding,
     half,
     parallel_multipliers,
-    power_sum,
     proportionality,
     semigroup_member,
     solve_affine,
@@ -434,11 +433,12 @@ def membership_in_single(
         if m is None:
             return None
         k = m[0] + m[1]
-        t = proportionality(ws.leading_form(residual), ws.leading_form(gen**k))
+        power = gen**k
+        t = proportionality(ws.leading_form(residual), ws.leading_form(power))
         if t is None:
             return None
         coeffs[k] = t
-        residual = residual - (gen**k).scale(t)
+        residual = residual - power.scale(t)
         if not residual.is_zero and not ws.deg(residual) < d:
             return None
     return coeffs
@@ -552,16 +552,14 @@ def find_elementary_reduction(
 class SUWitness:
     """Data reproducing the reduced triple from the original one.
 
-    With (f1, f2, f3) the sigma-permuted components: g1 = f1 + a*f3^2 + c*f3
-    + psi(f2), g2 = f2 + b*f3 + d, g3 = f3 + phi3(g1, g2).
+    With (f1, f2, f3) the sigma-permuted components: g1 = f1 + a*f3^2 + c*f3,
+    g2 = f2 + b*f3, g3 = f3 + phi3(g1, g2).
     """
 
     sigma: tuple
     a: Fraction
     b: Fraction
     c: Fraction
-    d: Fraction
-    psi: dict  # exponent -> Fraction, coefficients of Psi with psi = Psi(f2)
     phi3: BiPoly
     s: int
     delta: DegreeValue
@@ -572,8 +570,6 @@ class SUWitness:
             "a": str(self.a),
             "b": str(self.b),
             "c": str(self.c),
-            "d": str(self.d),
-            "psi": {str(k): str(v) for k, v in sorted(self.psi.items())},
             "phi3": self.phi3.to_json(),
             "s": self.s,
             "delta": self.delta.to_json(),
@@ -662,10 +658,10 @@ def find_su_reduction(
             upper = max(d1, 2 * d3)
             lower = max(d1, d3)
             for s in _odd_s_values(ws, delta, lower, upper, limits.max_candidates):
-                result = _assemble_first_component(ws, f1, f2, f3, u, s, delta)
+                result = _assemble_first_component(ws, f1, f3, u, s, delta)
                 if result is None:
                     continue
-                a, c, psi_coeffs, g1 = result
+                a, c, g1 = result
                 g1w, g2w = ws.leading_form(g1), ws.leading_form(g2)
                 if proportionality(g1w**2, g2w**s) is None:
                     continue
@@ -688,10 +684,8 @@ def find_su_reduction(
                 phi3 = phi3.negate()
                 if differentials_wedge([g1, g2, g3]).is_zero:
                     continue
-                witness = SUWitness(
-                    sigma=sigma, a=a, b=b, c=c, d=Fraction(0),
-                    psi=psi_coeffs, phi3=phi3, s=s, delta=delta,
-                )
+                witness = SUWitness(sigma=sigma, a=a, b=b, c=c, phi3=phi3, s=s,
+                                    delta=delta)
                 reduced = unpermute_triple((g1, g2, g3), sigma)
                 return SUOutcome(witness, reduced, reasons)
     if not reasons:
@@ -699,21 +693,16 @@ def find_su_reduction(
     return SUOutcome(None, None, [Absence("limits-exhausted", False, reasons).to_json()])
 
 
-def shift_atoms(f2: Poly, f3: Poly, s: int) -> list[Poly]:
-    """[f3^2, f3, f2^0, ..., f2^((s-1)/2)]: the atoms of the first shift
-    g1 - f1 = a*f3^2 + c*f3 + psi(f2) of a reduction with odd exponent s."""
-    return [f3 * f3, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
+def _assemble_first_component(ws, f1, f3, u, s, delta):
+    """Solve the leading cancellation system for g1 = f1 + a f3^2 + c f3.
 
-
-def _assemble_first_component(ws, f1, f2, f3, u, s, delta):
-    """Solve the leading cancellation system for g1 = f1 + a f3^2 + c f3 + psi.
-
-    Unknowns (a, c, e_0..e_M, gamma): every monomial of weighted degree
-    >= s*delta in f1 + a f3^2 + c f3 + sum e_m f2^m - gamma u^s must vanish,
-    with gamma != 0 so the new top is exactly gamma*u^s.
+    Unknowns (a, c, gamma): every monomial of weighted degree >= s*delta in
+    f1 + a f3^2 + c f3 - gamma u^s must vanish, with gamma != 0 so the new
+    top is exactly gamma*u^s.  A tail psi(f2) cannot enter: every atom f2^m
+    with 2m <= s - 1 lies wholly below s*delta, so its column would be zero.
     """
     target_deg = s * delta
-    columns = shift_atoms(f2, f3, s) + [-(u**s)]
+    columns = [f3 * f3, f3, -(u**s)]
     monos = set()
     for p in columns + [f1]:
         monos.update(m for m in p.terms if ws.monomial_degree(m) >= target_deg)
@@ -725,21 +714,14 @@ def _assemble_first_component(ws, f1, f2, f3, u, s, delta):
     solved = solve_affine(rows, rhs)
     if solved is None:
         return None
-    particular, kernel = solved
-    gamma_idx = len(columns) - 1
-    sol = None
-    if particular[gamma_idx] != 0:
-        sol = particular
-    else:
-        for vec in kernel:
-            if vec[gamma_idx] != 0:
-                sol = [p + v for p, v in zip(particular, vec)]
-                break
-    if sol is None:
-        return None
+    sol, kernel = solved
+    if sol[2] == 0:
+        lift = next((vec for vec in kernel if vec[2] != 0), None)
+        if lift is None:
+            return None
+        sol = [p + v for p, v in zip(sol, lift)]
     a, c = sol[0], sol[1]
-    psi_coeffs = {m: e for m, e in enumerate(sol[2:gamma_idx]) if e}
-    g1 = f1 + columns[0].scale(a) + f3.scale(c) + power_sum(f2, psi_coeffs)
+    g1 = f1 + columns[0].scale(a) + f3.scale(c)
     if g1.is_zero or ws.deg(g1) != target_deg:
         return None
-    return a, c, psi_coeffs, g1
+    return a, c, g1

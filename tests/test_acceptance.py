@@ -316,7 +316,7 @@ def quasi_pairs(su_pair_family):
         sigma = out.witness.sigma
         Fs = permute_triple(F, sigma)
         Gs = permute_triple(out.reduced, sigma)
-        assert check_quasi_su(ws, Fs, Gs, su1_membership_known=True).overall
+        assert check_quasi_su(ws, Fs, Gs).overall
         pairs.append((ws, Fs, Gs))
         # permuted variant exercises the non-identity scan
         F_perm = permute_triple(F, (2, 3, 1))

@@ -209,9 +209,17 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["check-inequality", "{f}"], "x1\n\n0: x1\n1: 1\n\n0\n", None),
     (["check-inequality", "{f}"], "x1\nx1\n\n0: x1\n1: 1\n\nx2\n", None),
     (["check-inequality", "{f}"], "x1\n\n-1: x1\n\nx2\n", None),
+    (["check-inequality", "{f}"], "x1\n\n0: x1\n1: 1\n\nx2\nx3\n", None),
+    (["check-inequality", "{f}"], "x1\n\n0: x1\n0: 1\n\nx2\n", None),
+    (["gen", "--factors", "-1"], "", None),
+    (["gen", "--coeff-bound", "0"], "", None),
+    (["gen", "--degree-bound", "0"], "", None),
+    (["gen", "--count", "-2"], "", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type",
-        "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent"])
+        "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent",
+        "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
+        "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     path = tmp_path / "in.txt"
     path.write_text(text)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tame3.algebra import DegreeValue, Poly, lex_weight
+from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
     TameFactor,
@@ -135,9 +136,30 @@ def test_su_flavored_trace(su_pair_family, k):
     trace = reduce_to_floor(ws, F, prefer="su", itercap=50)
     assert su_number(trace) >= 1
     assert trace.recompose_origin() == F
+    # every su step is strict: the permuted pair passes the full SU block
+    current = F
     for step in trace.steps:
         if step.kind == "su":
-            assert step.su_normalized
+            sigma = step.su_witness.sigma
+            assert check_su_conditions(ws, permute_triple(current, sigma),
+                                       permute_triple(step.su_reduced, sigma)).overall
+            current = step.su_reduced
+        else:
+            st = step.elementary
+            comps = list(current)
+            comps[st.index - 1] = comps[st.index - 1] + st.phi.value()
+            current = tuple(comps)
+    assert current == trace.final
+
+
+def test_su_step_json_keys(su_pair_family):
+    # a strict su step carries no psi tail, no constant and no normalization flag
+    ws, F, _ = su_pair_family[2]
+    trace = reduce_to_floor(ws, F, prefer="su", itercap=50)
+    step = next(s for s in trace.steps if s.kind == "su")
+    payload = step.to_json()["payload"]
+    assert set(payload) == {"witness", "reduced"}
+    assert set(payload["witness"]) == {"sigma", "a", "b", "c", "phi3", "s", "delta"}
 
 
 def test_su_number_zero_for_elementary_traces(wt, small_corpus):

@@ -13,9 +13,9 @@ import pytest
 PKG = Path(__file__).resolve().parent.parent / "src" / "tame3"
 
 
-def _private_imports(path: Path) -> list[str]:
-    """'line: name from module' for every import of an underscore name from
-    another tame3 module, at module level or inside a function."""
+def _tame3_imports(path: Path) -> list[tuple[int, str, str]]:
+    """(line, module, name) for every import from a tame3 module, at module
+    level or inside a function; module keeps its leading dots."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not isinstance(node, ast.ImportFrom):
@@ -23,9 +23,16 @@ def _private_imports(path: Path) -> list[str]:
         module = node.module or ""
         if node.level == 0 and module != "tame3" and not module.startswith("tame3."):
             continue
-        found.extend(f"{node.lineno}: {alias.name} from {'.' * node.level}{module}"
-                     for alias in node.names if alias.name.startswith("_"))
+        found.extend((node.lineno, "." * node.level + module, alias.name)
+                     for alias in node.names)
     return found
+
+
+def _private_imports(path: Path) -> list[str]:
+    """'line: name from module' for every import of an underscore name from
+    another tame3 module."""
+    return [f"{line}: {name} from {module}" for line, module, name in _tame3_imports(path)
+            if name.startswith("_")]
 
 
 @pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.name)
@@ -40,3 +47,10 @@ def test_detector_sees_function_level_imports(tmp_path):
                      "from tame3.search import _Cache\n")
     assert set(_private_imports(probe)) == {"4: _hidden from .algebra",
                                             "5: _Cache from tame3.search"}
+
+
+def test_engine_does_not_import_conditions():
+    # the reduction loop builds strict su steps itself; the checkers sit above it
+    found = [(line, name) for line, module, name in _tame3_imports(PKG / "engine.py")
+             if module in (".conditions", "tame3.conditions")]
+    assert found == []
