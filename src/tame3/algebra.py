@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,6 @@ class Poly:
             acc = acc + prod
         return acc
 
-    def monomials(self) -> Iterator[tuple]:
-        return iter(sorted(self.terms, reverse=True))
-
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial."""
         if not self.terms:
@@ -327,11 +324,8 @@ class Poly:
 
 
 def power_sum(p: Poly, coeffs: dict) -> Poly:
-    """sum of coeffs[m] * p^m over ascending m (zero for empty coeffs)."""
-    acc = Poly.zero(p.n)
-    for m in sorted(coeffs):
-        acc = acc + (p**m).scale(coeffs[m])
-    return acc
+    """sum of coeffs[m] * p^m (zero for empty coeffs)."""
+    return Poly(1, {(m,): c for m, c in coeffs.items()}).compose([p])
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +546,10 @@ def semigroup_member(
 
 
 def all_semigroup_pairs(
-    d: DegreeValue, d1: DegreeValue, d2: DegreeValue, guard: int = 4000
+    d: DegreeValue, d1: DegreeValue, d2: DegreeValue
 ) -> list[tuple[int, int]]:
-    """Every (p, q) >= 0 with p*d1 + q*d2 == d (finite for positive d1, d2)."""
+    """Every (p, q) >= 0 with p*d1 + q*d2 == d (finite for positive d1, d2);
+    ValueError past 4000 candidate values of p."""
     if d.is_bottom or d1.is_bottom or d2.is_bottom:
         raise ValueError("requires vector degrees")
     a, b, t = d1.vec, d2.vec, d.vec
@@ -567,8 +562,8 @@ def all_semigroup_pairs(
     ma, mb, mt = parallel_multipliers(a, b, t)
     if mb is None or mt is None or ma <= 0 or mb <= 0 or mt < 0:
         return []
-    if mt // ma > guard:
-        raise ValueError(f"semigroup enumeration exceeds guard ({mt // ma} > {guard})")
+    if mt // ma > 4000:
+        raise ValueError(f"semigroup enumeration exceeds guard ({mt // ma} > 4000)")
     return [(p, (mt - p * ma) // mb) for p in range(mt // ma + 1) if (mt - p * ma) % mb == 0]
 
 

@@ -253,19 +253,19 @@ def cmd_check(args) -> int:
         "quasi": check_quasi_su,
         "properties": verify_properties,
     }
-    if which in checkers:
-        try:
-            rep = checkers[which](ws, F, G, limits)
-        except ValueError as exc:
-            raise InputError(f"{args.file}: {exc}") from exc
-        payload, ok = rep.to_json(), rep.overall
-    elif which.startswith("type:") and which[len("type:"):] in TYPE_NAMES:
-        kind = which[len("type:"):]
-        witness = detect_type(F, kind, limits)
-        payload = {f"type{kind}": witness.to_json() if witness else None}
-        ok = witness is not None
-    else:
+    kind = which[len("type:"):] if which.startswith("type:") else None
+    if which not in checkers and kind not in TYPE_NAMES:
         raise InputError(f"unknown check {which!r}")
+    try:
+        if kind is None:
+            rep = checkers[which](ws, F, G, limits)
+            payload, ok = rep.to_json(), rep.overall
+        else:
+            witness = detect_type(F, kind, limits, ws)
+            payload = {f"type{kind}": witness.to_json() if witness else None}
+            ok = witness is not None
+    except ValueError as exc:
+        raise InputError(f"{args.file}: {exc}") from exc
     lines = [json.dumps(payload, sort_keys=True, indent=1)]
     _emit(args, payload, lines)
     return 0 if ok else 1

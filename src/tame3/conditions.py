@@ -24,10 +24,8 @@ from .algebra import (
     half,
     power_sum,
     proportionality,
-    semigroup_member,
     solve_sparse_int,
     total_weight,
-    z_independent,
 )
 from .forms import differential, differentials_wedge, wedge, wedge_degree
 from .search import (
@@ -499,26 +497,14 @@ def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
         return [Fraction(0), Fraction(1)] if w0.is_zero else []
     if w0.is_zero:
         return [Fraction(0)]
-    # componentwise ratio w0 = t * w1
-    monos: dict = {}
-    for idx, poly in w1.coeffs.items():
-        for m, cc in poly.terms.items():
-            monos[(idx, m)] = cc
-    t: Optional[Fraction] = None
-    for (idx, m), cc in monos.items():
-        other = w0.coeffs.get(idx)
-        num = other.terms.get(m, Fraction(0)) if other else Fraction(0)
-        ratio = num / cc
-        if t is None:
-            t = ratio
-        elif t != ratio:
-            return []
-    for idx, poly in w0.coeffs.items():
-        base = w1.coeffs.get(idx)
-        for m, cc in poly.terms.items():
-            if (base.terms.get(m, Fraction(0)) if base else Fraction(0)) * t != cc:
-                return []
-    return [t] if t else []
+    # w0 = t * w1 componentwise, with t read off one coefficient of w1
+    idx, poly = next(iter(w1.coeffs.items()))
+    m, cc = next(iter(poly.terms.items()))
+    other = w0.coeffs.get(idx)
+    t = (other.terms.get(m, Fraction(0)) if other else Fraction(0)) / cc
+    if t and w0.coeffs == {i: p.scale(t) for i, p in w1.coeffs.items()}:
+        return [t]
+    return []
 
 
 def detect_type(
@@ -786,13 +772,7 @@ def check_not_er(
             out[f"i{i}"] = {"skipped": "hypothesis void"}
             continue
         j, k = [x for x in (1, 2, 3) if x != i]
-        fi, fj, fk = F[i - 1], F[j - 1], F[k - 1]
-        dj, dk = ws.deg(fj), ws.deg(fk)
-        if z_independent(dj, dk) and semigroup_member(ws.deg(fi), dj, dk) is None:
-            out[f"i{i}"] = {"non_membership": True, "rigorous": True,
-                            "reason": "semigroup-obstruction"}
-            continue
-        res = leading_membership_search(ws, fi, (fj, fk), limits)
+        res = leading_membership_search(ws, F[i - 1], (F[j - 1], F[k - 1]), limits)
         if res.found is not None:
             out[f"i{i}"] = {"non_membership": False}
             out["holds"] = False

@@ -36,11 +36,11 @@ from .search import (
     unpermute_triple,
 )
 from .forms import differentials_wedge
-from .univariate import BiPoly
 
 Triple = tuple[Poly, Poly, Poly]
 
 N = 3
+_DEGREE_CLAMP = 28  # random_tame resamples above this total degree
 
 
 def identity_endo(n: int = N) -> Triple:
@@ -235,7 +235,7 @@ class TraceStep:
     kind: str  # at-floor | elementary | su | stuck
     elementary: Optional[ElementaryStep] = None
     su_witness: Optional[SUWitness] = None
-    su_reduced: Optional[Triple] = None
+    reduced: Optional[Triple] = None  # the triple an elementary or su step produces
     reasons: Optional[dict] = None  # stuck only
     degree_after: Optional[DegreeValue] = None
 
@@ -253,15 +253,16 @@ class TraceStep:
         F = G . P_sigma . E3^-1 . E2^-1 . E1^-1 . P_sigma^-1, which in
         application order reads [P_sigma^-1, E1^-1, E2^-1, E3^-1, P_sigma].
         """
+        y = identity_endo()
         if self.kind == "elementary":
             st = self.elementary
             j, k = [x for x in range(N) if x != st.index - 1]
-            return [TameFactor.elementary(st.index, -_bipoly_as_twovar(st.phi, j, k))]
+            return [TameFactor.elementary(st.index, -st.phi.at((y[j], y[k])))]
         w = self.su_witness
-        y3 = Poly.variable(2, N)
+        y1, y2, y3 = y
         e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c)
         e2_phi = y3.scale(w.b)
-        e3_phi = _bipoly_as_twovar(w.phi3, 0, 1)
+        e3_phi = w.phi3.at((y1, y2))
         factors = [_perm_factor(unpermute_triple((1, 2, 3), w.sigma))]
         for idx, phi in ((1, e1_phi), (2, e2_phi), (3, e3_phi)):
             if not phi.is_zero:
@@ -275,7 +276,7 @@ class TraceStep:
         else:
             payload = {
                 "witness": self.su_witness.to_json(),
-                "reduced": [poly_to_text(f) for f in self.su_reduced],
+                "reduced": [poly_to_text(f) for f in self.reduced],
             }
         return {"kind": self.kind, "payload": payload,
                 "degree_after": self.degree_after.to_json()}
@@ -313,18 +314,6 @@ class ReductionTrace:
         }
 
 
-def _bipoly_as_twovar(phi: BiPoly, pos_f: int, pos_g: int) -> Poly:
-    """Rewrite a two-generator representation as a polynomial in the
-    variables at positions pos_f, pos_g."""
-    terms = {}
-    for (i, j), c in phi.coeffs.items():
-        mono = [0] * N
-        mono[pos_f] = i
-        mono[pos_g] = j
-        terms[tuple(mono)] = c
-    return Poly(N, terms)
-
-
 def _perm_factor(sigma: tuple) -> TameFactor:
     matrix = [[Fraction(1) if sigma[i] - 1 == j else Fraction(0) for j in range(N)]
               for i in range(N)]
@@ -355,14 +344,14 @@ def reduce_step(
     def try_elementary():
         out = find_elementary_reduction(ws, F, limits, check_independent=False)
         if out.step is not None:
-            return TraceStep("elementary", elementary=out.step)
+            return TraceStep("elementary", elementary=out.step, reduced=out.reduced)
         reasons["elementary"] = {str(i): a.to_json() for i, a in out.reasons.items()}
         return None
 
     def try_su():
         out = find_su_reduction(ws, F, limits, check_independent=False)
         if out.witness is not None:
-            return TraceStep("su", su_witness=out.witness, su_reduced=out.reduced)
+            return TraceStep("su", su_witness=out.witness, reduced=out.reduced)
         reasons["su"] = out.reasons
         return None
 
@@ -395,13 +384,7 @@ def reduce_to_floor(
             trace.result = "stuck"
             trace.stuck_reasons = step.reasons
             return trace
-        if step.kind == "elementary":
-            st = step.elementary
-            comps = list(current)
-            comps[st.index - 1] = comps[st.index - 1] + st.phi.value()
-            current = tuple(comps)
-        else:
-            current = step.su_reduced
+        current = step.reduced
         step.degree_after = ws.deg_endo(current)
         trace.steps.append(step)
     trace.final = current
@@ -436,7 +419,7 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     if _det3(L) == 0:
         raise ValueError("internal inconsistency: singular linear part")
     M = _invert3(L)
-    K = tuple(_linear_combination(G, row) for row in M)
+    K = compose_endo(G, TameFactor.affine(M, [0, 0, 0]).as_endo())
 
     def key(i):
         return (ws.weights[i], i)
@@ -462,26 +445,17 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     return factors
 
 
-def _linear_combination(G: Triple, row) -> Poly:
-    acc = Poly.zero(N)
-    for coeff, g in zip(row, G):
-        if coeff:
-            acc = acc + g.scale(coeff)
-    return acc
-
-
 def factor_tame(
     ws: WeightSystem,
     F: Endo3,
     limits: SearchLimits = DEFAULT_LIMITS,
-    itercap: int = 10_000,
 ) -> tuple[Optional[list[TameFactor]], ReductionTrace]:
     """Full tame factorization via the reduction loop plus the floor step.
 
     On success the factors recompose exactly to F; a stuck trace is passed
     through with no factors.
     """
-    trace = reduce_to_floor(ws, F.components, limits, itercap=itercap)
+    trace = reduce_to_floor(ws, F.components, limits)
     if trace.result != "floor":
         return None, trace
     factors = [factor for step in trace.steps for factor in step.undo_factors()]
@@ -499,13 +473,12 @@ def random_tame(
     factor_count: int,
     coefficient_bound: int = 3,
     degree_bound: int = 3,
-    degree_clamp: int = 28,
 ) -> tuple[Endo3, list[TameFactor]]:
     """Deterministic-from-seed tame automorphism with ground truth.
 
-    Resamples until the composed total degree stays under ``degree_clamp``
-    to keep downstream searches tractable; the ground-truth factor list and
-    an exactly verified inverse ride along.
+    Resamples until the composed total degree stays at most
+    ``_DEGREE_CLAMP`` to keep downstream searches tractable; the
+    ground-truth factor list and an exactly verified inverse ride along.
     """
     if factor_count < 0 or coefficient_bound <= 0 or degree_bound <= 0:
         raise ValueError("bounds must be positive")
@@ -513,10 +486,10 @@ def random_tame(
     for _ in range(256):
         factors = [_random_factor(rng, coefficient_bound, degree_bound)
                    for _ in range(factor_count)]
-        comps = _compose_clamped(factors, degree_clamp)
+        comps = _compose_clamped(factors)
         if comps is None:
             continue
-        inverse = _compose_clamped(invert_factors(factors), degree_clamp)
+        inverse = _compose_clamped(invert_factors(factors))
         if inverse is None:
             continue
         endo = Endo3(comps, inverse, check_inverse=False)
@@ -524,15 +497,15 @@ def random_tame(
     raise RuntimeError("could not sample a clamped tame composition")
 
 
-def _compose_clamped(factors: Sequence[TameFactor], clamp: int) -> Optional[Triple]:
+def _compose_clamped(factors: Sequence[TameFactor]) -> Optional[Triple]:
     """Compose with a predictive degree guard so no intermediate blows up."""
     comps = identity_endo()
     for factor in factors:
         top = max(f.total_degree() for f in comps)
-        if factor.kind == "elementary" and factor.phi.total_degree() * top > clamp:
+        if factor.kind == "elementary" and factor.phi.total_degree() * top > _DEGREE_CLAMP:
             return None
         comps = compose_endo(factor.as_endo(), comps)
-        if max(f.total_degree() for f in comps) > clamp:
+        if max(f.total_degree() for f in comps) > _DEGREE_CLAMP:
             return None
     return comps
 

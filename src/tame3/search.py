@@ -104,6 +104,7 @@ class MembershipOutcome:
     found: Optional[BiPoly]
     absence: Optional[Absence] = None
     rounds_used: int = 0
+    residual: Optional[Poly] = None  # target - found.value(), when found
 
 
 class _ProductCache:
@@ -295,8 +296,9 @@ def leading_membership_search(
     if exact_pairs:
         found = _solve_with_pairs(ws, target, gens, exact_pairs, d, cache)
         if found is not None:
-            assert ws.deg(target - found.value()) < d
-            return MembershipOutcome(found, rounds_used=0)
+            residual = target - found.value()
+            assert ws.deg(residual) < d
+            return MembershipOutcome(found, rounds_used=0, residual=residual)
 
     def decided_absent(shape_detail, note=None) -> MembershipOutcome:
         """The exact slice decided: no pairs at all, or no solution on them."""
@@ -344,8 +346,9 @@ def leading_membership_search(
         pairs = exact_pairs + [p for p in higher if p[0] + p[1] <= level]
         found = _solve_with_pairs(ws, target, gens, pairs, d, cache)
         if found is not None:
-            assert ws.deg(target - found.value()) < d
-            return MembershipOutcome(found, rounds_used=round_no)
+            residual = target - found.value()
+            assert ws.deg(residual) < d
+            return MembershipOutcome(found, rounds_used=round_no, residual=residual)
     return MembershipOutcome(
         None,
         Absence("limits-exhausted", False,
@@ -386,9 +389,8 @@ def peel(
                 acc[key] = s
             else:
                 acc.pop(key, None)
-        new_residual = residual - out.found.value()
-        assert ws.deg(new_residual) < ws.deg(residual)
-        residual = new_residual
+        assert ws.deg(out.residual) < ws.deg(residual)
+        residual = out.residual
     return None, Absence("limits-exhausted", False, "peel budget")
 
 
@@ -404,7 +406,7 @@ def exact_membership(
         return MembershipOutcome(None, rest)
     coeffs = dict(phi.coeffs)
     coeffs[(0, 0)] = coeffs.get((0, 0), Fraction(0)) + rest.constant_term()
-    return MembershipOutcome(BiPoly(gens, coeffs))
+    return MembershipOutcome(BiPoly(gens, coeffs), residual=Poly.zero(target.n))
 
 
 def membership_in_single(
@@ -502,6 +504,7 @@ class ElementaryStep:
 class ElementaryOutcome:
     step: Optional[ElementaryStep]
     reasons: dict = field(default_factory=dict)  # 1-based index -> Absence
+    reduced: Optional[tuple] = None  # the triple after the step
 
 
 def find_elementary_reduction(
@@ -534,11 +537,11 @@ def find_elementary_reduction(
             continue
         out = leading_membership_search(ws, fi, (fj, fl), limits)
         if out.found is not None:
-            phi = out.found.negate()
-            new_deg = ws.deg(fi + phi.value())
-            return ElementaryOutcome(
-                ElementaryStep(index=i + 1, phi=phi, new_degree=new_deg), reasons
-            )
+            reduced = list(triple)
+            reduced[i] = out.residual
+            step = ElementaryStep(index=i + 1, phi=out.found.negate(),
+                                  new_degree=ws.deg(out.residual))
+            return ElementaryOutcome(step, reasons, tuple(reduced))
         reasons[i + 1] = out.absence
     return ElementaryOutcome(None, reasons)
 
@@ -584,7 +587,6 @@ class SUOutcome:
 
 
 def _odd_s_values(
-    ws: WeightSystem,
     delta: DegreeValue,
     lower: DegreeValue,
     upper: DegreeValue,
@@ -657,7 +659,7 @@ def find_su_reduction(
             _, u = sq
             upper = max(d1, 2 * d3)
             lower = max(d1, d3)
-            for s in _odd_s_values(ws, delta, lower, upper, limits.max_candidates):
+            for s in _odd_s_values(delta, lower, upper, limits.max_candidates):
                 result = _assemble_first_component(ws, f1, f3, u, s, delta)
                 if result is None:
                     continue

@@ -30,9 +30,6 @@ class AuxPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def y_degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
     def derivative(self) -> "AuxPoly":
         return AuxPoly(
             self.n, {i - 1: p.scale(i) for i, p in self.coeffs.items() if i >= 1}
@@ -132,12 +129,12 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def at(self, pair: Sequence[Poly]) -> Poly:
+        """The representation with pair substituted for its generators."""
+        return Poly(2, self.coeffs).compose(pair)
+
     def value(self) -> Poly:
-        f, g = self.gens
-        acc = Poly.zero(f.n)
-        for (i, j) in sorted(self.coeffs):
-            acc = acc + (f**i * g**j).scale(self.coeffs[(i, j)])
-        return acc
+        return self.at(self.gens)
 
     def negate(self) -> "BiPoly":
         return BiPoly(self.gens, {k: -c for k, c in self.coeffs.items()})

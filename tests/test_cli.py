@@ -137,6 +137,16 @@ def test_check_type_scan(tmp_path):
     assert json.loads(out.stdout)["typeIV"] is None
 
 
+@pytest.mark.parametrize("weight", ["total", "1;1;1"])
+def test_check_type_runs_at_total_weight_spellings(tmp_path, weight):
+    # type detection is defined at total weight; both spellings run the scan
+    path = tmp_path / "pair.txt"
+    path.write_text("x1 + x2^2\nx2\nx3\n\nx1\nx2\nx3\n")
+    out = run_cli(["check", str(path), "type:IV", "--weight", weight, "--json"])
+    assert out.returncode == 1 and out.stderr == ""
+    assert json.loads(out.stdout)["typeIV"] is None
+
+
 def test_check_inequality(tmp_path):
     path = tmp_path / "ineq.txt"
     path.write_text("x1\n\n0: x1\n1: 1\n\nx2\n")
@@ -206,6 +216,7 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["check", "{f}", "su"], "x1\nx1\nx3\n\nx1\nx1\nx3\n", None),
     (["check", "{f}", "properties"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
     (["check", "{f}", "type:V"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
+    (["check", "{f}", "type:I", "--weight", "nagata-lex"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
     (["check-inequality", "{f}"], "x1\n\n0: x1\n1: 1\n\n0\n", None),
     (["check-inequality", "{f}"], "x1\nx1\n\n0: x1\n1: 1\n\nx2\n", None),
     (["check-inequality", "{f}"], "x1\n\n-1: x1\n\nx2\n", None),
@@ -216,7 +227,7 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["gen", "--degree-bound", "0"], "", None),
     (["gen", "--count", "-2"], "", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
-        "check-dependent", "properties-outside-block", "unknown-type",
+        "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
         "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent",
         "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
         "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count"])

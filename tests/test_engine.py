@@ -25,6 +25,7 @@ from tame3.engine import (
     invert_factors,
 )
 from tame3.search import permute_triple
+from tame3.univariate import BiPoly
 
 D = DegreeValue.of
 
@@ -142,13 +143,14 @@ def test_su_flavored_trace(su_pair_family, k):
         if step.kind == "su":
             sigma = step.su_witness.sigma
             assert check_su_conditions(ws, permute_triple(current, sigma),
-                                       permute_triple(step.su_reduced, sigma)).overall
-            current = step.su_reduced
+                                       permute_triple(step.reduced, sigma)).overall
+            current = step.reduced
         else:
             st = step.elementary
             comps = list(current)
             comps[st.index - 1] = comps[st.index - 1] + st.phi.value()
             current = tuple(comps)
+            assert current == step.reduced
     assert current == trace.final
 
 
@@ -160,6 +162,23 @@ def test_su_step_json_keys(su_pair_family):
     payload = step.to_json()["payload"]
     assert set(payload) == {"witness", "reduced"}
     assert set(payload["witness"]) == {"sigma", "a", "b", "c", "phi3", "s", "delta"}
+
+
+def test_elementary_step_expands_its_representation_once(wt, xyz, monkeypatch):
+    # the search's residual is the reduced component, so the loop does not
+    # expand the found representation again
+    x1, x2, x3 = xyz
+    calls = []
+    value = BiPoly.value
+
+    def counted(self):
+        calls.append(self)
+        return value(self)
+
+    monkeypatch.setattr(BiPoly, "value", counted)
+    trace = reduce_to_floor(wt, (x1 + x2**3, x2, x3))
+    assert trace.result == "floor" and len(trace.steps) == 1
+    assert len(calls) == 1
 
 
 def test_su_number_zero_for_elementary_traces(wt, small_corpus):

@@ -1,8 +1,10 @@
-"""Module boundaries inside the package: a private name stays in its module.
+"""Module boundaries inside the package: a private name stays in its module,
+and every module-level import is used.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
-cross-module reaches into them.
+cross-module reaches into them.  An import left behind by a deletion fails
+the unused-import check.
 """
 
 import ast
@@ -54,3 +56,32 @@ def test_engine_does_not_import_conditions():
     found = [(line, name) for line, module, name in _tame3_imports(PKG / "engine.py")
              if module in (".conditions", "tame3.conditions")]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """'line: name' for every module-level import whose bound name is never
+    referenced elsewhere in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.extend((node.lineno, (alias.asname or alias.name).split(".")[0])
+                         for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os.path\nimport json\n"
+                     "from typing import Iterator, Optional\n"
+                     "def f(x: Optional[int]):\n    return os.path.join(str(x))\n")
+    assert _unused_imports(probe) == ["3: json", "4: Iterator"]

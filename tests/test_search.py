@@ -91,7 +91,8 @@ def test_leading_membership_needs_cancellation(wt, xyz):
     out = leading_membership_search(wt, target, (g1, g2))
     assert out.found is not None
     assert out.rounds_used >= 1
-    assert wt.deg(target - out.found.value()) < D(6)
+    assert out.residual == target - out.found.value()
+    assert wt.deg(out.residual) < D(6)
 
 
 def test_leading_membership_nagata_rigorous_absence(nagata, nagata_ws):

@@ -143,6 +143,18 @@ def test_degS_reads_representation(xyz, wt):
     assert wt.deg(rep2.value()) < D(3)
 
 
+def test_bipoly_at_substitutes_the_generators(xyz):
+    x1, x2, x3 = xyz
+    f, g = x1 + x3**2, x2 - x1
+    rep = BiPoly((f, g), {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2),
+                          (1, 2): Fraction(5)})
+    assert rep.at((f, g)) == rep.value()
+    assert rep.value() == (f**2).scale(3) - g.scale(Fraction(1, 2)) + (f * g**2).scale(5)
+    # at (y_j, y_k) the representation reads as a polynomial in those variables
+    by_hand = Poly(3, {(0, 2, 0): 3, (0, 0, 1): Fraction(-1, 2), (0, 1, 2): 5})
+    assert rep.at((x2, x3)) == by_hand
+
+
 def test_derivative_degree_drop_when_multiple(wt):
     # whenever the multiplicity is at least one, differentiating drops the
     # auxiliary degree by exactly the degree of the evaluation point
