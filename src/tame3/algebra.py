@@ -223,8 +223,8 @@ class Poly:
         db = 1
         for c in other.terms.values():
             db = db * c.denominator // math.gcd(db, c.denominator)
-        A = [(m, int(c * da)) for m, c in self.terms.items()]
-        B = [(m, int(c * db)) for m, c in other.terms.items()]
+        A = [(m, c.numerator * (da // c.denominator)) for m, c in self.terms.items()]
+        B = [(m, c.numerator * (db // c.denominator)) for m, c in other.terms.items()]
         acc: dict = {}
         if self.n == 3:
             for (a0, a1, a2), c1 in A:
@@ -260,14 +260,17 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1, self.n)
+        if k == 0:
+            return Poly.constant(1, self.n)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in x_{i+1}, exact integer scaling per term."""
@@ -283,7 +286,8 @@ class Poly:
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
         """Substitute subs[i] for x_{i+1}; exact full expansion.
 
-        Powers of each substituted polynomial are cached across terms.
+        Powers of each substituted polynomial are cached across terms, and
+        every term is scattered into one accumulator.
         """
         if len(subs) != self.n:
             raise ValueError(f"expected {self.n} substitutions, got {len(subs)}")
@@ -296,22 +300,22 @@ class Poly:
         def power(i: int, e: int) -> Poly:
             cache = power_cache[i]
             if e not in cache:
-                if e == 0:
-                    cache[e] = Poly.constant(1, m)
-                elif e == 1:
-                    cache[e] = subs[i]
-                else:
-                    cache[e] = power(i, e - 1) * subs[i]
+                cache[e] = subs[i] if e == 1 else power(i, e - 1) * subs[i]
             return cache[e]
 
-        acc = Poly.zero(m)
+        one = {(0,) * m: ONE}
+        acc: dict = {}
         for mono, coeff in sorted(self.terms.items()):
-            prod = Poly.constant(coeff, m)
+            prod = None
             for i, e in enumerate(mono):
                 if e:
-                    prod = prod * power(i, e)
-            acc = acc + prod
-        return acc
+                    prod = power(i, e) if prod is None else prod * power(i, e)
+            for mm, c in (one if prod is None else prod.terms).items():
+                acc[mm] = acc.get(mm, ZERO) + coeff * c
+        out = Poly.__new__(Poly)
+        out.n = m
+        out.terms = {mm: c for mm, c in acc.items() if c}
+        return out
 
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial."""

@@ -115,8 +115,9 @@ class _ProductCache:
         self.f = f
         self.g = g
         self.ws = ws
-        self._fp: dict[int, Poly] = {0: Poly.constant(1, f.n)}
-        self._gp: dict[int, Poly] = {0: Poly.constant(1, f.n)}
+        one = Poly.constant(1, f.n)
+        self._fp: dict[int, Poly] = {0: one, 1: f}
+        self._gp: dict[int, Poly] = {0: one, 1: g}
         self._prod: dict[tuple[int, int], Poly] = {}
         self._sorted: dict[tuple[int, int], tuple[int, list]] = {}
 
@@ -128,9 +129,9 @@ class _ProductCache:
     def product(self, i: int, j: int) -> Poly:
         key = (i, j)
         if key not in self._prod:
-            self._prod[key] = self._power(self._fp, self.f, i) * self._power(
-                self._gp, self.g, j
-            )
+            fi = self._power(self._fp, self.f, i)
+            gj = self._power(self._gp, self.g, j)
+            self._prod[key] = gj if i == 0 else fi if j == 0 else fi * gj
         return self._prod[key]
 
     def product_within(self, i: int, j: int, term_cap: int) -> bool:
@@ -167,7 +168,8 @@ class _ProductCache:
         for c in p.terms.values():
             den = den * c.denominator // math.gcd(den, c.denominator)
         entries = sorted(
-            ((self.ws.monomial_degree(m), m, int(c * den)) for m, c in p.terms.items()),
+            ((self.ws.monomial_degree(m), m, c.numerator * (den // c.denominator))
+             for m, c in p.terms.items()),
             key=lambda e: e[0].vec,
             reverse=True,
         )
@@ -264,20 +266,36 @@ def homogeneous_membership(
     return found
 
 
-def leading_membership_search(
+def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> MembershipOutcome:
+    """The outcome for a found representation, with its residual."""
+    residual = target - found.value()
+    assert ws.deg(residual) < ws.deg(target)
+    return MembershipOutcome(found, rounds_used=rounds, residual=residual)
+
+
+@dataclass
+class _Widening:
+    """A target the exact decision left open: its generator leading forms
+    are power-proportional and it lies on or above the cancellation floor,
+    so only the widened ansatz can settle it."""
+
+    target: Poly
+    gens: tuple[Poly, Poly]
+    degree: DegreeValue
+    exact_pairs: list[tuple[int, int]]
+    cache: _ProductCache
+
+
+def _decide_exact(
     ws: WeightSystem,
     target: Poly,
     gens: tuple[Poly, Poly],
-    limits: SearchLimits = DEFAULT_LIMITS,
     cache: Optional[_ProductCache] = None,
-) -> MembershipOutcome:
-    """Find phi over gens with deg(target - phi.value()) < deg(target).
+) -> MembershipOutcome | _Widening:
+    """The exact-slice solve and the rigorous exits of the leading search.
 
-    Iterative widening: first the exact-degree exponent pairs, then (only
-    when the generator degrees are Z-dependent, i.e. cancellation is
-    possible at all) progressively larger products whose tops cancel among
-    themselves.  Absence is NOT a proof of non-membership unless tagged
-    rigorous.
+    Returns a MembershipOutcome when they decide, else the _Widening state
+    from which ``_widen`` resumes.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -287,7 +305,6 @@ def leading_membership_search(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(target)
     cache = cache or _ProductCache(f, g, ws)
-    independent = z_independent(d1, d2)
     try:
         exact_pairs = all_semigroup_pairs(d, d1, d2)
     except ValueError:
@@ -296,9 +313,7 @@ def leading_membership_search(
     if exact_pairs:
         found = _solve_with_pairs(ws, target, gens, exact_pairs, d, cache)
         if found is not None:
-            residual = target - found.value()
-            assert ws.deg(residual) < d
-            return MembershipOutcome(found, rounds_used=0, residual=residual)
+            return _found(ws, target, found, 0)
 
     def decided_absent(shape_detail, note=None) -> MembershipOutcome:
         """The exact slice decided: no pairs at all, or no solution on them."""
@@ -309,7 +324,7 @@ def leading_membership_search(
             detail["note"] = note
         return MembershipOutcome(None, Absence("semigroup-obstruction", True, detail))
 
-    if independent:
+    if z_independent(d1, d2):
         # No cancellation between distinct products is possible, so the
         # exact slice decides membership outright.
         return decided_absent("homogeneous-slice-mismatch")
@@ -327,8 +342,15 @@ def leading_membership_search(
     if d < floor:
         return decided_absent({"cancellation_floor": floor.to_json()},
                               "below the cancellation floor")
-    # Dependent leading structure: widen the ansatz so products above the
-    # target degree may cancel among themselves.
+    return _Widening(target, gens, d, exact_pairs, cache)
+
+
+def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
+    """Widen the ansatz so products above the target degree may cancel among
+    themselves; the exact pairs stay in every round."""
+    d = state.degree
+    d1, d2 = (ws.deg(p) for p in state.gens)
+    cache = state.cache
     first_cap = d.first + 4 * max(d1.first, d2.first)
     higher: list[tuple[int, int]] = []
     for i in range(limits.max_bidegree + 1):
@@ -343,18 +365,37 @@ def leading_membership_search(
     ]
     levels = sorted({i + j for (i, j) in higher})
     for round_no, level in enumerate(levels[: limits.max_cancellation_rounds], 1):
-        pairs = exact_pairs + [p for p in higher if p[0] + p[1] <= level]
-        found = _solve_with_pairs(ws, target, gens, pairs, d, cache)
+        pairs = state.exact_pairs + [p for p in higher if p[0] + p[1] <= level]
+        found = _solve_with_pairs(ws, state.target, state.gens, pairs, d, cache)
         if found is not None:
-            residual = target - found.value()
-            assert ws.deg(residual) < d
-            return MembershipOutcome(found, rounds_used=round_no, residual=residual)
+            return _found(ws, state.target, found, round_no)
     return MembershipOutcome(
         None,
         Absence("limits-exhausted", False,
                 {"max_bidegree": limits.max_bidegree,
                  "rounds": min(len(levels), limits.max_cancellation_rounds)}),
     )
+
+
+def leading_membership_search(
+    ws: WeightSystem,
+    target: Poly,
+    gens: tuple[Poly, Poly],
+    limits: SearchLimits = DEFAULT_LIMITS,
+    cache: Optional[_ProductCache] = None,
+) -> MembershipOutcome:
+    """Find phi over gens with deg(target - phi.value()) < deg(target).
+
+    Iterative widening: first the exact-degree exponent pairs, then (only
+    when the generator degrees are Z-dependent, i.e. cancellation is
+    possible at all) progressively larger products whose tops cancel among
+    themselves.  Absence is NOT a proof of non-membership unless tagged
+    rigorous.
+    """
+    out = _decide_exact(ws, target, gens, cache)
+    if isinstance(out, _Widening):
+        return _widen(ws, out, limits)
+    return out
 
 
 def peel(
@@ -513,11 +554,30 @@ def find_elementary_reduction(
     limits: SearchLimits = DEFAULT_LIMITS,
     check_independent: bool = True,
 ) -> ElementaryOutcome:
-    """First component whose leading form lies in the graded algebra of the
-    other two, scanning indices in order; semigroup fast path first."""
+    """A component whose leading form lies in the graded algebra of the
+    other two, in two passes over the indices.
+
+    Pass 1 decides each component exactly: the minimal-degree and semigroup
+    skips, then the exact slice and the rigorous exits of the leading
+    search.  Pass 2 widens, in index order, only the components pass 1 left
+    open.  The first success of either pass is the step; ``reasons`` lists
+    the decided absences in index order.
+    """
     if check_independent and differentials_wedge(list(triple)).is_zero:
         raise ValueError("components are algebraically dependent")
     reasons: dict[int, Absence] = {}
+    pending: dict[int, _Widening] = {}
+
+    def outcome(index=None, out=None) -> ElementaryOutcome:
+        ordered = dict(sorted(reasons.items()))
+        if index is None:
+            return ElementaryOutcome(None, ordered)
+        reduced = list(triple)
+        reduced[index - 1] = out.residual
+        step = ElementaryStep(index=index, phi=out.found.negate(),
+                              new_degree=ws.deg(out.residual))
+        return ElementaryOutcome(step, ordered, tuple(reduced))
+
     min_weight = min((DegreeValue(w) for w in ws.weights), key=lambda d: d.vec)
     for i in range(3):
         j, l = [k for k in range(3) if k != i]
@@ -535,15 +595,19 @@ def find_elementary_reduction(
             reasons[i + 1] = Absence("semigroup-obstruction", True,
                                      {"component": i + 1})
             continue
-        out = leading_membership_search(ws, fi, (fj, fl), limits)
+        out = _decide_exact(ws, fi, (fj, fl))
+        if isinstance(out, _Widening):
+            pending[i + 1] = out
+        elif out.found is not None:
+            return outcome(i + 1, out)
+        else:
+            reasons[i + 1] = out.absence
+    for index in list(pending):
+        out = _widen(ws, pending.pop(index), limits)
         if out.found is not None:
-            reduced = list(triple)
-            reduced[i] = out.residual
-            step = ElementaryStep(index=i + 1, phi=out.found.negate(),
-                                  new_degree=ws.deg(out.residual))
-            return ElementaryOutcome(step, reasons, tuple(reduced))
-        reasons[i + 1] = out.absence
-    return ElementaryOutcome(None, reasons)
+            return outcome(index, out)
+        reasons[index] = out.absence
+    return outcome()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tame3 import search
 from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
 from tame3.search import (
     DEFAULT_LIMITS,
@@ -206,6 +207,51 @@ def test_elementary_reduction_nagata_absent(nagata, nagata_ws):
     assert out.step is None
     assert set(out.reasons) == {1, 2, 3}
     assert all(a.rigorous for a in out.reasons.values())
+
+
+def test_elementary_exact_slice_before_widening(wt, xyz, monkeypatch):
+    # component 1 reduces only through cancelling products, component 3 on
+    # its exact slice: the exact pass steps component 3 and never widens
+    x1, x2, x3 = xyz
+    F = (x1 - (x2 * x3).scale(2) - x3.scale(2), x2, x3 - (x2**2).scale(2))
+    assert leading_membership_search(wt, F[0], (F[1], F[2])).rounds_used >= 1
+    widened = []
+    widen = search._widen
+
+    def counted(*args):
+        widened.append(args)
+        return widen(*args)
+
+    monkeypatch.setattr(search, "_widen", counted)
+    out = find_elementary_reduction(wt, F)
+    assert out.step is not None and out.step.index == 3
+    assert out.step.phi.value() == (x2**2).scale(2)
+    assert out.reduced == (F[0], x2, x3)
+    assert widened == []
+
+
+@pytest.mark.parametrize("case", ["nagata-lex", "widened-absence"])
+def test_elementary_reasons_in_component_order(case, nagata, xyz):
+    # each absence is the leading search's own, listed 1, 2, 3 whichever
+    # pass decided it
+    if case == "nagata-lex":
+        ws, F, limits = lex_weight(3), nagata.components, DEFAULT_LIMITS
+    else:
+        # component 1 needs two widening rounds; components 2 and 3 are
+        # decided on their exact slices
+        x, y, z = xyz
+        g1 = y**6 + (y**2 * z).scale(Fraction(3, 2))
+        g2 = y**4 + z
+        ws, F = total_weight(3), (x + g1**2 - g2**3, g1, g2)
+        limits = SearchLimits(max_cancellation_rounds=1)
+    out = find_elementary_reduction(ws, F, limits)
+    assert out.step is None
+    assert list(out.reasons) == [1, 2, 3]
+    if case == "widened-absence":
+        for i, (j, k) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+            alone = leading_membership_search(ws, F[i - 1], (F[j - 1], F[k - 1]), limits)
+            assert out.reasons[i].to_json() == alone.absence.to_json()
+        assert out.reasons[1].reason == "limits-exhausted"
 
 
 def test_elementary_reduction_rejects_dependent(wt, xyz):
