@@ -1,10 +1,10 @@
 """Exact multivariate polynomial arithmetic with weighted gradings.
 
-Coefficients are exact rationals (``fractions.Fraction``); degrees live in a
-lexicographically ordered ``Z^r`` extended by a bottom element for the zero
-polynomial.  Everything here is immutable by convention: operations return
-fresh values and never mutate their inputs, so all types are safe to share
-across threads.
+Coefficients are exact rationals, stored per polynomial as integers over one
+common denominator; degrees live in a lexicographically ordered ``Z^r``
+extended by a bottom element for the zero polynomial.  Everything here is
+immutable by convention: operations return fresh values and never mutate
+their inputs, so all types are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -120,17 +121,42 @@ def _as_fraction(c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class Poly:
-    """Sparse multivariate polynomial over Q.
+class _Terms(Mapping):
+    """Read-only monomial -> Fraction view of a Poly; each value is built
+    when it is read."""
 
-    ``terms`` maps exponent tuples of length ``n`` to nonzero Fractions; the
-    zero polynomial is the empty map.  Construction normalizes, so equal
-    polynomials have identical term maps (canonical form).
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Poly"):
+        self._poly = poly
+
+    def __getitem__(self, mono) -> Fraction:
+        return Fraction(self._poly.nums[mono], self._poly.den)
+
+    def __contains__(self, mono) -> bool:
+        return mono in self._poly.nums
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __len__(self) -> int:
+        return len(self._poly.nums)
+
+
+class Poly:
+    """Sparse multivariate polynomial over Q, stored with integer content.
+
+    ``nums`` maps exponent tuples of length ``n`` to nonzero ints and ``den``
+    is one positive int: the coefficient of a monomial m is
+    ``nums[m] / den``.  Every operation keeps the pair primitive
+    (``gcd(den, *nums.values()) == 1``), so equal polynomials have identical
+    fields; the zero polynomial is ``{}`` over 1.  ``terms`` is a read-only
+    monomial -> Fraction view.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, terms: Optional[dict] = None):
+    def __init__(self, n: int, terms: Optional[Mapping] = None):
         self.n = n
         clean: dict = {}
         if terms:
@@ -141,7 +167,12 @@ class Poly:
                 if len(mono) != n:
                     raise ValueError(f"monomial {mono} has arity {len(mono)}, expected {n}")
                 clean[tuple(int(e) for e in mono)] = c
-        self.terms = clean
+        # Reduced fractions over their least common denominator are primitive.
+        den = 1
+        for c in clean.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self.den = den
 
     # -- constructors --
 
@@ -159,31 +190,41 @@ class Poly:
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for {n} variables")
         mono = tuple(1 if j == i else 0 for j in range(n))
-        return Poly(n, {mono: ONE})
+        return _poly(n, {mono: 1}, 1)
+
+    # -- coefficients --
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
+
+    def coeff(self, mono: tuple) -> Fraction:
+        """The coefficient of mono (zero when absent)."""
+        return Fraction(self.nums.get(mono, 0), self.den)
 
     # -- predicates --
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return all(not any(m) for m in self.nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, ZERO)
+        return self.coeff((0,) * self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- ring operations --
 
@@ -191,71 +232,54 @@ class Poly:
         if self.n != other.n:
             raise ValueError(f"arity mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _add_scaled(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
         self._check_arity(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        nums = dict(self.nums) if sa == 1 else {m: c * sa for m, c in self.nums.items()}
+        sb *= sign
+        for m, c in other.nums.items():
+            s = nums.get(m, 0) + c * sb
             if s:
-                terms[m] = s
+                nums[m] = s
             else:
-                terms.pop(m, None)
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = terms
-        return out
+                del nums[m]
+        return _poly(self.n, nums, self.den * sa)
 
-    def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._add_scaled(other, -1)
+
+    def __neg__(self) -> "Poly":
+        return _poly(self.n, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_arity(other)
-        # Clear denominators once so the inner loop runs on native ints.
-        da = 1
-        for c in self.terms.values():
-            da = da * c.denominator // math.gcd(da, c.denominator)
-        db = 1
-        for c in other.terms.values():
-            db = db * c.denominator // math.gcd(db, c.denominator)
-        A = [(m, c.numerator * (da // c.denominator)) for m, c in self.terms.items()]
-        B = [(m, c.numerator * (db // c.denominator)) for m, c in other.terms.items()]
+        B = list(other.nums.items())
         acc: dict = {}
         if self.n == 3:
-            for (a0, a1, a2), c1 in A:
+            for (a0, a1, a2), c1 in self.nums.items():
                 for (b0, b1, b2), c2 in B:
                     m = (a0 + b0, a1 + b1, a2 + b2)
                     v = acc.get(m)
                     acc[m] = c1 * c2 if v is None else v + c1 * c2
         else:
-            for m1, c1 in A:
+            for m1, c1 in self.nums.items():
                 for m2, c2 in B:
                     m = tuple(a + b for a, b in zip(m1, m2))
                     v = acc.get(m)
                     acc[m] = c1 * c2 if v is None else v + c1 * c2
-        den = da * db
-        if den == 1:
-            terms = {m: Fraction(v) for m, v in acc.items() if v}
-        else:
-            terms = {m: Fraction(v, den) for m, v in acc.items() if v}
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return _poly(self.n, {m: v for m, v in acc.items() if v}, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
         if c == 0:
             return Poly.zero(self.n)
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
+        k = c.numerator
+        return _poly(self.n, {m: k * v for m, v in self.nums.items()}, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -274,20 +298,19 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in x_{i+1}, exact integer scaling per term."""
-        terms: dict = {}
-        for m, c in self.terms.items():
+        nums: dict = {}
+        for m, c in self.nums.items():
             e = m[i]
-            if e == 0:
-                continue
-            dm = tuple(v - 1 if j == i else v for j, v in enumerate(m))
-            terms[dm] = terms.get(dm, ZERO) + c * e
-        return Poly(self.n, terms)
+            if e:
+                nums[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return _poly(self.n, nums, self.den)
 
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
         """Substitute subs[i] for x_{i+1}; exact full expansion.
 
         Powers of each substituted polynomial are cached across terms, and
-        every term is scattered into one accumulator.
+        every term is scattered into one integer accumulator over a running
+        common denominator.
         """
         if len(subs) != self.n:
             raise ValueError(f"expected {self.n} substitutions, got {len(subs)}")
@@ -303,28 +326,46 @@ class Poly:
                 cache[e] = subs[i] if e == 1 else power(i, e - 1) * subs[i]
             return cache[e]
 
-        one = {(0,) * m: ONE}
+        one = _poly(m, {(0,) * m: 1}, 1)
         acc: dict = {}
-        for mono, coeff in sorted(self.terms.items()):
-            prod = None
+        den = 1
+        for mono, coeff in sorted(self.nums.items()):
+            prod = one
             for i, e in enumerate(mono):
                 if e:
-                    prod = power(i, e) if prod is None else prod * power(i, e)
-            for mm, c in (one if prod is None else prod.terms).items():
-                acc[mm] = acc.get(mm, ZERO) + coeff * c
-        out = Poly.__new__(Poly)
-        out.n = m
-        out.terms = {mm: c for mm, c in acc.items() if c}
-        return out
+                    prod = power(i, e) if prod is one else prod * power(i, e)
+            if den % prod.den:
+                lift = prod.den // math.gcd(den, prod.den)
+                den *= lift
+                acc = {mm: c * lift for mm, c in acc.items()}
+            k = coeff * (den // prod.den)
+            for mm, c in prod.nums.items():
+                acc[mm] = acc.get(mm, 0) + k * c
+        return _poly(m, {mm: c for mm, c in acc.items() if c}, self.den * den)
 
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.nums)
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r})"
+
+
+def _poly(n: int, nums: dict, den: int) -> Poly:
+    """The Poly nums / den, for nums without zero values and den > 0; the
+    content common to den and nums is divided out."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+    out = Poly.__new__(Poly)
+    out.n = n
+    out.nums = nums
+    out.den = den
+    return out
 
 
 def power_sum(p: Poly, coeffs: dict) -> Poly:
@@ -404,7 +445,7 @@ class WeightSystem:
         if f.is_zero:
             return _BOTTOM
         best: Optional[DegreeValue] = None
-        for m in f.terms:
+        for m in f.nums:
             d = self.monomial_degree(m)
             if best is None or d > best:
                 best = d
@@ -415,12 +456,13 @@ class WeightSystem:
         if f.is_zero:
             raise ValueError("the zero polynomial has no leading form")
         d = self.deg(f)
-        return Poly(f.n, {m: c for m, c in f.terms.items() if self.monomial_degree(m) == d})
+        return _poly(f.n, {m: c for m, c in f.nums.items() if self.monomial_degree(m) == d},
+                     f.den)
 
     def is_homogeneous(self, f: Poly) -> bool:
         if f.is_zero:
             return True
-        degs = {self.monomial_degree(m) for m in f.terms}
+        degs = {self.monomial_degree(m) for m in f.nums}
         return len(degs) == 1
 
     def deg_endo(self, components: Sequence[Poly]) -> DegreeValue:
@@ -666,7 +708,10 @@ def parse_poly(text: str, n: int) -> Poly:
         while i < len(tokens):
             kind, val, at = tokens[i]
             if kind == "number" and expect_factor:
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise PolyParseError("zero denominator", at) from None
                 saw_factor = True
                 expect_factor = False
                 i += 1
@@ -711,8 +756,8 @@ def poly_to_text(f: Poly) -> str:
     if f.is_zero:
         return "0"
     parts: list[str] = []
-    for mono in sorted(f.terms, reverse=True):
-        c = f.terms[mono]
+    for mono in sorted(f.nums, reverse=True):
+        c = f.coeff(mono)
         powers = []
         for i, e in enumerate(mono):
             if e == 1:
@@ -804,7 +849,7 @@ def solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
         if piv is None:
             continue
         aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
+        inv = ONE / aug[row][col]
         aug[row] = [v * inv for v in aug[row]]
         for i in range(m):
             if i != row and aug[i][col] != 0:
@@ -835,32 +880,31 @@ def poly_sqrt(p: Poly) -> Optional[Poly]:
     rational square; works term-by-term from the lex-leading monomial."""
     if p.is_zero:
         return Poly.zero(p.n)
-    lead = max(p.terms)
+    lead = max(p.nums)
     if any(e % 2 for e in lead):
         return None
-    c = p.terms[lead]
+    c = p.coeff(lead)
     if c < 0:
         return None
     num, den = c.numerator, c.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    u = Poly(p.n, {tuple(e // 2 for e in lead): Fraction(rn, rd)})
-    lead_term = Poly(p.n, {tuple(e // 2 for e in lead): Fraction(rn, rd)})
+    root, root_c = tuple(e // 2 for e in lead), Fraction(rn, rd)
+    u = Poly(p.n, {root: root_c})
     # Peel: each step determines the next-highest term of the root.
-    for _ in range(2 * len(p.terms) + 2):
+    for _ in range(2 * len(p.nums) + 2):
         r = p - u * u
         if r.is_zero:
             return u
-        mr = max(r.terms)
-        # next term t satisfies 2*lead_term*t = leading of r
-        half_mono = tuple(a - b for a, b in zip(mr, max(lead_term.terms)))
+        mr = max(r.nums)
+        # the next term t satisfies 2 * (leading term of u) * t = leading of r
+        half_mono = tuple(a - b for a, b in zip(mr, root))
         if any(e < 0 for e in half_mono):
             return None
-        t = Poly(p.n, {half_mono: r.terms[mr] / (2 * lead_term.terms[max(lead_term.terms)])})
-        if max(t.terms) >= max(u.terms):
+        if half_mono >= max(u.nums):
             return None
-        u = u + t
+        u = u + Poly(p.n, {half_mono: r.coeff(mr) / (2 * root_c)})
     return None
 
 
@@ -868,8 +912,7 @@ def sqrt_up_to_scalar(p: Poly) -> Optional[tuple[Fraction, Poly]]:
     """(c, u) with p = c * u^2 and u having leading coefficient 1, or None."""
     if p.is_zero:
         return (ZERO, Poly.zero(p.n))
-    lead = max(p.terms)
-    c = p.terms[lead]
+    c = p.coeff(max(p.nums))
     u = poly_sqrt(p.scale(1 / c))
     if u is None:
         return None
@@ -880,12 +923,12 @@ def proportionality(h1: Poly, h2: Poly) -> Optional[Fraction]:
     """Scalar t with h1 == t*h2, or None.  Zero inputs rejected."""
     if h1.is_zero or h2.is_zero:
         raise ValueError("proportionality requires nonzero polynomials")
-    if set(h1.terms) != set(h2.terms):
+    if h1.nums.keys() != h2.nums.keys():
         return None
-    items = iter(h1.terms.items())
-    m0, c0 = next(items)
-    t = c0 / h2.terms[m0]
-    for m, c in items:
-        if c != t * h2.terms[m]:
+    items = iter(h1.nums.items())
+    m0, a0 = next(items)
+    b0 = h2.nums[m0]
+    for m, a in items:
+        if a * b0 != a0 * h2.nums[m]:
             return None
-    return t
+    return Fraction(a0 * h2.den, b0 * h1.den)

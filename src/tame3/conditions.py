@@ -63,12 +63,16 @@ class ConditionReport:
 
 def _decompose(ws: WeightSystem, target: Poly, atoms: Sequence[Poly]):
     """Exact coefficients c with target == sum c_k atom_k, or None."""
-    monos = set(target.terms)
+    monos = set(target.nums)
     for a in atoms:
-        monos.update(a.terms)
-    rows = (({k: a.terms[m] for k, a in enumerate(atoms) if m in a.terms},
-             target.terms.get(m, 0)) for m in sorted(monos, reverse=True))
-    return solve_sparse_int(rows, len(atoms))
+        monos.update(a.nums)
+    # On integer contents the unknown k is c_k * target.den / atom_k.den.
+    rows = (({k: a.nums[m] for k, a in enumerate(atoms) if m in a.nums},
+             target.nums.get(m, 0)) for m in sorted(monos, reverse=True))
+    sol = solve_sparse_int(rows, len(atoms))
+    if sol is None:
+        return None
+    return [c * a.den / target.den for c, a in zip(sol, atoms)]
 
 
 def _odd_power_relation(
@@ -499,9 +503,9 @@ def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
         return [Fraction(0)]
     # w0 = t * w1 componentwise, with t read off one coefficient of w1
     idx, poly = next(iter(w1.coeffs.items()))
-    m, cc = next(iter(poly.terms.items()))
+    m = next(iter(poly.nums))
     other = w0.coeffs.get(idx)
-    t = (other.terms.get(m, Fraction(0)) if other else Fraction(0)) / cc
+    t = (other.coeff(m) if other else Fraction(0)) / poly.coeff(m)
     if t and w0.coeffs == {i: p.scale(t) for i, p in w1.coeffs.items()}:
         return [t]
     return []

@@ -122,7 +122,7 @@ class TameFactor:
         elif self.kind == "elementary":
             if not 1 <= self.index <= N:
                 raise ValueError("elementary index out of range")
-            if any(m[self.index - 1] for m in self.phi.terms):
+            if any(m[self.index - 1] for m in self.phi.nums):
                 raise ValueError("elementary polynomial must omit its own variable")
         else:
             raise ValueError(f"unknown factor kind {self.kind!r}")
@@ -414,8 +414,8 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     """
     b = [f.constant_term() for f in F]
     G = tuple(f - Poly.constant(bi, N) for f, bi in zip(F, b))
-    L = [[G[i].terms.get(tuple(1 if k == j else 0 for k in range(N)), Fraction(0))
-          for j in range(N)] for i in range(N)]
+    L = [[G[i].coeff(tuple(1 if k == j else 0 for k in range(N))) for j in range(N)]
+         for i in range(N)]
     if _det3(L) == 0:
         raise ValueError("internal inconsistency: singular linear part")
     M = _invert3(L)
@@ -427,7 +427,7 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     tails = []
     for i, k_comp in enumerate(K):
         tail = k_comp - Poly.variable(i, N)
-        for mono in tail.terms:
+        for mono in tail.nums:
             if sum(mono) <= 1:
                 raise ValueError("internal inconsistency: linear residue after normalization")
             for j, e in enumerate(mono):

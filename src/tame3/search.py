@@ -119,7 +119,7 @@ class _ProductCache:
         self._fp: dict[int, Poly] = {0: one, 1: f}
         self._gp: dict[int, Poly] = {0: one, 1: g}
         self._prod: dict[tuple[int, int], Poly] = {}
-        self._sorted: dict[tuple[int, int], tuple[int, list]] = {}
+        self._sorted: dict[tuple[int, int], list] = {}
 
     def _power(self, cache: dict, base: Poly, k: int) -> Poly:
         if k not in cache:
@@ -140,11 +140,11 @@ class _ProductCache:
         key = (i, j)
         hit = self._prod.get(key)
         if hit is not None:
-            return len(hit.terms) <= term_cap
+            return len(hit.nums) <= term_cap
         n = self.f.n
-        tf, tg = len(self.f.terms), len(self.g.terms)
-        df = max((sum(m) for m in self.f.terms), default=0)
-        dg = max((sum(m) for m in self.g.terms), default=0)
+        tf, tg = len(self.f.nums), len(self.g.nums)
+        df = max((sum(m) for m in self.f.nums), default=0)
+        dg = max((sum(m) for m in self.g.nums), default=0)
         deg = i * df + j * dg
         dense = 1
         for k in range(1, n + 1):
@@ -155,36 +155,26 @@ class _ProductCache:
         # Last multiplication in the chain dominates the build cost.
         if size_bound * max(tf, tg) > 50 * term_cap:
             return False
-        return len(self.product(i, j).terms) <= term_cap
-
-    def sorted_int_terms(self, i: int, j: int) -> tuple[int, list]:
-        """(denominator, [(degree, mono, int_coeff)] sorted by degree desc)."""
-        key = (i, j)
-        hit = self._sorted.get(key)
-        if hit is not None:
-            return hit
-        p = self.product(i, j)
-        den = 1
-        for c in p.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        entries = sorted(
-            ((self.ws.monomial_degree(m), m, c.numerator * (den // c.denominator))
-             for m, c in p.terms.items()),
-            key=lambda e: e[0].vec,
-            reverse=True,
-        )
-        self._sorted[key] = (den, entries)
-        return den, entries
+        return len(self.product(i, j).nums) <= term_cap
 
     def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
-        """(denominator, [(mono, int_coeff)] of terms with degree >= threshold)."""
-        den, entries = self.sorted_int_terms(i, j)
+        """(denominator, [(mono, int_coeff)] of the terms of f^i g^j with
+        degree >= threshold), from the product's terms sorted by degree."""
+        p = self.product(i, j)
+        entries = self._sorted.get((i, j))
+        if entries is None:
+            entries = sorted(
+                ((self.ws.monomial_degree(m), m, c) for m, c in p.nums.items()),
+                key=lambda e: e[0].vec,
+                reverse=True,
+            )
+            self._sorted[(i, j)] = entries
         out = []
         for d, m, c in entries:
             if d < threshold:
                 break
             out.append((m, c))
-        return den, out
+        return p.den, out
 
 
 def _solve_with_pairs(
@@ -198,8 +188,8 @@ def _solve_with_pairs(
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) < threshold."""
     if not pairs:
         return None
-    # Scatter the threshold tails of every product into per-monomial rows;
-    # unknowns are rescaled by each product's cleared denominator.
+    # Scatter the threshold tails of every product into per-monomial rows of
+    # integer contents; unknown k is solved as c_k * target.den / dens[k].
     rows: dict = {}
     dens = []
     for k, (i, j) in enumerate(pairs):
@@ -211,30 +201,17 @@ def _solve_with_pairs(
                 rows[m] = {k: c}
             else:
                 row[k] = c
-    target_tail = [
-        (m, c) for m, c in target.terms.items() if ws.monomial_degree(m) >= threshold
-    ]
-    for m, _ in target_tail:
+    rhs = {m: c for m, c in target.nums.items() if ws.monomial_degree(m) >= threshold}
+    for m in rhs:
         if m not in rows:
             return None  # a constrained target monomial no product can touch
-    rhs_map = dict(target_tail)
-
-    def int_rows():
-        for m in sorted(rows, reverse=True):
-            rhs = rhs_map.get(m)
-            if rhs is None:
-                yield rows[m], 0
-            elif rhs.denominator == 1:
-                yield rows[m], rhs.numerator
-            else:
-                den = rhs.denominator
-                yield {k: v * den for k, v in rows[m].items()}, rhs.numerator
-
-    sol = solve_sparse_int(int_rows(), len(pairs))
+    sol = solve_sparse_int(
+        ((rows[m], rhs.get(m, 0)) for m in sorted(rows, reverse=True)), len(pairs)
+    )
     if sol is None:
         return None
     return BiPoly(
-        gens, {pairs[k]: c * dens[k] for k, c in enumerate(sol) if c}
+        gens, {pairs[k]: c * dens[k] / target.den for k, c in enumerate(sol) if c}
     )
 
 
@@ -276,14 +253,16 @@ def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> Member
 @dataclass
 class _Widening:
     """A target the exact decision left open: its generator leading forms
-    are power-proportional and it lies on or above the cancellation floor,
-    so only the widened ansatz can settle it."""
+    are power-proportional (g^p a multiple of f^q), so only the cancellation
+    floor and the widened ansatz can settle it."""
 
     target: Poly
     gens: tuple[Poly, Poly]
     degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
+    q: int
+    decided_absent: Callable[..., MembershipOutcome]
 
 
 def _decide_exact(
@@ -335,45 +314,51 @@ def _decide_exact(
     if scaled is None:
         return decided_absent("homogeneous-slice-mismatch (independent leading forms)",
                               "independent leading forms")
-    # Any element whose representation degree exceeds its value degree obeys
-    # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
-    # below it cannot be reached by the widened ansatz at all.
-    floor = scaled.q * d1 + wedge_degree(ws, f, g) - d1 - d2
-    if d < floor:
-        return decided_absent({"cancellation_floor": floor.to_json()},
-                              "below the cancellation floor")
-    return _Widening(target, gens, d, exact_pairs, cache)
+    return _Widening(target, gens, d, exact_pairs, cache, scaled.q, decided_absent)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
-    """Widen the ansatz so products above the target degree may cancel among
-    themselves; the exact pairs stay in every round."""
+    """Check the cancellation floor, then widen the ansatz so products above
+    the target degree may cancel among themselves.
+
+    Round k adds the k-th level i + j (i, j <= max_bidegree) with a product
+    worth building; a level's products are built only when its round runs,
+    and the exact pairs stay in every round.
+    """
+    f, g = state.gens
     d = state.degree
-    d1, d2 = (ws.deg(p) for p in state.gens)
+    d1, d2 = ws.deg(f), ws.deg(g)
+    # Any element whose representation degree exceeds its value degree obeys
+    # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
+    # below it cannot be reached by the widened ansatz at all.
+    floor = state.q * d1 + wedge_degree(ws, f, g) - d1 - d2
+    if d < floor:
+        return state.decided_absent({"cancellation_floor": floor.to_json()},
+                                    "below the cancellation floor")
     cache = state.cache
     first_cap = d.first + 4 * max(d1.first, d2.first)
-    higher: list[tuple[int, int]] = []
-    for i in range(limits.max_bidegree + 1):
-        for j in range(limits.max_bidegree + 1):
-            dd = i * d1 + j * d2
-            if dd > d and dd.first <= first_cap:
-                higher.append((i, j))
-    higher.sort(key=lambda p: (p[0] + p[1], p))
-    higher = [
-        p for p in higher
-        if cache.product_within(*p, limits.max_product_terms)
-    ]
-    levels = sorted({i + j for (i, j) in higher})
-    for round_no, level in enumerate(levels[: limits.max_cancellation_rounds], 1):
-        pairs = state.exact_pairs + [p for p in higher if p[0] + p[1] <= level]
+    top = limits.max_bidegree
+    pairs = list(state.exact_pairs)
+    rounds = 0
+    for level in range(2 * top + 1):
+        if rounds == limits.max_cancellation_rounds:
+            break
+        width = len(pairs)
+        for i in range(max(0, level - top), min(level, top) + 1):
+            j = level - i
+            dd = tuple(i * a + j * b for a, b in zip(d1.vec, d2.vec))
+            if (dd > d.vec and dd[0] <= first_cap
+                    and cache.product_within(i, j, limits.max_product_terms)):
+                pairs.append((i, j))
+        if len(pairs) == width:
+            continue
+        rounds += 1
         found = _solve_with_pairs(ws, state.target, state.gens, pairs, d, cache)
         if found is not None:
-            return _found(ws, state.target, found, round_no)
+            return _found(ws, state.target, found, rounds)
     return MembershipOutcome(
         None,
-        Absence("limits-exhausted", False,
-                {"max_bidegree": limits.max_bidegree,
-                 "rounds": min(len(levels), limits.max_cancellation_rounds)}),
+        Absence("limits-exhausted", False, {"max_bidegree": top, "rounds": rounds}),
     )
 
 
@@ -771,12 +756,16 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     columns = [f3 * f3, f3, -(u**s)]
     monos = set()
     for p in columns + [f1]:
-        monos.update(m for m in p.terms if ws.monomial_degree(m) >= target_deg)
+        monos.update(m for m in p.nums if ws.monomial_degree(m) >= target_deg)
     mono_list = sorted(monos, reverse=True)
     if not mono_list:
         return None
-    rows = [[p.terms.get(m, Fraction(0)) for p in columns] for m in mono_list]
-    rhs = [-f1.terms.get(m, Fraction(0)) for m in mono_list]
+    # Every equation is multiplied by the same common denominator, which
+    # leaves the solution and kernel basis unchanged.
+    den = math.lcm(f1.den, *(p.den for p in columns))
+    scales = [den // p.den for p in columns]
+    rows = [[p.nums.get(m, 0) * k for p, k in zip(columns, scales)] for m in mono_list]
+    rhs = [-f1.nums.get(m, 0) * (den // f1.den) for m in mono_list]
     solved = solve_affine(rows, rhs)
     if solved is None:
         return None

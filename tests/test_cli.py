@@ -226,15 +226,21 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["gen", "--coeff-bound", "0"], "", None),
     (["gen", "--degree-bound", "0"], "", None),
     (["gen", "--count", "-2"], "", None),
+    (["reduce", "{f}"], "1/0*x1\nx2\nx3\n", None),
+    (["reduce", "{f}", "--inverse", "{g}"], ("x1\nx2\nx3\n", "1/0*x1\nx2\nx3\n"), None),
+    (["check-inequality", "{f}"], "x1\n\n0: 1/0*x1\n\nx2\n", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
         "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent",
         "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
-        "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count"])
+        "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count",
+        "zero-denominator", "inverse-zero-denominator", "inequality-zero-denominator"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
-    path = tmp_path / "in.txt"
-    path.write_text(text)
-    out = run_cli([a.format(f=path) for a in argv], env_extra=env)
+    # a pair of texts fills {f} and {g} (a second input file)
+    path, second = tmp_path / "in.txt", tmp_path / "second.txt"
+    path.write_text(text if isinstance(text, str) else text[0])
+    second.write_text("" if isinstance(text, str) else text[1])
+    out = run_cli([a.format(f=path, g=second) for a in argv], env_extra=env)
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1

@@ -1,27 +1,43 @@
-"""Poly multiplication, powers and composition checked against sympy.
+"""Poly arithmetic, composition and the Jacobian checked against sympy.
+
+Every result is also checked to be in canonical form: integer contents over
+one positive denominator, primitive, with no zero coefficient, so that equal
+polynomials built by different routes have equal fields and hashes.
 
 Test-only: sympy is not a runtime dependency, so the module is skipped when
 it is missing.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tame3.algebra import Poly
+from tame3.forms import jacobian_det
 
 sympy = pytest.importorskip("sympy")
 
 X = sympy.symbols("x1 x2 x3")
 
-# Non-unit denominators, so denominators are cleared and restored.
+# Non-unit denominators, so contents are rescaled and reduced.
 coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
 def polys(max_exp, max_terms):
     monos = st.tuples(*[st.integers(0, max_exp)] * 3)
     return st.dictionaries(monos, coeffs, max_size=max_terms).map(lambda t: Poly(3, t))
+
+
+def canonical(p: Poly) -> Poly:
+    """p, after checking the canonical-form invariants."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    rebuilt = Poly(3, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    return p
 
 
 def to_sympy(p: Poly):
@@ -40,22 +56,72 @@ def from_sympy(expr) -> Poly:
 @settings(max_examples=60, deadline=None)
 @given(polys(3, 5), polys(3, 5))
 def test_mul_matches_sympy(f, g):
-    assert f * g == from_sympy(to_sympy(f) * to_sympy(g))
+    assert canonical(f * g) == from_sympy(to_sympy(f) * to_sympy(g))
     # the cross terms of (f + g)(f - g) cancel
-    assert (f + g) * (f - g) == from_sympy(to_sympy(f) ** 2 - to_sympy(g) ** 2)
+    assert canonical((f + g) * (f - g)) == from_sympy(to_sympy(f) ** 2 - to_sympy(g) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3, 5), polys(3, 5))
+def test_add_and_sub_match_sympy(f, g):
+    assert canonical(f + g) == from_sympy(to_sympy(f) + to_sympy(g))
+    assert canonical(f - g) == from_sympy(to_sympy(f) - to_sympy(g))
+    assert canonical(-f) == from_sympy(-to_sympy(f))
+    # f + f doubles every content; f - f is zero over 1
+    assert canonical(f + f) == f.scale(2)
+    zero = canonical(f - f)
+    assert zero.is_zero and zero.den == 1 and zero == Poly.zero(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3, 5), st.one_of(st.just(Fraction(0)), coeffs, st.integers(-6, 6)))
+def test_scale_matches_sympy(f, c):
+    scaled = canonical(f.scale(c))
+    assert scaled == from_sympy(to_sympy(f) * sympy.Rational(Fraction(c)))
+    if c == 0:
+        assert scaled.is_zero and scaled.den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3, 5), st.integers(0, 2))
+def test_diff_matches_sympy(f, i):
+    assert canonical(f.diff(i)) == from_sympy(sympy.diff(to_sympy(f), X[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys(2, 3), polys(2, 3), polys(2, 3))
+def test_jacobian_det_matches_sympy(f, g, h):
+    jac = sympy.Matrix([to_sympy(p) for p in (f, g, h)]).jacobian(X)
+    assert canonical(jacobian_det([f, g, h])) == from_sympy(jac.det())
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(2, 4), polys(2, 4), polys(2, 4))
+def test_routes_agree_on_fields_and_hash(f, g, h):
+    # equal polynomials built by different routes are equal field for field
+    pairs = [
+        ((f * g) * h, f * (g * h)),
+        ((f + g) + h, f + (g + h)),
+        (f * (g + h), f * g + f * h),
+        ((f - g).scale(Fraction(3, 4)), f.scale(Fraction(3, 4)) - g.scale(Fraction(3, 4))),
+    ]
+    for a, b in pairs:
+        assert canonical(a) == canonical(b)
+        assert (a.nums, a.den) == (b.nums, b.den)
+        assert hash(a) == hash(b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(2, 4), st.integers(0, 4))
 def test_pow_matches_sympy(f, k):
-    assert f**k == from_sympy(to_sympy(f) ** k)
+    assert canonical(f**k) == from_sympy(to_sympy(f) ** k)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(2, 4), polys(1, 3), polys(1, 3), polys(1, 3))
 def test_compose_matches_sympy(f, p, q, r):
     expected = to_sympy(f).subs(dict(zip(X, map(to_sympy, (p, q, r)))), simultaneous=True)
-    assert f.compose([p, q, r]) == from_sympy(expected)
+    assert canonical(f.compose([p, q, r])) == from_sympy(expected)
     # f*(x1 - x2) vanishes when x1 and x2 receive the same polynomial
     x1, x2 = Poly.variable(0, 3), Poly.variable(1, 3)
-    assert (f * (x1 - x2)).compose([p, p, q]).is_zero
+    assert canonical((f * (x1 - x2)).compose([p, p, q])).is_zero

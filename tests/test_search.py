@@ -254,6 +254,50 @@ def test_elementary_reasons_in_component_order(case, nagata, xyz):
         assert out.reasons[1].reason == "limits-exhausted"
 
 
+def test_widening_builds_only_the_levels_it_runs(xyz, monkeypatch):
+    # g1^2 - g2^3 cancels the target's top at level i + j = 3, which is the
+    # second round (level 2 is the first with products above the target)
+    x, y, z = xyz
+    g1 = y**6 + (y**2 * z).scale(Fraction(3, 2))
+    g2 = y**4 + z
+    ws, target = total_weight(3), x + g1**2 - g2**3
+    assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 2
+    levels = []
+    product = search._ProductCache.product
+
+    def counted(cache, i, j):
+        levels.append(i + j)
+        return product(cache, i, j)
+
+    monkeypatch.setattr(search._ProductCache, "product", counted)
+    d = ws.deg(target)
+    phi, residual = search.peel(ws, target, (g1, g2), DEFAULT_LIMITS,
+                                lambda res, _: ws.deg(res) < d, 2)
+    assert phi is not None and residual == x
+    assert max(levels) == 3
+
+
+def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
+    # component 1 is left open for widening, but component 3 steps on its
+    # exact slice, so no cancellation floor (a full wedge) is computed
+    x1, x2, x3 = xyz
+    F = (x1 - (x2 * x3).scale(2) - x3.scale(2), x2, x3 - (x2**2).scale(2))
+    calls = []
+    wedge_degree = search.wedge_degree
+
+    def counted(*args):
+        calls.append(args)
+        return wedge_degree(*args)
+
+    monkeypatch.setattr(search, "wedge_degree", counted)
+    out = find_elementary_reduction(wt, F)
+    assert out.step is not None and out.step.index == 3
+    assert calls == []
+    # searched on its own, component 1 does check its floor
+    assert leading_membership_search(wt, F[0], (F[1], F[2])).found is not None
+    assert len(calls) == 1
+
+
 def test_elementary_reduction_rejects_dependent(wt, xyz):
     x1, x2, _ = xyz
     with pytest.raises(ValueError):
