@@ -4,12 +4,13 @@ Coefficients are exact rationals, stored per polynomial as integers over one
 common denominator; degrees live in a lexicographically ordered ``Z^r``
 extended by a bottom element for the zero polynomial.  Everything here is
 immutable by convention: operations return fresh values and never mutate
-their inputs, so all types are safe to share across threads.
+their inputs, so all types are safe to share across threads.  The one
+write after construction is a Poly's remembered weighted degree, a cache
+whose every store is a single slot assignment of a correct value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections.abc import Mapping
@@ -23,11 +24,11 @@ from typing import Optional, Sequence
 # ---------------------------------------------------------------------------
 
 
-@functools.total_ordering
 class DegreeValue:
     """Element of lex-ordered Z^r, or Bottom (the degree of 0).
 
-    Bottom compares below every vector and absorbs under addition.
+    Bottom compares below every vector and absorbs under addition; every
+    order operator raises ValueError on vectors of different rank.
     """
 
     __slots__ = ("vec",)
@@ -53,13 +54,36 @@ class DegreeValue:
         return self.vec == other.vec
 
     def __lt__(self, other: "DegreeValue") -> bool:
-        if self.vec is None:
-            return other.vec is not None
-        if other.vec is None:
-            return False
-        if len(self.vec) != len(other.vec):
-            raise ValueError("comparing degree vectors of different rank")
-        return self.vec < other.vec
+        a, b = self.vec, other.vec
+        if a is None or b is None:
+            return a is None and b is not None
+        if len(a) != len(b):
+            raise ValueError(_RANK_MISMATCH)
+        return a < b
+
+    def __le__(self, other: "DegreeValue") -> bool:
+        a, b = self.vec, other.vec
+        if a is None or b is None:
+            return a is None
+        if len(a) != len(b):
+            raise ValueError(_RANK_MISMATCH)
+        return a <= b
+
+    def __gt__(self, other: "DegreeValue") -> bool:
+        a, b = self.vec, other.vec
+        if a is None or b is None:
+            return b is None and a is not None
+        if len(a) != len(b):
+            raise ValueError(_RANK_MISMATCH)
+        return a > b
+
+    def __ge__(self, other: "DegreeValue") -> bool:
+        a, b = self.vec, other.vec
+        if a is None or b is None:
+            return b is None
+        if len(a) != len(b):
+            raise ValueError(_RANK_MISMATCH)
+        return a >= b
 
     def __hash__(self) -> int:
         return hash(self.vec)
@@ -67,17 +91,17 @@ class DegreeValue:
     def __add__(self, other: "DegreeValue") -> "DegreeValue":
         if self.vec is None or other.vec is None:
             return _BOTTOM
-        return DegreeValue(tuple(a + b for a, b in zip(self.vec, other.vec)))
+        return _degree(tuple(a + b for a, b in zip(self.vec, other.vec)))
 
     def __sub__(self, other: "DegreeValue") -> "DegreeValue":
         if self.vec is None or other.vec is None:
             return _BOTTOM
-        return DegreeValue(tuple(a - b for a, b in zip(self.vec, other.vec)))
+        return _degree(tuple(a - b for a, b in zip(self.vec, other.vec)))
 
     def __rmul__(self, k: int) -> "DegreeValue":
         if self.vec is None:
             return _BOTTOM
-        return DegreeValue(tuple(k * c for c in self.vec))
+        return _degree(tuple(k * c for c in self.vec))
 
     def __neg__(self) -> "DegreeValue":
         return -1 * self
@@ -102,6 +126,14 @@ class DegreeValue:
 
 
 _BOTTOM = DegreeValue(None)
+_RANK_MISMATCH = "comparing degree vectors of different rank"
+
+
+def _degree(vec: tuple) -> DegreeValue:
+    """The DegreeValue of an int tuple, without converting each component."""
+    d = DegreeValue.__new__(DegreeValue)
+    d.vec = vec
+    return d
 
 
 ZERO = Fraction(0)
@@ -152,12 +184,17 @@ class Poly:
     (``gcd(den, *nums.values()) == 1``), so equal polynomials have identical
     fields; the zero polynomial is ``{}`` over 1.  ``terms`` is a read-only
     monomial -> Fraction view.
+
+    A Poly is never mutated after it is built, so it remembers its weighted
+    degree under the weight system it was last asked about (the ``_deg``
+    slot, set by ``WeightSystem.deg`` and never part of ``==`` or ``hash``).
     """
 
-    __slots__ = ("n", "nums", "den")
+    __slots__ = ("n", "nums", "den", "_deg")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         self.n = n
+        self._deg = None
         clean: dict = {}
         if terms:
             for mono, coeff in terms.items():
@@ -179,6 +216,16 @@ class Poly:
     @staticmethod
     def zero(n: int) -> "Poly":
         return Poly(n)
+
+    @staticmethod
+    def from_contents(n: int, nums: Mapping, den: int = 1) -> "Poly":
+        """The Poly sum of nums[m] x^m / den, for int values (zeros are
+        dropped) and a nonzero int den; the common content is divided out."""
+        if den < 0:
+            den, nums = -den, {m: -c for m, c in nums.items()}
+        elif not den:
+            raise ZeroDivisionError("zero denominator")
+        return _poly(n, {m: c for m, c in nums.items() if c}, den)
 
     @staticmethod
     def constant(c, n: int) -> "Poly":
@@ -365,6 +412,7 @@ def _poly(n: int, nums: dict, den: int) -> Poly:
     out.n = n
     out.nums = nums
     out.den = den
+    out._deg = None
     return out
 
 
@@ -395,7 +443,7 @@ class WeightSystem:
                 raise ValueError("weight vectors must share rank")
             if not w > (0,) * r:
                 raise ValueError(f"weight {w} is not lex-positive")
-        object.__setattr__(self, "_deg_cache", {})
+        object.__setattr__(self, "_vec_cache", {})
         object.__setattr__(self, "_is_total", all(w == (1,) for w in ws))
 
     @property
@@ -419,51 +467,73 @@ class WeightSystem:
         """Rank of the integer lattice spanned by the weight vectors."""
         return _int_matrix_rank([list(w) for w in self.weights])
 
-    def monomial_degree(self, mono: Sequence[int]) -> DegreeValue:
+    def monomial_vec(self, mono: Sequence[int]) -> tuple:
+        """The weighted degree of mono as a plain int tuple (lex-ordered)."""
         if len(mono) != self.n:
             raise ValueError(f"monomial arity {len(mono)} != weight count {self.n}")
-        cache = self._deg_cache
+        if self._is_total:
+            return (sum(mono),)
+        cache = self._vec_cache
         mono = tuple(mono)
         hit = cache.get(mono)
         if hit is not None:
             return hit
-        if self._is_total:
-            d = DegreeValue((sum(mono),))
-        else:
-            acc = [0] * self.r
-            for e, w in zip(mono, self.weights):
-                if e:
-                    for k, c in enumerate(w):
-                        acc[k] += e * c
-            d = DegreeValue(acc)
+        acc = [0] * self.r
+        for e, w in zip(mono, self.weights):
+            if e:
+                for k, c in enumerate(w):
+                    acc[k] += e * c
+        vec = tuple(acc)
         if len(cache) < 200_000:
-            cache[mono] = d
-        return d
+            cache[mono] = vec
+        return vec
+
+    def monomial_degree(self, mono: Sequence[int]) -> DegreeValue:
+        return _degree(self.monomial_vec(mono))
 
     def deg(self, f: Poly) -> DegreeValue:
-        """Weighted degree of f; Bottom iff f = 0."""
-        if f.is_zero:
-            return _BOTTOM
-        best: Optional[DegreeValue] = None
-        for m in f.nums:
-            d = self.monomial_degree(m)
-            if best is None or d > best:
-                best = d
-        return best
+        """Weighted degree of f; Bottom iff f = 0.
+
+        The maximum is taken over int tuples, and the answer is remembered
+        on f under this system's weights, so asking again is one lookup."""
+        w = self.weights
+        memo = f._deg
+        if memo is not None and (memo[0] is w or memo[0] == w):
+            return memo[1]
+        if f.n != len(w):
+            raise ValueError(f"polynomial arity {f.n} != weight count {len(w)}")
+        nums = f.nums
+        if not nums:
+            d = _BOTTOM
+        elif self._is_total:
+            d = _degree((max(map(sum, nums)),))
+        else:
+            try:
+                d = _degree(max(map(self._vec_cache.__getitem__, nums)))
+            except KeyError:
+                d = _degree(max(map(self.monomial_vec, nums)))
+        f._deg = (w, d)
+        return d
 
     def leading_form(self, f: Poly) -> Poly:
         """Sum of the terms of top weighted degree; rejects f = 0."""
         if f.is_zero:
             raise ValueError("the zero polynomial has no leading form")
         d = self.deg(f)
-        return _poly(f.n, {m: c for m, c in f.nums.items() if self.monomial_degree(m) == d},
-                     f.den)
+        if self._is_total:
+            top = d.vec[0]
+            nums = {m: c for m, c in f.nums.items() if sum(m) == top}
+        else:
+            vec = self.monomial_vec
+            nums = {m: c for m, c in f.nums.items() if vec(m) == d.vec}
+        out = _poly(f.n, nums, f.den)
+        out._deg = (self.weights, d)
+        return out
 
     def is_homogeneous(self, f: Poly) -> bool:
         if f.is_zero:
             return True
-        degs = {self.monomial_degree(m) for m in f.nums}
-        return len(degs) == 1
+        return len(set(map(self.monomial_vec, f.nums))) == 1
 
     def deg_endo(self, components: Sequence[Poly]) -> DegreeValue:
         acc = DegreeValue((0,) * self.r)

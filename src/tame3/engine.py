@@ -10,6 +10,7 @@ are kept in application order (first entry innermost), so
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,7 +118,7 @@ class TameFactor:
 
     def __post_init__(self):
         if self.kind == "affine":
-            if _det3(self.matrix) == 0:
+            if _det3(_int_matrix(self.matrix)[0]) == 0:
                 raise ValueError("affine factor must have invertible matrix")
         elif self.kind == "elementary":
             if not 1 <= self.index <= N:
@@ -141,13 +142,12 @@ class TameFactor:
 
     def as_endo(self) -> Triple:
         if self.kind == "affine":
+            # component i is b_i + sum_j A_ij x_j, built from the integer
+            # contents of its row over the row's common denominator
             comps = []
-            for i in range(N):
-                p = Poly.constant(self.translation[i], N)
-                for j in range(N):
-                    if self.matrix[i][j]:
-                        p = p + Poly.variable(j, N).scale(self.matrix[i][j])
-                comps.append(p)
+            for b, row in zip(self.translation, self.matrix):
+                nums, den = _int_row((b, *row))
+                comps.append(Poly.from_contents(N, dict(zip(_AFFINE_MONOS, nums)), den))
             return tuple(comps)
         comps = list(identity_endo())
         comps[self.index - 1] = comps[self.index - 1] + self.phi
@@ -156,10 +156,11 @@ class TameFactor:
     def inverted(self) -> "TameFactor":
         if self.kind == "elementary":
             return TameFactor.elementary(self.index, -self.phi)
-        inv = _invert3(self.matrix)
-        # y = Ax + b  =>  x = A^-1 y - A^-1 b
-        neg_b = [-sum(inv[i][j] * self.translation[j] for j in range(N)) for i in range(N)]
-        return TameFactor.affine(inv, neg_b)
+        adj, d = _invert3(self.matrix)
+        # y = Ax + b  =>  x = A^-1 y - A^-1 b, with A^-1 = adj / d
+        t, tden = _int_row(self.translation)
+        neg_b = [Fraction(-sum(a * c for a, c in zip(row, t)), d * tden) for row in adj]
+        return TameFactor.affine([[Fraction(a, d) for a in row] for row in adj], neg_b)
 
     def to_json(self) -> dict:
         if self.kind == "affine":
@@ -171,7 +172,23 @@ class TameFactor:
         return {"kind": "elementary", "index": self.index, "phi": poly_to_text(self.phi)}
 
 
-def _det3(m) -> Fraction:
+_AFFINE_MONOS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _int_row(row) -> tuple[list[int], int]:
+    """(nums, den) with row == nums / den, den the least common denominator
+    of the Fractions in row."""
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def _int_matrix(m) -> tuple[list[list[int]], int]:
+    """(a, den) with m == a / den for a 3x3 Fraction matrix m."""
+    nums, den = _int_row([c for row in m for c in row])
+    return [nums[0:3], nums[3:6], nums[6:9]], den
+
+
+def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -179,19 +196,25 @@ def _det3(m) -> Fraction:
     )
 
 
-def _invert3(m):
-    d = _det3(m)
+def _invert3(m) -> tuple[list[list[int]], int]:
+    """(adj, d) in ints with m^-1 == adj / d, for a 3x3 Fraction matrix m.
+
+    m is cleared to a / den first, so one integer determinant decides
+    invertibility, and m^-1 = den * adj(a) / det(a).
+    """
+    a, den = _int_matrix(m)
+    d = _det3(a)
     if d == 0:
         raise ValueError("singular matrix")
-    cof = [
+    adj = [
         [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
+            den * (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+                   - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
             for i in range(3)
         ]
         for j in range(3)
     ]
-    return tuple(tuple(c / d for c in row) for row in cof)
+    return adj, d
 
 
 def recompose(factors: Sequence[TameFactor]) -> Triple:
@@ -414,12 +437,13 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     """
     b = [f.constant_term() for f in F]
     G = tuple(f - Poly.constant(bi, N) for f, bi in zip(F, b))
-    L = [[G[i].coeff(tuple(1 if k == j else 0 for k in range(N))) for j in range(N)]
-         for i in range(N)]
-    if _det3(L) == 0:
-        raise ValueError("internal inconsistency: singular linear part")
-    M = _invert3(L)
-    K = compose_endo(G, TameFactor.affine(M, [0, 0, 0]).as_endo())
+    L = [[G[i].coeff(mono) for mono in _AFFINE_MONOS[1:]] for i in range(N)]
+    try:
+        adj, d = _invert3(L)
+    except ValueError:
+        raise ValueError("internal inconsistency: singular linear part") from None
+    K = compose_endo(G, tuple(Poly.from_contents(N, dict(zip(_AFFINE_MONOS[1:], row)), d)
+                              for row in adj))
 
     def key(i):
         return (ws.weights[i], i)
@@ -513,11 +537,10 @@ def _compose_clamped(factors: Sequence[TameFactor]) -> Optional[Triple]:
 def _random_factor(rng: random.Random, cbound: int, dbound: int) -> TameFactor:
     if rng.random() < 0.45:
         while True:
-            matrix = [[Fraction(rng.randint(-cbound, cbound)) for _ in range(N)]
-                      for _ in range(N)]
+            matrix = [[rng.randint(-cbound, cbound) for _ in range(N)] for _ in range(N)]
             if _det3(matrix) != 0:
                 break
-        translation = [Fraction(rng.randint(-cbound, cbound)) for _ in range(N)]
+        translation = [rng.randint(-cbound, cbound) for _ in range(N)]
         return TameFactor.affine(matrix, translation)
     index = rng.randint(1, N)
     others = [i for i in range(N) if i != index - 1]

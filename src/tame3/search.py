@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -159,19 +160,19 @@ class _ProductCache:
 
     def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
         """(denominator, [(mono, int_coeff)] of the terms of f^i g^j with
-        degree >= threshold), from the product's terms sorted by degree."""
+        degree >= threshold), from the product's terms sorted by their degree
+        vectors."""
         p = self.product(i, j)
         entries = self._sorted.get((i, j))
         if entries is None:
-            entries = sorted(
-                ((self.ws.monomial_degree(m), m, c) for m, c in p.nums.items()),
-                key=lambda e: e[0].vec,
-                reverse=True,
-            )
+            vec = self.ws.monomial_vec
+            entries = sorted(((vec(m), m, c) for m, c in p.nums.items()),
+                             key=itemgetter(0), reverse=True)
             self._sorted[(i, j)] = entries
+        top = threshold.vec
         out = []
-        for d, m, c in entries:
-            if d < threshold:
+        for v, m, c in entries:
+            if v < top:
                 break
             out.append((m, c))
         return p.den, out
@@ -201,7 +202,8 @@ def _solve_with_pairs(
                 rows[m] = {k: c}
             else:
                 row[k] = c
-    rhs = {m: c for m, c in target.nums.items() if ws.monomial_degree(m) >= threshold}
+    vec, top = ws.monomial_vec, threshold.vec
+    rhs = {m: c for m, c in target.nums.items() if vec(m) >= top}
     for m in rhs:
         if m not in rows:
             return None  # a constrained target monomial no product can touch
@@ -754,9 +756,10 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     """
     target_deg = s * delta
     columns = [f3 * f3, f3, -(u**s)]
+    vec, top = ws.monomial_vec, target_deg.vec
     monos = set()
     for p in columns + [f1]:
-        monos.update(m for m in p.nums if ws.monomial_degree(m) >= target_deg)
+        monos.update(m for m in p.nums if vec(m) >= top)
     mono_list = sorted(monos, reverse=True)
     if not mono_list:
         return None

@@ -46,6 +46,49 @@ def test_lex_order():
     assert 3 * D(0, 0, 1) == D(0, 0, 3)
 
 
+def _order_key(d):
+    # Bottom first, then vectors in lex (tuple) order
+    return (0,) if d.is_bottom else (1, d.vec)
+
+
+_ORDER_OPS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+_degree_values = st.one_of(
+    st.just(DegreeValue.bottom()),
+    st.tuples(*[st.integers(-3, 3)] * 3).map(DegreeValue),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degree_values, _degree_values)
+def test_degree_order_matches_tuple_order(a, b):
+    ka, kb = _order_key(a), _order_key(b)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (ka < kb, ka <= kb, ka > kb, ka >= kb,
+                                                      ka == kb)
+
+
+@pytest.mark.parametrize("op", sorted(_ORDER_OPS))
+def test_degree_order_with_bottom_on_either_side(op):
+    bot, cmp = DegreeValue.bottom(), _ORDER_OPS[op]
+    for d in (D(-5, 0, 0), D(0, 0, 0), D(1), D(2, 0, 3)):
+        assert cmp(bot, d) == (op in ("<", "<="))
+        assert cmp(d, bot) == (op in (">", ">="))
+    assert cmp(bot, bot) == (op in ("<=", ">="))
+
+
+@pytest.mark.parametrize("op", sorted(_ORDER_OPS))
+def test_degree_order_rejects_rank_mismatch(op):
+    with pytest.raises(ValueError):
+        _ORDER_OPS[op](D(1, 0), D(1, 0, 0))
+    with pytest.raises(ValueError):
+        _ORDER_OPS[op](D(0, 0, 5), D(7))
+
+
 def test_weight_system_validation():
     with pytest.raises(ValueError):
         WeightSystem(((0, 0), (1, 0)))
@@ -195,6 +238,66 @@ def test_leading_form_idempotent(f):
     ws = total_weight(3)
     lf = ws.leading_form(f)
     assert ws.leading_form(lf) == lf
+
+
+def _reference_deg(ws, f):
+    return max((ws.monomial_degree(m) for m in f.nums), default=DegreeValue.bottom())
+
+
+def test_deg_memo_across_weight_systems():
+    f = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5", 3)
+    systems = [total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))),
+               total_weight(3)]
+    refs = [_reference_deg(ws, f) for ws in systems]
+    assert len(set(refs)) == 3 and refs[0] == refs[3]
+    copy = Poly(3, f.terms)
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 1, 3, 2, 2, 0]):
+        for k in order:
+            assert systems[k].deg(f) == refs[k]
+    # the remembered degree is not part of equality or hashing
+    assert f == copy and hash(f) == hash(copy)
+    assert systems[2].deg(copy) == refs[2]
+
+
+@st.composite
+def lex_positive_weights(draw):
+    r = draw(st.integers(1, 3))
+    vectors = []
+    for _ in range(3):
+        zeros = draw(st.integers(0, r - 1))
+        rest = [draw(st.integers(-3, 3)) for _ in range(r - zeros - 1)]
+        vectors.append((0,) * zeros + (draw(st.integers(1, 3)),) + tuple(rest))
+    return WeightSystem(tuple(vectors))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), lex_positive_weights(), lex_positive_weights())
+def test_deg_memo_matches_reference(f, ws, other):
+    for _ in range(2):
+        for w in (ws, other, WeightSystem(ws.weights)):
+            assert w.deg(f) == _reference_deg(w, f)
+    if not f.is_zero:
+        lf = ws.leading_form(f)
+        assert ws.deg(lf) == ws.deg(f) and other.deg(lf) == _reference_deg(other, lf)
+
+
+def test_deg_zero_is_bottom_under_every_weight():
+    zero = Poly.zero(3)
+    for ws in (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))),
+               total_weight(3)):
+        assert ws.deg(zero).is_bottom
+        assert ws.deg(zero).is_bottom
+
+
+def test_deg_rejects_arity_mismatch():
+    with pytest.raises(ValueError):
+        total_weight(2).deg(Poly.variable(0, 3))
+    with pytest.raises(ValueError):
+        lex_weight(4).deg(Poly.zero(3))
+    f = Poly.variable(1, 3)
+    assert total_weight(3).deg(f) == D(1)  # a remembered degree does not hide the check
+    with pytest.raises(ValueError):
+        WeightSystem(((1,), (1,))).deg(f)
 
 
 # --- lattice helpers ------------------------------------------------------

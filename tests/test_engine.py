@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tame3.algebra import DegreeValue, Poly, lex_weight
 from tame3.conditions import check_su_conditions
@@ -77,6 +78,53 @@ def test_factor_validation(xyz):
         TameFactor.elementary(1, x1)  # uses its own variable
     with pytest.raises(ValueError):
         TameFactor.affine([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 0])
+
+
+_RATIONAL_MATRIX = [[Fraction(1, 2), Fraction(-2, 3), 0],
+                    [Fraction(3, 4), 1, Fraction(5, 6)],
+                    [0, Fraction(-1, 5), 2]]
+_RATIONAL_SHIFT = [Fraction(7, 3), 0, Fraction(-1, 4)]
+
+
+def test_affine_factor_with_rational_entries(xyz):
+    f = TameFactor.affine(_RATIONAL_MATRIX, _RATIONAL_SHIFT)
+    expected = tuple(
+        sum((x.scale(Fraction(c)) for x, c in zip(xyz, row)), Poly.constant(Fraction(b), 3))
+        for row, b in zip(_RATIONAL_MATRIX, _RATIONAL_SHIFT)
+    )
+    assert f.as_endo() == expected
+    inv = f.inverted()
+    assert compose_endo(f.as_endo(), inv.as_endo()) == identity_endo()
+    assert compose_endo(inv.as_endo(), f.as_endo()) == identity_endo()
+    back = inv.inverted()
+    assert back.matrix == f.matrix and back.translation == f.translation
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=12,
+                max_size=12))
+def test_affine_inverse_on_random_rational_factors(entries):
+    matrix, shift = [entries[0:3], entries[3:6], entries[6:9]], entries[9:]
+    try:
+        f = TameFactor.affine(matrix, shift)
+    except ValueError:
+        m = matrix
+        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        assert det == 0
+        return
+    inv = f.inverted()
+    assert compose_endo(f.as_endo(), inv.as_endo()) == identity_endo()
+    assert inv.inverted().matrix == f.matrix and inv.inverted().translation == f.translation
+
+
+def test_singular_rational_matrix_rejected():
+    singular = [[Fraction(1, 2), Fraction(1, 3), 0],
+                [Fraction(3, 2), 1, 0],
+                [Fraction(2, 7), 5, Fraction(-4, 9)]]
+    with pytest.raises(ValueError):
+        TameFactor.affine(singular, [0, Fraction(1, 2), 0])
 
 
 def test_invert_factors_roundtrip(small_corpus):

@@ -1,10 +1,12 @@
 """Module boundaries inside the package: a private name stays in its module,
-and every module-level import is used.
+every module-level import is used, and only the algebra module writes the
+fields of a Poly.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
-the unused-import check.
+the unused-import check.  A Poly remembers its weighted degree, which is
+sound only while no other module changes its contents after it is built.
 """
 
 import ast
@@ -85,3 +87,66 @@ def test_unused_import_detector(tmp_path):
                      "from typing import Iterator, Optional\n"
                      "def f(x: Optional[int]):\n    return os.path.join(str(x))\n")
     assert _unused_imports(probe) == ["3: json", "4: Iterator"]
+
+
+_POLY_FIELDS = ("nums", "den", "_deg")
+_DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem__",
+                  "__delitem__")
+
+
+def _poly_field_writes(path: Path) -> list[str]:
+    """'line: target' for every assignment or deletion of an attribute named
+    like a Poly field (nums, den, the degree memo _deg), every store into
+    .nums[...], and every setattr or dict-mutating call on those names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if not isinstance(getattr(sub, "ctx", None), (ast.Store, ast.Del)):
+                    continue
+                if ((isinstance(sub, ast.Attribute) and sub.attr in _POLY_FIELDS)
+                        or (isinstance(sub, ast.Subscript)
+                            and isinstance(sub.value, ast.Attribute)
+                            and sub.value.attr == "nums")):
+                    found.append(f"{sub.lineno}: {ast.unparse(sub)}")
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if (name in ("setattr", "__setattr__", "delattr", "__delattr__")
+                    and any(isinstance(a, ast.Constant) and a.value in _POLY_FIELDS
+                            for a in node.args)):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+            elif (name in _DICT_MUTATORS and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "nums"):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PKG.glob("*.py") if p.name != "algebra.py"),
+                         ids=lambda p: p.name)
+def test_only_algebra_writes_poly_fields(path):
+    assert _poly_field_writes(path) == []
+
+
+def test_poly_field_write_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(p, q, m):\n"
+                     "    nums, den = dict(p.nums), p.den\n"
+                     "    c = p.nums[m] + q.nums.get(m, 0)\n"
+                     "    p.nums = nums\n"
+                     "    q.nums[m] = c\n"
+                     "    p.den *= 2\n"
+                     "    a, q._deg = 1, None\n"
+                     "    del p.nums[m]\n"
+                     "    object.__setattr__(p, 'den', 3)\n"
+                     "    q.nums.update({m: 1})\n"
+                     "    return nums, den\n")
+    assert _poly_field_writes(probe) == [
+        "4: p.nums", "5: q.nums[m]", "6: p.den", "7: q._deg", "8: p.nums[m]",
+        "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})"]
