@@ -137,7 +137,6 @@ def _degree(vec: tuple) -> DegreeValue:
 
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _as_fraction(c) -> Fraction:
@@ -215,7 +214,7 @@ class Poly:
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        return Poly(n)
+        return _poly(n, {}, 1)
 
     @staticmethod
     def from_contents(n: int, nums: Mapping, den: int = 1) -> "Poly":
@@ -229,7 +228,9 @@ class Poly:
 
     @staticmethod
     def constant(c, n: int) -> "Poly":
-        return Poly(n, {(0,) * n: _as_fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients must be exact rationals, got {type(c)!r}")
+        return _poly(n, {(0,) * n: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(i: int, n: int) -> "Poly":
@@ -465,7 +466,7 @@ class WeightSystem:
 
     def rank(self) -> int:
         """Rank of the integer lattice spanned by the weight vectors."""
-        return _int_matrix_rank([list(w) for w in self.weights])
+        return len(_echelon(({k: c for k, c in enumerate(w) if c}, 0) for w in self.weights))
 
     def monomial_vec(self, mono: Sequence[int]) -> tuple:
         """The weighted degree of mono as a plain int tuple (lex-ordered)."""
@@ -553,27 +554,6 @@ def total_weight(n: int) -> WeightSystem:
 def lex_weight(n: int) -> WeightSystem:
     """w = (e_1,...,e_n) on lex Z^n (maximal rank)."""
     return WeightSystem(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
-
-
-def _int_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over Q via fraction-free Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                a, b = mat[rank][col], mat[i][col]
-                mat[i] = [a * x - b * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -853,96 +833,113 @@ def poly_to_text(f: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
-    """Exact solve of a sparse system; free unknowns get 0.
+def _echelon(rows) -> Optional[dict]:
+    """Fraction-free echelon form of a sparse integer system, or None when
+    it is inconsistent.
 
-    ``rows`` is an iterable of ``(coeffs, rhs)`` with ``coeffs`` a dict
-    mapping unknown index to a nonzero int (or Fraction).  Deterministic:
-    rows are processed in the given order and pivots are the smallest
-    unknown index.  Pivot rows are normalized to leading coefficient one,
-    which keeps rational entry sizes close to the answer's own complexity.
+    ``rows`` is an iterable of ``(coeffs, rhs)``: ``coeffs`` maps unknown
+    index to a nonzero int and ``rhs`` is an int.  Rows are taken in the
+    given order and each pivots on its smallest unknown; the result maps
+    each pivot unknown to its stored ``(coeffs, rhs)``, kept primitive with
+    a positive lead, so every step is an int operation.  An inconsistent
+    row ends the scan before the remaining rows are read.
     """
-    pivots: dict[int, tuple[dict, Fraction]] = {}
+    pivots: dict[int, tuple[dict, int]] = {}
     for coeffs, rhs in rows:
         row = dict(coeffs)
-        rhs = Fraction(rhs)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 break
             prow, prhs = piv
-            factor = row.pop(lead)
+            # cancel the lead: row <- a*row - b*prow, a/b = p/factor in lowest terms
+            p, factor = prow[lead], row.pop(lead)
+            g = math.gcd(p, factor)
+            a, b = p // g, factor // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+                rhs *= a
             for k, v in prow.items():
                 if k == lead:
                     continue
-                nv = row.get(k, 0) - factor * v
+                nv = row.get(k, 0) - b * v
                 if nv:
                     row[k] = nv
                 else:
                     row.pop(k, None)
-            if prhs:
-                rhs = rhs - factor * prhs
+            rhs -= b * prhs
         if row:
             lead = min(row)
-            inv = row[lead]
-            if inv != 1:
-                row = {k: Fraction(v) / inv for k, v in row.items()}
-                rhs = rhs / inv
+            g = math.gcd(rhs, *row.values())
+            if row[lead] < 0:
+                g = -g
+            if g != 1:
+                row = {k: v // g for k, v in row.items()}
+                rhs //= g
             pivots[lead] = (row, rhs)
         elif rhs:
             return None
-    x = [ZERO] * ncols
+    return pivots
+
+
+def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
+    """Exact solve of a sparse integer system; free unknowns get 0.
+
+    ``rows`` is as for ``_echelon``, whose pivots decide the answer.  The
+    back substitution keeps the solution as ints over one common
+    denominator, so each unknown costs one division at the end.
+    """
+    pivots = _echelon(rows)
+    if pivots is None:
+        return None
+    nums: dict[int, int] = {}
+    den = 1
     for lead in sorted(pivots, reverse=True):
         prow, prhs = pivots[lead]
-        acc = prhs
-        for k, v in prow.items():
-            if k != lead and x[k]:
-                acc -= v * x[k]
-        x[lead] = acc
-    return x
+        acc = prhs * den - sum(v * nums[k] for k, v in prow.items() if k in nums)
+        p = prow[lead]
+        g = math.gcd(acc, p)
+        acc, p = acc // g, p // g
+        if p != 1:
+            for k in nums:
+                nums[k] *= p
+            den *= p
+        if acc:
+            nums[lead] = acc
+    return [Fraction(nums[k], den) if k in nums else ZERO for k in range(ncols)]
 
 
-def solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact solution set of A x = b as (particular, kernel_basis), or None.
+def solve_contents(target, columns) -> Optional[list[Fraction]]:
+    """Exact x with sum_k x_k * columns[k] == target, or None; free unknowns
+    get 0.
 
-    Gauss-Jordan elimination with first-nonzero pivoting in the given
-    row/column order; the particular solution sets free unknowns to 0.
+    Each argument is ``(den, contents)`` with ``contents`` an iterable of
+    ``(monomial, int)`` pairs, standing for the sum of c * x^m / den.  There
+    is one row per monomial of the columns, in descending monomial order; a
+    target monomial that no column has makes the system inconsistent
+    without a solve.  On contents, unknown k is x_k * target_den / den_k.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = ONE / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][ncols] != 0:
-            return None
-    particular = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][ncols]
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fc]
-        kernel.append(vec)
-    return particular, kernel
+    tden, tnums = target
+    rows: dict = {}
+    dens = []
+    for k, (den, contents) in enumerate(columns):
+        dens.append(den)
+        for m, c in contents:
+            row = rows.get(m)
+            if row is None:
+                rows[m] = {k: c}
+            else:
+                row[k] = c
+    rhs = dict(tnums)
+    if not rhs.keys() <= rows.keys():
+        return None
+    sol = solve_sparse_int(
+        ((rows[m], rhs.get(m, 0)) for m in sorted(rows, reverse=True)), len(dens)
+    )
+    if sol is None:
+        return None
+    return [c * den / tden for c, den in zip(sol, dens)]
 
 
 def poly_sqrt(p: Poly) -> Optional[Poly]:

@@ -24,7 +24,7 @@ from .algebra import (
     half,
     power_sum,
     proportionality,
-    solve_sparse_int,
+    solve_contents,
     total_weight,
 )
 from .forms import differential, differentials_wedge, wedge, wedge_degree
@@ -61,18 +61,10 @@ class ConditionReport:
         return {**self.conditions, "overall": self.overall}
 
 
-def _decompose(ws: WeightSystem, target: Poly, atoms: Sequence[Poly]):
+def _decompose(target: Poly, atoms: Sequence[Poly]):
     """Exact coefficients c with target == sum c_k atom_k, or None."""
-    monos = set(target.nums)
-    for a in atoms:
-        monos.update(a.nums)
-    # On integer contents the unknown k is c_k * target.den / atom_k.den.
-    rows = (({k: a.nums[m] for k, a in enumerate(atoms) if m in a.nums},
-             target.nums.get(m, 0)) for m in sorted(monos, reverse=True))
-    sol = solve_sparse_int(rows, len(atoms))
-    if sol is None:
-        return None
-    return [c * a.den / target.den for c, a in zip(sol, atoms)]
+    return solve_contents((target.den, target.nums.items()),
+                          [(a.den, a.nums.items()) for a in atoms])
 
 
 def _odd_power_relation(
@@ -118,10 +110,10 @@ def check_su_conditions(
     sol1 = (
         [Fraction(0), Fraction(0)]
         if shift1.is_zero
-        else _decompose(ws, shift1, [f3 * f3, f3])
+        else _decompose(shift1, [f3 * f3, f3])
     )
     shift2 = g2 - f2
-    sol2 = [Fraction(0)] if shift2.is_zero else _decompose(ws, shift2, [f3])
+    sol2 = [Fraction(0)] if shift2.is_zero else _decompose(shift2, [f3])
     member3, payload3 = _membership_flag(exact_membership(ws, g3 - f3, (g1, g2), limits))
     rep.set(
         "SU1",
@@ -217,7 +209,7 @@ def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
     atoms = _shift_atoms(f2, f3, s)
     shift1 = g1 - f1
     sol1 = (
-        [Fraction(0)] * len(atoms) if shift1.is_zero else _decompose(ws, shift1, atoms)
+        [Fraction(0)] * len(atoms) if shift1.is_zero else _decompose(shift1, atoms)
     )
     if sol1 is None:
         return None
@@ -226,7 +218,7 @@ def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
     sol2 = (
         [Fraction(0), Fraction(0)]
         if shift2.is_zero
-        else _decompose(ws, shift2, [f3, Poly.constant(1, f3.n)])
+        else _decompose(shift2, [f3, Poly.constant(1, f3.n)])
     )
     if sol2 is None:
         return None
@@ -282,7 +274,7 @@ def verify_properties(
     if not (g1 - f1).is_zero:
         family4.append(g1 - f1)
     atoms4 = _shift_atoms(f2, f3, s)
-    p4_ok = all(_decompose(ws, phi, atoms4) is not None for phi in family4)
+    p4_ok = all(_decompose(phi, atoms4) is not None for phi in family4)
     rep.set("P4", p4_ok, quantifier="sampled", family_size=len(family4))
 
     if d1 < ws.deg(g1):
@@ -327,7 +319,7 @@ def verify_properties(
     if not (g2 - f2).is_zero:
         family9.append(g2 - f2)
     atoms9 = [f3, Poly.constant(1, f3.n)]
-    p9_ok = all(_decompose(ws, phi, atoms9) is not None for phi in family9)
+    p9_ok = all(_decompose(phi, atoms9) is not None for phi in family9)
     rep.set("P9", p9_ok, quantifier="sampled", family_size=len(family9))
 
     # P10 (sampled): hypothesis witnessed by (a, b, c) != 0 from the
@@ -354,7 +346,7 @@ def verify_properties(
                     for m in range((s - 1) // 2 + 1)
                     if 2 * m * delta <= min((s - 1) * delta, ws.deg(phi))
                 ]
-                sol = _decompose(ws, phi, atoms10)
+                sol = _decompose(phi, atoms10)
                 if sol is None or (ws.deg(phi) < d1 and sol[0] != 0):
                     ok = False
             rep.set("P10", ok, quantifier="sampled", family_size=len(family10))

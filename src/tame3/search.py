@@ -34,8 +34,7 @@ from .algebra import (
     parallel_multipliers,
     proportionality,
     semigroup_member,
-    solve_affine,
-    solve_sparse_int,
+    solve_contents,
     sqrt_up_to_scalar,
     z_independent,
 )
@@ -189,32 +188,14 @@ def _solve_with_pairs(
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) < threshold."""
     if not pairs:
         return None
-    # Scatter the threshold tails of every product into per-monomial rows of
-    # integer contents; unknown k is solved as c_k * target.den / dens[k].
-    rows: dict = {}
-    dens = []
-    for k, (i, j) in enumerate(pairs):
-        den, tail_entries = cache.tail(i, j, threshold)
-        dens.append(den)
-        for m, c in tail_entries:
-            row = rows.get(m)
-            if row is None:
-                rows[m] = {k: c}
-            else:
-                row[k] = c
     vec, top = ws.monomial_vec, threshold.vec
-    rhs = {m: c for m, c in target.nums.items() if vec(m) >= top}
-    for m in rhs:
-        if m not in rows:
-            return None  # a constrained target monomial no product can touch
-    sol = solve_sparse_int(
-        ((rows[m], rhs.get(m, 0)) for m in sorted(rows, reverse=True)), len(pairs)
+    sol = solve_contents(
+        (target.den, [(m, c) for m, c in target.nums.items() if vec(m) >= top]),
+        [cache.tail(i, j, threshold) for i, j in pairs],
     )
     if sol is None:
         return None
-    return BiPoly(
-        gens, {pairs[k]: c * dens[k] / target.den for k, c in enumerate(sol) if c}
-    )
+    return BiPoly(gens, {pair: c for pair, c in zip(pairs, sol) if c})
 
 
 def homogeneous_membership(
@@ -755,31 +736,25 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     with 2m <= s - 1 lies wholly below s*delta, so its column would be zero.
     """
     target_deg = s * delta
-    columns = [f3 * f3, f3, -(u**s)]
     vec, top = ws.monomial_vec, target_deg.vec
-    monos = set()
-    for p in columns + [f1]:
-        monos.update(m for m in p.nums if vec(m) >= top)
-    mono_list = sorted(monos, reverse=True)
-    if not mono_list:
+
+    def above(p: Poly) -> tuple:
+        return p.den, [(m, c) for m, c in p.nums.items() if vec(m) >= top]
+
+    f3sq, us = f3 * f3, u**s
+    columns = [above(f3sq), above(f3)]
+    sol = solve_contents(above(-f1), columns + [above(-us)])
+    if sol is None:
         return None
-    # Every equation is multiplied by the same common denominator, which
-    # leaves the solution and kernel basis unchanged.
-    den = math.lcm(f1.den, *(p.den for p in columns))
-    scales = [den // p.den for p in columns]
-    rows = [[p.nums.get(m, 0) * k for p, k in zip(columns, scales)] for m in mono_list]
-    rhs = [-f1.nums.get(m, 0) * (den // f1.den) for m in mono_list]
-    solved = solve_affine(rows, rhs)
-    if solved is None:
-        return None
-    sol, kernel = solved
-    if sol[2] == 0:
-        lift = next((vec for vec in kernel if vec[2] != 0), None)
-        if lift is None:
+    if not sol[2]:
+        # gamma is the last unknown, so as a pivot it is 0 in every
+        # solution; as a free unknown it may be fixed to 1, the other free
+        # unknowns staying 0.
+        sol = solve_contents(above(us - f1), columns)
+        if sol is None:
             return None
-        sol = [p + v for p, v in zip(sol, lift)]
     a, c = sol[0], sol[1]
-    g1 = f1 + columns[0].scale(a) + f3.scale(c)
+    g1 = f1 + f3sq.scale(a) + f3.scale(c)
     if g1.is_zero or ws.deg(g1) != target_deg:
         return None
     return a, c, g1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,21 @@ from tame3.algebra import (
     power_sum,
     proportionality,
     semigroup_member,
-    solve_affine,
+    solve_contents,
     solve_sparse_int,
     sqrt_up_to_scalar,
     total_weight,
     z_independent,
 )
+from tame3.algebra import _echelon
 from tame3.univariate import AuxPoly
+
+try:
+    import sympy
+except ImportError:  # test-only dependency
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 D = DegreeValue.of
 
@@ -102,6 +111,18 @@ def test_rank():
     assert WeightSystem(((1, 0), (2, 0), (0, 1))).rank() == 2
 
 
+def _lex_positive(vec):
+    return next((c > 0 for c in vec if c), False)
+
+
+@needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * r).filter(_lex_positive), min_size=1, max_size=5)))
+def test_rank_agrees_with_sympy(weights):
+    assert WeightSystem(tuple(weights)).rank() == sympy.Matrix(weights).rank()
+
+
 # --- polynomial arithmetic ----------------------------------------------
 
 
@@ -111,6 +132,24 @@ def test_mul_and_identity(xyz):
     f = x1 + x2**2
     assert (f + (-f)).is_zero
     assert f * Poly.constant(1, 3) == f
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("c", [0, 1, -7, 12, Fraction(-6, 4), Fraction(5, 3), Fraction(0)])
+def test_constant_matches_general_constructor(c, n):
+    p, q = Poly.constant(c, n), Poly(n, {(0,) * n: c})
+    assert (p.n, p.nums, p.den) == (q.n, q.nums, q.den)
+    assert hash(p) == hash(q)
+    assert p.constant_term() == c
+    if not c:
+        assert (p.nums, p.den) == ({}, 1)
+    assert Poly.zero(n) == Poly(n) and Poly.zero(n).den == 1
+
+
+@pytest.mark.parametrize("c", [0.5, 0.0, "1", None])
+def test_constant_rejects_non_rationals(c):
+    with pytest.raises(TypeError):
+        Poly.constant(c, 3)
 
 
 def test_pow_matches_repeated_mul(xyz):
@@ -390,40 +429,63 @@ def test_printer_descending_order():
 # --- exact solvers and square roots --------------------------------------
 
 
-def test_solve_linear_simple():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    assert solve_affine(rows, [Fraction(5), Fraction(2)]) == ([Fraction(1), Fraction(2)], [])
-    assert solve_affine([[Fraction(0)]], [Fraction(1)]) is None
-    # x + 2y = 4: free y set to 0 in the particular solution, kernel (-2, 1)
-    rows = [[Fraction(1), Fraction(2)]]
-    assert solve_affine(rows, [Fraction(4)]) == ([Fraction(4), Fraction(0)],
-                                                 [[Fraction(-2), Fraction(1)]])
+def _rows(matrix, rhs):
+    return [({j: c for j, c in enumerate(r) if c}, b) for r, b in zip(matrix, rhs)]
 
 
-@settings(max_examples=100, deadline=None)
+def test_solve_sparse_int_by_hand():
+    # x + 2y = 4: y is free and set to 0
+    assert solve_sparse_int(_rows([[1, 2]], [4]), 2) == [4, 0]
+    assert solve_sparse_int(_rows([[1, 2], [0, 1]], [5, 2]), 2) == [1, 2]
+    assert solve_sparse_int(_rows([[2, 0], [0, 3]], [1, -2]), 2) == [Fraction(1, 2),
+                                                                     Fraction(-2, 3)]
+    # x + y = 1 and 2x + 2y = 3 are inconsistent; so is 0 = 1
+    assert solve_sparse_int(_rows([[1, 1], [2, 2]], [1, 3]), 2) is None
+    assert solve_sparse_int([({}, 1)], 1) is None
+    # rank 2 of 3: the second row repeats the first, z is free
+    assert solve_sparse_int(_rows([[1, 1, 0], [2, 2, 0], [0, 1, 1]], [2, 4, 1]), 3) == [1, 1, 0]
+    # unknowns no row mentions are free
+    assert solve_sparse_int([], 2) == [0, 0]
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
-def test_sparse_solver_agrees_with_dense(m, n, rng):
-    rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+def test_sparse_solver_agrees_with_sympy_rref(m, n, rng):
+    matrix = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
     if rng.random() < 0.6:
-        x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        rhs = [sum(r[j] * x0[j] for j in range(n)) for r in rows]
+        x0 = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = [sum(r[j] * x0[j] for j in range(n)) for r in matrix]
     else:
-        rhs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
-    dense = solve_affine(rows, rhs)
-    sparse = solve_sparse_int(
-        iter([({j: r[j] for j in range(n) if r[j]}, rhs[i]) for i, r in enumerate(rows)]),
-        n,
-    )
-    assert (dense is None) == (sparse is None)
-    if sparse is not None:
-        # both set free unknowns to 0 over the same pivot columns, so the
-        # vectors agree exactly, not just as solutions
-        particular, kernel = dense
-        assert sparse == particular
-        for i, r in enumerate(rows):
-            assert sum(r[j] * sparse[j] for j in range(n)) == rhs[i]
-            for vec in kernel:
-                assert sum(r[j] * vec[j] for j in range(n)) == 0
+        rhs = [rng.randint(-4, 4) for _ in range(m)]
+    sol = solve_sparse_int(iter(_rows(matrix, rhs)), n)
+    echelon = _echelon(iter(_rows(matrix, rhs)))
+    reduced, pivots = sympy.Matrix([r + [b] for r, b in zip(matrix, rhs)]).rref()
+    if n in pivots:
+        assert sol is None and echelon is None
+        return
+    # the elimination stays on ints: stored rows are primitive, lead positive
+    assert set(echelon) == set(pivots)
+    for lead, (row, b) in echelon.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(v) is int for v in (b, *row.values()))
+        assert math.gcd(b, *row.values()) == 1
+    # pivot unknowns from the reduced rows, free unknowns 0
+    expected = [Fraction(0)] * n
+    for i, j in enumerate(pivots):
+        q = reduced[i, n]
+        expected[j] = Fraction(int(q.p), int(q.q))
+    assert sol == expected
+    assert all(isinstance(c, Fraction) for c in sol)
+
+
+def test_solve_contents_rescales_and_rejects_untouched_monomials():
+    x, y = (0, 1), (1, 0)
+    # (3/4) x + (1/6) y over columns x/2 and (x + y)/3
+    sol = solve_contents((12, [(x, 9), (y, 2)]), [(2, [(x, 1)]), (3, [(x, 1), (y, 1)])])
+    assert sol == [Fraction(7, 6), Fraction(1, 2)]
+    assert solve_contents((1, [((2, 2), 1)]), [(1, [(x, 1)])]) is None
+    assert solve_contents((1, []), [(5, [(x, 2)])]) == [0]
 
 
 def test_poly_sqrt(xyz):

@@ -1,6 +1,6 @@
 """Module boundaries inside the package: a private name stays in its module,
-every module-level import is used, and only the algebra module writes the
-fields of a Poly.
+every module-level import is used, only the algebra module writes the
+fields of a Poly, and only the algebra module calls the sparse solver.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
@@ -58,6 +58,27 @@ def test_engine_does_not_import_conditions():
     found = [(line, name) for line, module, name in _tame3_imports(PKG / "engine.py")
              if module in (".conditions", "tame3.conditions")]
     assert found == []
+
+
+def _solver_imports(path: Path) -> list[str]:
+    """'line: module' for every import of solve_sparse_int from a tame3 module."""
+    return [f"{line}: {module}" for line, module, name in _tame3_imports(path)
+            if name == "solve_sparse_int"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PKG.glob("*.py") if p.name != "algebra.py"),
+                         ids=lambda p: p.name)
+def test_only_algebra_calls_the_sparse_solver(path):
+    # every solve goes through algebra.solve_contents, so a wrapper on
+    # solve_sparse_int in the algebra module sees all of them
+    assert _solver_imports(path) == []
+
+
+def test_solver_import_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .algebra import Poly, solve_sparse_int\n"
+                     "def f():\n    from tame3.algebra import solve_sparse_int\n")
+    assert _solver_imports(probe) == ["1: .algebra", "3: tame3.algebra"]
 
 
 def _unused_imports(path: Path) -> list[str]:

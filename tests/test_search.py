@@ -367,6 +367,33 @@ def test_su_reduction_on_permuted_input(su_pair_family):
                               permute_triple(out.reduced, tau)).overall
 
 
+def test_su_lift_when_gamma_is_free(su_pair_family):
+    # Input (f3, g2, g1) at weights (1,0), (1,0), (0,1): for sigma (1, 2, 3)
+    # the third leading form is a multiple of u^3, so gamma is a free unknown
+    # of the first-component system and is lifted to 1; the new first
+    # component then holds the third leading form, and the step is found at
+    # sigma (3, 2, 1) instead.  Witness recorded from the dense-solver search.
+    ws = WeightSystem(((1, 0), (1, 0), (0, 1)))
+    _, F, G = su_pair_family[0]
+    out = find_su_reduction(ws, permute_triple(F, (3, 2, 1)))
+    w = out.witness
+    assert (w.sigma, w.a, w.b, w.c, w.s, w.delta) == ((3, 2, 1), 0, 0, 0, 3, D(2, 0))
+    assert out.reasons == [{"sigma": [1, 2, 3], "s": 3,
+                            "skip": "third leading form lies in the new graded pair"}]
+    assert out.reduced == (G[2], G[1], G[0])
+
+
+def test_su_no_lift_when_gamma_is_a_zero_pivot(su_pair_family):
+    # At weights 1, 1, 2 every first-component system forces gamma = 0, so no
+    # candidate is assembled under any permutation.
+    ws = WeightSystem(((1,), (1,), (2,)))
+    _, F, _ = su_pair_family[0]
+    out = find_su_reduction(ws, F)
+    assert out.witness is None and out.reduced is None
+    assert out.reasons == [{"absent": {"reason": "limits-exhausted", "rigorous": False,
+                                       "detail": [{"skip": "no permutation produced a candidate"}]}}]
+
+
 def test_fast_path_soundness(wt, wlex):
     # whenever the semigroup fast path would skip, the bounded search agrees
     import random as _random
