@@ -103,9 +103,6 @@ class DegreeValue:
             return _BOTTOM
         return _degree(tuple(k * c for c in self.vec))
 
-    def __neg__(self) -> "DegreeValue":
-        return -1 * self
-
     @property
     def first(self) -> int:
         """First component; used for the lex-leading search cutoffs."""
@@ -393,9 +390,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial."""
-        if not self.nums:
-            return -1
-        return max(sum(m) for m in self.nums)
+        return max(map(sum, self.nums), default=-1)
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r})"
@@ -561,6 +556,16 @@ def lex_weight(n: int) -> WeightSystem:
 # ---------------------------------------------------------------------------
 
 
+def _first_minor(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """(i, j, det) of the first nonzero 2x2 minor of the rows a, b, else None."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            det = a[i] * b[j] - a[j] * b[i]
+            if det:
+                return i, j, det
+    return None
+
+
 def z_independent(d1: DegreeValue, d2: DegreeValue) -> bool:
     """True iff no nonzero integer pair (m1, m2) has m1*d1 == m2*d2.
 
@@ -569,14 +574,7 @@ def z_independent(d1: DegreeValue, d2: DegreeValue) -> bool:
     """
     if d1.is_bottom or d2.is_bottom:
         raise ValueError("z_independent requires vector degrees")
-    a, b = d1.vec, d2.vec
-    if not any(a) or not any(b):
-        return False
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] * b[j] - a[j] * b[i]:
-                return True
-    return False
+    return _first_minor(d1.vec, d2.vec) is not None
 
 
 def parallel_multipliers(base: Sequence[int], *vecs: Sequence[int]) -> tuple:
@@ -602,59 +600,40 @@ def parallel_multipliers(base: Sequence[int], *vecs: Sequence[int]) -> tuple:
 def semigroup_member(
     d: DegreeValue, d1: DegreeValue, d2: DegreeValue
 ) -> Optional[tuple[int, int]]:
-    """Some (p, q) >= 0 with p*d1 + q*d2 == d, else None.
-
-    Solved exactly: a 2x2 linear system when d1, d2 span a plane, and a
-    one-dimensional coin problem (smallest p wins) when they are parallel.
-    """
+    """Some (p, q) >= 0 with p*d1 + q*d2 == d, else None: the first pair of
+    ``all_semigroup_pairs`` (the smallest p), so it shares that function's
+    enumeration guard when d1, d2 are parallel."""
     if d.is_bottom or d1.is_bottom or d2.is_bottom:
         raise ValueError("semigroup_member requires vector degrees")
     if not (d1.is_positive() and d2.is_positive()):
         raise ValueError("generators must be positive")
-    a, b, t = d1.vec, d2.vec, d.vec
-    r = len(t)
-    # Independent case: at most one rational solution.
-    for i in range(r):
-        for j in range(i + 1, r):
-            det = a[i] * b[j] - a[j] * b[i]
-            if det:
-                p_num = t[i] * b[j] - t[j] * b[i]
-                q_num = a[i] * t[j] - a[j] * t[i]
-                if p_num % det or q_num % det:
-                    return None
-                p, q = p_num // det, q_num // det
-                if p < 0 or q < 0:
-                    return None
-                if all(p * a[k] + q * b[k] == t[k] for k in range(r)):
-                    return (p, q)
-                return None
-    # Parallel case: reduce along the common primitive direction.
-    ma, mb, mt = parallel_multipliers(a, b, t)
-    if mb is None or mt is None:
-        return None
-    if ma <= 0 or mb <= 0 or mt < 0:
-        return None
-    for p in range(mt // ma + 1):
-        rem = mt - p * ma
-        if rem % mb == 0:
-            return (p, rem // mb)
-    return None
+    pairs = all_semigroup_pairs(d, d1, d2)
+    return pairs[0] if pairs else None
 
 
 def all_semigroup_pairs(
     d: DegreeValue, d1: DegreeValue, d2: DegreeValue
 ) -> list[tuple[int, int]]:
-    """Every (p, q) >= 0 with p*d1 + q*d2 == d (finite for positive d1, d2);
-    ValueError past 4000 candidate values of p."""
+    """Every (p, q) >= 0 with p*d1 + q*d2 == d, in ascending p (finite for
+    positive d1, d2); ValueError past 4000 candidate values of p.
+
+    Solved exactly: Cramer's rule on the first nonzero 2x2 minor when d1, d2
+    span a plane (at most one solution), else a one-dimensional coin problem
+    along their common primitive direction.
+    """
     if d.is_bottom or d1.is_bottom or d2.is_bottom:
         raise ValueError("requires vector degrees")
     a, b, t = d1.vec, d2.vec, d.vec
-    r = len(t)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if a[i] * b[j] - a[j] * b[i]:
-                sol = semigroup_member(d, d1, d2)
-                return [sol] if sol else []
+    minor = _first_minor(a, b)
+    if minor is not None:
+        i, j, det = minor
+        p, p_rem = divmod(t[i] * b[j] - t[j] * b[i], det)
+        q, q_rem = divmod(a[i] * t[j] - a[j] * t[i], det)
+        if p_rem or q_rem or p < 0 or q < 0:
+            return []
+        if any(p * x + q * y != z for x, y, z in zip(a, b, t)):
+            return []
+        return [(p, q)]
     ma, mb, mt = parallel_multipliers(a, b, t)
     if mb is None or mt is None or ma <= 0 or mb <= 0 or mt < 0:
         return []
@@ -797,10 +776,6 @@ def parse_poly(text: str, n: int) -> Poly:
     return result
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_to_text(f: Poly) -> str:
     """Canonical printer: terms in descending lex monomial order."""
     if f.is_zero:
@@ -816,11 +791,11 @@ def poly_to_text(f: Poly) -> str:
                 powers.append(f"x{i + 1}^{e}")
         mag = abs(c)
         if not powers:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(powers)
         else:
-            body = "*".join([_format_coeff(mag)] + powers)
+            body = "*".join([str(mag)] + powers)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

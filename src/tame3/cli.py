@@ -261,6 +261,9 @@ def cmd_check(args) -> int:
             rep = checkers[which](ws, F, G, limits)
             payload, ok = rep.to_json(), rep.overall
         else:
+            # the checkers reject a dependent F themselves; detect_type does not
+            if differentials_wedge(list(F)).is_zero:
+                raise ValueError("F has algebraically dependent components")
             witness = detect_type(F, kind, limits, ws)
             payload = {f"type{kind}": witness.to_json() if witness else None}
             ok = witness is not None

@@ -202,10 +202,10 @@ def _shift_atoms(f2: Poly, f3: Poly, s: int) -> list[Poly]:
     return [f3 * f3, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
 
 
-def _p11_decomposition(ws, F: Triple, G: Triple, s: int, delta: DegreeValue):
+def _p11_decomposition(F: Triple, G: Triple, s: int):
     """(a, b, c, d, psi-coeffs) for the canonical shift shapes, or None."""
     f1, f2, f3 = F
-    g1, g2, g3 = G
+    g1, g2, _ = G
     atoms = _shift_atoms(f2, f3, s)
     shift1 = g1 - f1
     sol1 = (
@@ -254,7 +254,7 @@ def verify_properties(
 
     rep.set("P3", d2 == ws.deg(g2))
 
-    decomp = _p11_decomposition(ws, F, G, s, delta)
+    decomp = _p11_decomposition(F, G, s)
 
     # P4 (sampled): products of the last two components within the degree cap
     # must decompose into the quadratic-linear-tail shape.
@@ -419,7 +419,7 @@ def normalize_to_su(
     delta = half(ws.deg(G[1]))
     if s is None or delta is None:
         raise ValueError("no odd power relation on the reduced pair")
-    decomp = _p11_decomposition(ws, F, G, s, delta)
+    decomp = _p11_decomposition(F, G, s)
     if decomp is None:
         raise ValueError("shifts do not decompose in the canonical shape")
     a, b, c, dconst, psi_coeffs = decomp
@@ -476,11 +476,6 @@ class TypeWitness:
         }
 
 
-def _scalar_deg(ws: WeightSystem, p: Poly) -> Optional[int]:
-    d = ws.deg(p)
-    return None if d.is_bottom else d.vec[0]
-
-
 def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
                                 shift_form: Optional[Poly]) -> list[Fraction]:
     """Scalars t making fixed_form and (base_form - t*shift_form)
@@ -520,23 +515,22 @@ def detect_type(
         ws = total_weight(3)
     elif ws.weights != ((1,), (1,), (1,)):
         raise ValueError("type detection is defined for the all-ones weight only")
+    degs = tuple(f.total_degree() for f in F)
     for sigma in PERMUTATIONS_3:
-        H = permute_triple(F, sigma)
-        witness = _detect_on_permuted(ws, H, sigma, which, limits)
+        witness = _detect_on_permuted(ws, permute_triple(F, sigma),
+                                      permute_triple(degs, sigma), sigma, which, limits)
         if witness is not None:
             return witness
     return None
 
 
-def _detect_on_permuted(ws, H: Triple, sigma: tuple, which: str, limits):
-    h1, h2, h3 = H
-    v1, v2, v3 = (_scalar_deg(ws, h) for h in H)
-    if v1 is None or v2 is None or v3 is None:
+def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, limits):
+    # A zero component (total degree -1) fails every degree gate below.
+    v1, v2, v3 = degs
+    if v1 % 2 or v1 < 2:
         return None
+    l = v1 // 2
     if which in ("I", "II"):
-        if v1 % 2 or v1 < 2:
-            return None
-        l = v1 // 2
         if v2 % l:
             return None
         s = v2 // l
@@ -547,10 +541,7 @@ def _detect_on_permuted(ws, H: Triple, sigma: tuple, which: str, limits):
         if s != 3:
             return None
         return _detect_type_ii(ws, H, sigma, l, limits)
-    # Types III and IV share their prelude.
-    if v1 % 2 or v1 < 2:
-        return None
-    l = v1 // 2
+    # Types III and IV share their degree branches.
     branch_a = v2 == 3 * l and 2 * l < 2 * v3 <= 3 * l
     branch_b = 2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l
     if not (branch_a or branch_b):
@@ -568,7 +559,7 @@ def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):
     h3 + g(g1, g2) = g3, or None.
     """
     for key, g1, g2 in candidates:
-        if _scalar_deg(ws, g1) != 2 * l or _scalar_deg(ws, g2) != top:
+        if g1.total_degree() != 2 * l or g2.total_degree() != top:
             continue
         if not wedge(differential(ws.leading_form(g1)),
                      differential(ws.leading_form(g2))).is_zero:
@@ -604,7 +595,7 @@ def _lower_third(ws, h3, top: int):
 
 def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
     h1, h2, h3 = H
-    v3 = _scalar_deg(ws, h3)
+    v3 = h3.total_degree()
     if not 2 * l < v3 <= s * l:
         return None
     if homogeneous_membership(
@@ -627,7 +618,7 @@ def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
 
 def _detect_type_ii(ws, H, sigma, l: int, limits):
     h1, h2, h3 = H
-    v3 = _scalar_deg(ws, h3)
+    v3 = h3.total_degree()
     if not 3 * l < 2 * v3 <= 4 * l:
         return None
     h1w, h2w, h3w = (ws.leading_form(h) for h in H)
@@ -653,7 +644,7 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
 
 def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
     h1, h2, h3 = H
-    v2, v3 = _scalar_deg(ws, h2), _scalar_deg(ws, h3)
+    v2, v3 = h2.total_degree(), h3.total_degree()
     h1w, h2w, h3w = (ws.leading_form(h) for h in H)
     h3sq = h3 * h3
     if 2 * v3 == 3 * l:
@@ -697,7 +688,7 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
             t = proportionality(ws.leading_form(g2), ws.leading_form(res * res))
             if t is None:
                 return False
-            return _scalar_deg(ws, g2 - (res * res).scale(t)) <= 2 * l and bool(peeled)
+            return (g2 - (res * res).scale(t)).total_degree() <= 2 * l and bool(peeled)
 
         return accept
 

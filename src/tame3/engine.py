@@ -94,12 +94,6 @@ class Endo3:
     def is_verified(self) -> bool:
         return self.inverse is not None
 
-    def to_json(self) -> dict:
-        out = {"components": [poly_to_text(f) for f in self.components]}
-        if self.inverse is not None:
-            out["inverse"] = [poly_to_text(f) for f in self.inverse]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Tame factors

@@ -91,8 +91,12 @@ DEFAULT_LIMITS = SearchLimits()
 @dataclass
 class Absence:
     reason: str  # semigroup-obstruction | degree-shape | limits-exhausted
-    rigorous: bool
     detail: object = None
+
+    @property
+    def rigorous(self) -> bool:
+        """Every reason but ``limits-exhausted`` is a proof of absence."""
+        return self.reason != "limits-exhausted"
 
     def to_json(self) -> dict:
         return {"absent": {"reason": self.reason, "rigorous": self.rigorous,
@@ -143,9 +147,7 @@ class _ProductCache:
             return len(hit.nums) <= term_cap
         n = self.f.n
         tf, tg = len(self.f.nums), len(self.g.nums)
-        df = max((sum(m) for m in self.f.nums), default=0)
-        dg = max((sum(m) for m in self.g.nums), default=0)
-        deg = i * df + j * dg
+        deg = i * self.f.total_degree() + j * self.g.total_degree()
         dense = 1
         for k in range(1, n + 1):
             dense = dense * (deg + k) // k
@@ -186,8 +188,6 @@ def _solve_with_pairs(
     cache: _ProductCache,
 ) -> Optional[BiPoly]:
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) < threshold."""
-    if not pairs:
-        return None
     vec, top = ws.monomial_vec, threshold.vec
     sol = solve_contents(
         (target.den, [(m, c) for m, c in target.nums.items() if vec(m) >= top]),
@@ -212,18 +212,25 @@ def homogeneous_membership(
             raise ValueError(f"{name} must be nonzero")
         if not ws.is_homogeneous(p):
             raise ValueError(f"{name} is not homogeneous")
-    d = ws.deg(h)
-    d1, d2 = ws.deg(g1h), ws.deg(g2h)
-    if not (d1.is_positive() and d2.is_positive()):
+    if not (ws.deg(g1h).is_positive() and ws.deg(g2h).is_positive()):
         raise ValueError("generators must be nonconstant")
-    pairs = all_semigroup_pairs(d, d1, d2)
-    if not pairs:
-        return None
-    cache = _ProductCache(g1h, g2h, ws)
-    found = _solve_with_pairs(ws, h, (g1h, g2h), pairs, d, cache)
+    _, found = _exact_slice(ws, h, (g1h, g2h), _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
     return found
+
+
+def _exact_slice(
+    ws: WeightSystem, target: Poly, gens: tuple[Poly, Poly], cache: _ProductCache
+) -> tuple[list[tuple[int, int]], Optional[BiPoly]]:
+    """The exponent pairs on the degree slice of target, and a representation
+    of its leading form over them (None when the slice has none).
+
+    ValueError past the enumeration guard of ``all_semigroup_pairs``.
+    """
+    d = ws.deg(target)
+    pairs = all_semigroup_pairs(d, ws.deg(gens[0]), ws.deg(gens[1]))
+    return pairs, _solve_with_pairs(ws, target, gens, pairs, d, cache)
 
 
 def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> MembershipOutcome:
@@ -245,7 +252,18 @@ class _Widening:
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
     q: int
-    decided_absent: Callable[..., MembershipOutcome]
+
+
+def _decided_absent(exact_pairs: list, d: DegreeValue, shape_detail,
+                    note=None) -> MembershipOutcome:
+    """The exact slice at degree d decided: no pairs at all, or no solution
+    on them."""
+    if exact_pairs:
+        return MembershipOutcome(None, Absence("degree-shape", shape_detail))
+    detail = {"target_degree": d.to_json()}
+    if note is not None:
+        detail["note"] = note
+    return MembershipOutcome(None, Absence("semigroup-obstruction", detail))
 
 
 def _decide_exact(
@@ -268,36 +286,25 @@ def _decide_exact(
     d = ws.deg(target)
     cache = cache or _ProductCache(f, g, ws)
     try:
-        exact_pairs = all_semigroup_pairs(d, d1, d2)
+        exact_pairs, found = _exact_slice(ws, target, gens, cache)
     except ValueError:
-        return MembershipOutcome(None, Absence("limits-exhausted", False,
+        return MembershipOutcome(None, Absence("limits-exhausted",
                                                "degree-slice enumeration guard"))
-    if exact_pairs:
-        found = _solve_with_pairs(ws, target, gens, exact_pairs, d, cache)
-        if found is not None:
-            return _found(ws, target, found, 0)
-
-    def decided_absent(shape_detail, note=None) -> MembershipOutcome:
-        """The exact slice decided: no pairs at all, or no solution on them."""
-        if exact_pairs:
-            return MembershipOutcome(None, Absence("degree-shape", True, shape_detail))
-        detail = {"target_degree": d.to_json()}
-        if note is not None:
-            detail["note"] = note
-        return MembershipOutcome(None, Absence("semigroup-obstruction", True, detail))
-
+    if found is not None:
+        return _found(ws, target, found, 0)
     if z_independent(d1, d2):
         # No cancellation between distinct products is possible, so the
         # exact slice decides membership outright.
-        return decided_absent("homogeneous-slice-mismatch")
+        return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
     # Cancellation among leading products forces a power proportionality of
     # the generator leading forms; without one, the exact slice already
     # decided membership rigorously.
     scaled = find_scaled_pair(ws, ws.leading_form(f), ws.leading_form(g))
     if scaled is None:
-        return decided_absent("homogeneous-slice-mismatch (independent leading forms)",
-                              "independent leading forms")
-    return _Widening(target, gens, d, exact_pairs, cache, scaled.q, decided_absent)
+        return _decided_absent(exact_pairs, d,
+                               "homogeneous-slice-mismatch (independent leading forms)",
+                               "independent leading forms")
+    return _Widening(target, gens, d, exact_pairs, cache, scaled.q)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -316,8 +323,8 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     # below it cannot be reached by the widened ansatz at all.
     floor = state.q * d1 + wedge_degree(ws, f, g) - d1 - d2
     if d < floor:
-        return state.decided_absent({"cancellation_floor": floor.to_json()},
-                                    "below the cancellation floor")
+        return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
+                               "below the cancellation floor")
     cache = state.cache
     first_cap = d.first + 4 * max(d1.first, d2.first)
     top = limits.max_bidegree
@@ -341,7 +348,7 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
             return _found(ws, state.target, found, rounds)
     return MembershipOutcome(
         None,
-        Absence("limits-exhausted", False, {"max_bidegree": top, "rounds": rounds}),
+        Absence("limits-exhausted", {"max_bidegree": top, "rounds": rounds}),
     )
 
 
@@ -388,7 +395,7 @@ def peel(
         if accept(residual, acc):
             return BiPoly(gens, acc), residual
         if residual.is_constant:
-            return None, Absence("limits-exhausted", False, "constant residual")
+            return None, Absence("limits-exhausted", "constant residual")
         out = leading_membership_search(ws, residual, gens, limits, cache)
         if out.found is None:
             return None, out.absence
@@ -400,7 +407,7 @@ def peel(
                 acc.pop(key, None)
         assert ws.deg(out.residual) < ws.deg(residual)
         residual = out.residual
-    return None, Absence("limits-exhausted", False, "peel budget")
+    return None, Absence("limits-exhausted", "peel budget")
 
 
 def exact_membership(
@@ -440,10 +447,10 @@ def membership_in_single(
             coeffs[0] = residual.constant_term()
             return coeffs
         d = ws.deg(residual)
-        m = semigroup_member(d, dg, dg)
-        if m is None:
+        mg, md = parallel_multipliers(dg.vec, d.vec)
+        if md is None or md < 0 or md % mg:
             return None
-        k = m[0] + m[1]
+        k = md // mg
         power = gen**k
         t = proportionality(ws.leading_form(residual), ws.leading_form(power))
         if t is None:
@@ -474,8 +481,6 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
         raise ValueError("requires nonzero polynomials")
     df, dg = ws.deg(fw), ws.deg(gw)
     if not (df.is_positive() and dg.is_positive()):
-        return None
-    if z_independent(df, dg):
         return None
     # df = a*e, dg = b*e along the primitive common direction.
     a, b = parallel_multipliers(df.vec, dg.vec)
@@ -554,14 +559,13 @@ def find_elementary_reduction(
         if di <= min_weight:
             # A strict drop would force a constant component, impossible
             # for an independent triple.
-            reasons[i + 1] = Absence("degree-shape", True,
+            reasons[i + 1] = Absence("degree-shape",
                                      {"component-at-minimal-degree": i + 1})
             continue
         if z_independent(dj, dl) and semigroup_member(di, dj, dl) is None:
             # Distinct products have distinct degrees, so any element of
             # k[f_j, f_l] has its degree in the semigroup; rigorous skip.
-            reasons[i + 1] = Absence("semigroup-obstruction", True,
-                                     {"component": i + 1})
+            reasons[i + 1] = Absence("semigroup-obstruction", {"component": i + 1})
             continue
         out = _decide_exact(ws, fi, (fj, fl))
         if isinstance(out, _Widening):
@@ -659,13 +663,12 @@ def find_su_reduction(
     reasons: list[dict] = []
     if all(half(d) is None for d in degs):
         return SUOutcome(None, None, [Absence(
-            "degree-shape", True, "no component degree is halvable").to_json()])
+            "degree-shape", "no component degree is halvable").to_json()])
     for i in range(3):
         for j in range(3):
             if i != j and not exists_multiple_exceeding(degs[j], degs[i]):
                 return SUOutcome(None, None, [Absence(
-                    "degree-shape", True,
-                    {"archimedean-obstruction": [i + 1, j + 1]}).to_json()])
+                    "degree-shape", {"archimedean-obstruction": [i + 1, j + 1]}).to_json()])
     for sigma in PERMUTATIONS_3:
         fs = permute_triple(triple, sigma)
         f1, f2, f3 = fs
@@ -724,7 +727,7 @@ def find_su_reduction(
                 return SUOutcome(witness, reduced, reasons)
     if not reasons:
         reasons.append({"skip": "no permutation produced a candidate"})
-    return SUOutcome(None, None, [Absence("limits-exhausted", False, reasons).to_json()])
+    return SUOutcome(None, None, [Absence("limits-exhausted", reasons).to_json()])
 
 
 def _assemble_first_component(ws, f1, f3, u, s, delta):

@@ -9,6 +9,7 @@ from tame3.algebra import (
     Poly,
     ScaledPair,
     WeightSystem,
+    all_semigroup_pairs,
     exists_multiple_exceeding,
     half,
     lex_weight,
@@ -362,21 +363,40 @@ def test_semigroup_member_parallel_case():
     assert semigroup_member(D(12), D(2), D(3)) == (0, 4)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 9), st.integers(0, 9),
-       st.tuples(st.integers(0, 3), st.integers(0, 3)),
-       st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_semigroup_member_matches_bruteforce(p, q, v1, v2):
-    d1 = DegreeValue(v1)
-    d2 = DegreeValue(v2)
+def _brute_pairs(d, d1, d2):
+    """Every (p, q) >= 0 with p*d1 + q*d2 == d, in ascending p.  Complete for
+    nonzero generators with nonnegative components: each has a component
+    c >= 1, so p and q are at most max(d)."""
+    box = max(d.vec, default=0) + 1
+    return [(p, q) for p in range(box) for q in range(box) if p * d1 + q * d2 == d]
+
+
+def _brute_dependent(d1, d2):
+    """Some (m1, m2) != 0 with m1*d1 == m2*d2; complete for components in
+    [0, 3], where parallel vectors have multipliers of at most 3."""
+    return any(m1 * d1 == m2 * d2 for m1 in range(-4, 5) for m2 in range(-4, 5)
+               if m1 or m2)
+
+
+def _check_lattice(d, d1, d2):
+    """The lattice helpers against brute force, on nonnegative components."""
+    assert z_independent(d1, d2) == (not _brute_dependent(d1, d2))
     if not (d1.is_positive() and d2.is_positive()):
-        return
-    d = p * d1 + q * d2
-    got = semigroup_member(d, d1, d2)
-    assert got is not None
-    # brute force over a safe box confirms any reported pair
-    gp, gq = got
-    assert gp * d1 + gq * d2 == d
+        return None
+    pairs = all_semigroup_pairs(d, d1, d2)
+    assert pairs == _brute_pairs(d, d1, d2)
+    assert semigroup_member(d, d1, d2) == (pairs[0] if pairs else None)
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 3),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+def test_semigroup_member_matches_bruteforce(p, q, rank, v1, v2):
+    d1, d2 = DegreeValue(v1[:rank]), DegreeValue(v2[:rank])
+    pairs = _check_lattice(p * d1 + q * d2, d1, d2)
+    assert pairs is None or (p, q) in pairs
 
 
 def test_half_examples():
@@ -516,21 +536,25 @@ def test_semigroup_member_bruteforce_equivalence():
     import random as _random
 
     rng = _random.Random(99)
-    for _ in range(150):
-        d1 = DegreeValue(tuple(rng.randint(0, 3) for _ in range(2)))
-        d2 = DegreeValue(tuple(rng.randint(0, 3) for _ in range(2)))
-        if not (d1.is_positive() and d2.is_positive()):
-            continue
-        d = DegreeValue(tuple(rng.randint(0, 8) for _ in range(2)))
-        got = semigroup_member(d, d1, d2)
-        brute = None
-        for p in range(25):
-            for q in range(25):
-                if p * d1 + q * d2 == d:
-                    brute = (p, q)
-                    break
-            if brute:
-                break
-        assert (got is not None) == (brute is not None)
-        if got is not None:
-            assert got[0] * d1 + got[1] * d2 == d
+    seen = set()
+    for _ in range(450):
+        rank = rng.randint(1, 3)
+
+        def vec(top):
+            return DegreeValue(tuple(rng.randint(0, top) for _ in range(rank)))
+
+        if rng.random() < 0.4:
+            # parallel generators: multiples of one direction
+            e = vec(1)
+            d1, d2 = rng.randint(0, 3) * e, rng.randint(0, 3) * e
+        else:
+            d1, d2 = vec(3), vec(3)
+        d = vec(0) if rng.random() < 0.1 else vec(8)
+        pairs = _check_lattice(d, d1, d2)
+        seen.add((rank, z_independent(d1, d2), pairs is None, bool(pairs)))
+        seen.add(("zero", not any(d1.vec) or not any(d2.vec) or not any(d.vec)))
+    # every rank with parallel and independent positive generators, members
+    # and non-members, and zero vectors
+    assert {(r, ind, False, found) for r in (2, 3) for ind in (True, False)
+            for found in (True, False)} <= seen
+    assert {(1, False, False, True), (1, False, False, False), ("zero", True)} <= seen

@@ -217,6 +217,8 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["check", "{f}", "properties"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
     (["check", "{f}", "type:V"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
     (["check", "{f}", "type:I", "--weight", "nagata-lex"], "x1\nx2\nx3\n\nx1\nx2\nx3\n", None),
+    (["check", "{f}", "type:IV"],
+     "x1^4 + x2\nx1^6 + 2*x1^3*x3 + x3^2\nx1^3 + x3\n\nx1\nx2\nx3\n", None),
     (["check-inequality", "{f}"], "x1\n\n0: x1\n1: 1\n\n0\n", None),
     (["check-inequality", "{f}"], "x1\nx1\n\n0: x1\n1: 1\n\nx2\n", None),
     (["check-inequality", "{f}"], "x1\n\n-1: x1\n\nx2\n", None),
@@ -231,6 +233,7 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["check-inequality", "{f}"], "x1\n\n0: 1/0*x1\n\nx2\n", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
+        "type-dependent",
         "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent",
         "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
         "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame3.algebra import DegreeValue, Poly
+from tame3.algebra import DegreeValue, Poly, parse_poly
 from tame3.conditions import (
     check_not_er,
     check_quasi_su,
@@ -202,6 +202,37 @@ def test_affine_never_typed(xyz):
     F = (x1 + x2, x2 + Poly.constant(1, 3), x3)
     for kind in ("I", "II", "III", "IV"):
         assert detect_type(F, kind) is None
+
+
+def _triple(*texts):
+    return tuple(parse_poly(t, 3) for t in texts)
+
+
+@pytest.mark.parametrize("kind, F", [
+    # deg (4, 6, 4), so l = 2.  Under sigma (1, 2, 3) alpha = 1 gives the
+    # candidates (x1^4 + x3, x1^6) and (x1^4 + x3, x1^6 - x2^4); under (3, 2, 1)
+    # they are (-x1^4 - x3, x1^6) and (-x1^4 - x3, x1^6 - h3).  Their
+    # cancellation floors 3*4 + deg(dg1 ^ dg2) - 4 - 6 are 9, 10, 9 and 10,
+    # all above deg h3 = 4, so every peel stops at its first search.
+    ("II", _triple("x1^4 + x2^4 + x3", "x1^6", "x2^4")),
+    # deg (4, 6, 3): alpha = 1 cancels x2^6, leaving (x1^4 + x3, x1^6), whose
+    # floor 9 lies above deg h3 = 3.
+    ("III", _triple("x1^4 + x3", "x1^6 + x2^6", "x2^3")),
+])
+def test_detect_type_candidates_below_the_floor(kind, F):
+    assert detect_type(F, kind) is None
+
+
+@pytest.mark.parametrize("F", [
+    _triple("x1^4 + x2", "x1^6 + x3", "x1^3 + x2"),
+    # dependent: g2 - t*h3^2 is zero when the accept runs on h3 itself
+    _triple("x1^4 + x2", "x1^6 + 2*x1^3*x3 + x3^2", "x1^3 + x3"),
+], ids=["independent", "dependent"])
+def test_detect_type_iv_peel_returns(F):
+    # the accept runs on h3 (2*deg h3 = 3l) before the floor stops the peel;
+    # only the return is checked, as the accept needs a peeled residual of
+    # degree 3l/2, which is not below deg h3
+    detect_type(F, "IV")
 
 
 def test_su_pair_with_moved_generators_gives_type(su_pair_family):
