@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end demonstration: degree table, failed reduction attempts, and
+"""End-to-end demonstration: degree table, the stuck reduction attempt, and
 the rigorous certificate for the classical candidate triple."""
 
 import sys
@@ -13,7 +13,6 @@ from tame3.engine import (
     certify_nagata,
     nagata_endo,
     nagata_weight,
-    reduce_step,
 )
 
 endo = nagata_endo()
@@ -24,6 +23,6 @@ for f in endo.components:
 print("degrees:", [ws.deg(f).to_json() for f in endo.components])
 print("total:", ws.deg_endo(endo.components).to_json(),
       "floor:", ws.total.to_json())
-step = reduce_step(ws, endo.components)
-print("reduction attempt:", step.kind, "| all reasons rigorous:", step.rigorous)
-print(certificate_json(certify_nagata()))
+cert = certify_nagata()
+print("reduction attempt:", cert.trace.result, "| all reasons rigorous:", cert.all_rigorous())
+print(certificate_json(cert))

@@ -59,8 +59,8 @@ from .conditions import (
 )
 from .engine import (
     Endo3,
-    NagataCertificate,
     ReductionTrace,
+    ReductionVerdict,
     TameFactor,
     certificate_json,
     certify_nagata,

@@ -29,13 +29,11 @@ from .conditions import (
 )
 from .engine import (
     Endo3,
-    certificate_json,
+    ReductionVerdict,
     certify_nagata,
     factor_tame,
     nagata_endo,
     reduce_to_floor,
-    stuck_rigorous,
-    su_number,
 )
 from .forms import differentials_wedge
 from .search import DEFAULT_LIMITS, SearchLimits
@@ -183,30 +181,22 @@ def _load_endo(args) -> Endo3:
         raise InputError("supplied inverse fails the two-sided check") from exc
 
 
+def _emit_verdict(args, verdict: ReductionVerdict) -> None:
+    trace = verdict.trace
+    payload = verdict.to_json()
+    lines = [f"result: {trace.result}", f"steps: {len(trace.steps)}"]
+    if "verdict" in payload:
+        lines.append(f"verdict: {payload['verdict']}")
+    _emit(args, payload, lines)
+
+
 def cmd_reduce(args) -> int:
     ws = _parse_weight(args.weight)
     limits = _parse_limits(args)
     endo = _load_endo(args)
     trace = reduce_to_floor(ws, endo.components, limits, prefer=args.prefer)
-    verified = endo.is_verified
-    payload = trace.to_json(ws)
-    payload["automorphism_status"] = "verified" if verified else "unverified"
-    payload["su_steps"] = su_number(trace)
-    stuck = trace.result == "stuck"
-    rigorous = stuck and stuck_rigorous(trace.stuck_reasons)
-    if stuck:
-        if verified and rigorous:
-            payload["verdict"] = (
-                "stuck with rigorous obstructions; not tame at this weight "
-                "(conditional on the tame reduction theorem)"
-            )
-        else:
-            payload["verdict"] = "no reduction found"
-    lines = [f"result: {trace.result}", f"steps: {len(trace.steps)}"]
-    if stuck:
-        lines.append(f"verdict: {payload['verdict']}")
-    _emit(args, payload, lines)
-    return 2 if stuck else 0
+    _emit_verdict(args, ReductionVerdict(ws, trace, endo.is_verified))
+    return 2 if trace.result == "stuck" else 0
 
 
 def cmd_factor(args) -> int:
@@ -229,18 +219,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_certify_nagata(args) -> int:
-    cert = certify_nagata()
-    ok = cert.all_rigorous()
-    if args.json:
-        print(certificate_json(cert))
-    else:
-        body = cert.to_json()
-        for key in ("degrees", "total", "floor"):
-            print(f"{key}: {body[key]}")
-        for name, check in body["checks"].items():
-            print(f"{name}: {json.dumps(check, sort_keys=True)}")
-        print("verdict:", body["verdict"])
-    return 0 if ok else 1
+    verdict = certify_nagata()
+    _emit_verdict(args, verdict)
+    return 0 if verdict.all_rigorous() else 1
 
 
 def cmd_check(args) -> int:

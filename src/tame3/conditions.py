@@ -91,6 +91,31 @@ def _membership_flag(outcome) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _require_independent(F: Triple, G: Triple) -> None:
+    for name, triple in (("F", F), ("G", G)):
+        if differentials_wedge(list(triple)).is_zero:
+            raise ValueError(f"{name} has algebraically dependent components")
+
+
+def _set_su4_to_su6(ws: WeightSystem, rep: ConditionReport, F: Triple, G: Triple,
+                    **su5_payload) -> None:
+    """The last three conditions, which the strict and the weakened block
+    share; only the strict block records the SU5 degrees."""
+    f3 = F[2]
+    g1, g2, g3 = G
+    su4_deg = ws.deg(f3) <= ws.deg(g1)
+    su4_mem = homogeneous_membership(
+        ws, ws.leading_form(f3), ws.leading_form(g1), ws.leading_form(g2)
+    )
+    rep.set("SU4", su4_deg and su4_mem is None,
+            degree_ok=su4_deg, leading_in_pair=su4_mem is not None)
+
+    rep.set("SU5", ws.deg(g3) < ws.deg(f3), **su5_payload)
+
+    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+    rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
+
+
 def check_su_conditions(
     ws: WeightSystem,
     F: Triple,
@@ -98,9 +123,7 @@ def check_su_conditions(
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> ConditionReport:
     """The six-block condition on an ordered pair of independent triples."""
-    for name, triple in (("F", F), ("G", G)):
-        if differentials_wedge(list(triple)).is_zero:
-            raise ValueError(f"{name} has algebraically dependent components")
+    _require_independent(F, G)
     f1, f2, f3 = F
     g1, g2, g3 = G
     rep = ConditionReport()
@@ -131,18 +154,8 @@ def check_su_conditions(
     s = _odd_power_relation(ws, g1, g2)
     rep.set("SU3", s is not None, s=s)
 
-    su4_deg = ws.deg(f3) <= ws.deg(g1)
-    su4_mem = homogeneous_membership(
-        ws, ws.leading_form(f3), ws.leading_form(g1), ws.leading_form(g2)
-    )
-    rep.set("SU4", su4_deg and su4_mem is None,
-            degree_ok=su4_deg, leading_in_pair=su4_mem is not None)
-
-    rep.set("SU5", ws.deg(g3) < ws.deg(f3),
-            deg_g3=ws.deg(g3).to_json(), deg_f3=ws.deg(f3).to_json())
-
-    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
-    rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
+    _set_su4_to_su6(ws, rep, F, G,
+                    deg_g3=ws.deg(g3).to_json(), deg_f3=ws.deg(f3).to_json())
     return rep
 
 
@@ -153,9 +166,7 @@ def check_quasi_su(
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> ConditionReport:
     """Weakened first three conditions plus the shared last three."""
-    for name, triple in (("F", F), ("G", G)):
-        if differentials_wedge(list(triple)).is_zero:
-            raise ValueError(f"{name} has algebraically dependent components")
+    _require_independent(F, G)
     f1, f2, f3 = F
     g1, g2, g3 = G
     rep = ConditionReport()
@@ -177,17 +188,7 @@ def check_quasi_su(
     ) is None
     rep.set("SU3'", su3p)
 
-    su4_deg = ws.deg(f3) <= ws.deg(g1)
-    su4_mem = homogeneous_membership(
-        ws, ws.leading_form(f3), ws.leading_form(g1), ws.leading_form(g2)
-    )
-    rep.set("SU4", su4_deg and su4_mem is None,
-            degree_ok=su4_deg, leading_in_pair=su4_mem is not None)
-
-    rep.set("SU5", ws.deg(g3) < ws.deg(f3))
-
-    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
-    rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
+    _set_su4_to_su6(ws, rep, F, G)
     return rep
 
 
@@ -541,10 +542,11 @@ def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, li
         if s != 3:
             return None
         return _detect_type_ii(ws, H, sigma, l, limits)
-    # Types III and IV share their degree branches.
-    branch_a = v2 == 3 * l and 2 * l < 2 * v3 <= 3 * l
-    branch_b = 2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l
-    if not (branch_a or branch_b):
+    # Types III and IV share one degree gate.  The branch deg h2 = 3l with
+    # 2l < 2 deg h3 < 3l gives neither type: its only scalar is 0, which
+    # type III refuses, and type IV accepts only a peeled residual of degree
+    # 3l/2, above deg h3.  With 2 deg h3 = 3l it lies inside this gate.
+    if not (2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l):
         return None
     return _detect_type_iii_iv(ws, H, sigma, l, which, limits)
 
@@ -644,21 +646,17 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
 
 def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
     h1, h2, h3 = H
-    v2, v3 = h2.total_degree(), h3.total_degree()
-    h1w, h2w, h3w = (ws.leading_form(h) for h in H)
+    h1w, h2w = ws.leading_form(h1), ws.leading_form(h2)
     h3sq = h3 * h3
-    if 2 * v3 == 3 * l:
-        if v2 == 3 * l:
-            alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
-        else:
-            # degree of h2 is below 3l, so the quadratic term supplies the top
-            alphas = (
-                [Fraction(-1)]
-                if wedge(differential(h1w), differential(ws.leading_form(h3sq))).is_zero
-                else []
-            )
+    if h2.total_degree() == 3 * l:
+        alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
     else:
-        alphas = [Fraction(0)] if _leading_dependence_scalars(ws, h1w, h2w, None) else []
+        # degree of h2 is below 3l, so the quadratic term supplies the top
+        alphas = (
+            [Fraction(-1)]
+            if wedge(differential(h1w), differential(ws.leading_form(h3sq))).is_zero
+            else []
+        )
 
     def make_accept(alpha, g1, g2, w12):
         wedge_bound = DegreeValue.of(3 * l) + w12

@@ -35,6 +35,25 @@ def nagata_ws():
     return nagata_weight()
 
 
+def _assert_rigorous_stuck(doc: dict) -> None:
+    """A reduction document that certifies non-tameness: a verified map,
+    stuck with no steps, an absence for each component and for the SU
+    search, and every absence rigorous."""
+    assert doc["automorphism_status"] == "verified"
+    assert doc["result"] == "stuck"
+    assert doc["steps"] == [] and doc["su_steps"] == 0
+    elementary, su = doc["stuck"]["elementary"], doc["stuck"]["su"]
+    assert sorted(elementary) == ["1", "2", "3"]
+    assert su and all("absent" in a for a in su)
+    assert all(a["absent"]["rigorous"] for a in [*elementary.values(), *su])
+    assert doc["verdict"].startswith("stuck with rigorous obstructions; not tame")
+
+
+@pytest.fixture(scope="session")
+def assert_rigorous_stuck():
+    return _assert_rigorous_stuck
+
+
 def _su_pair(c, psi_spec, swap_xz=False):
     """Construct a reduced pair around the square-cube cancellation.
 

@@ -103,21 +103,29 @@ def test_factor_roundtrip(tmp_path):
     assert payload["factors"]
 
 
-def test_certify_nagata_stable_and_green():
+def test_certify_nagata_stable_and_green(assert_rigorous_stuck):
     a = run_cli(["certify-nagata", "--json"])
     b = run_cli(["certify-nagata", "--json"])
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
-    payload = json.loads(a.stdout)
-    assert payload["degrees"] == [[2, 0, 3], [1, 0, 2], [0, 0, 1]]
-    assert payload["total"] == [3, 0, 6]
-    assert payload["floor"] == [1, 1, 1]
-    checks = payload["checks"]
-    assert checks["pairwise_z_independent"] is True
-    assert all(v["absent"] for v in checks["elementary_obstruction"].values())
-    assert all(v["no_half"] for v in checks["su_obstruction_half"].values())
-    assert all(v["dominates_all_multiples"]
-               for v in checks["su_obstruction_order"].values())
+    assert_rigorous_stuck(json.loads(a.stdout))
+
+
+def test_certify_nagata_is_the_reduce_document(nagata_file, nagata_inverse_file):
+    cert = run_cli(["certify-nagata", "--json"])
+    reduce = run_cli(["reduce", nagata_file, "--inverse", nagata_inverse_file,
+                      "--weight", "nagata-lex", "--json"])
+    assert (cert.returncode, reduce.returncode) == (0, 2)
+    assert cert.stdout == reduce.stdout
+
+
+@pytest.mark.parametrize("weight", ["total", "nagata-lex"])
+def test_reduce_nagata_rigorously_stuck(weight, nagata_file, nagata_inverse_file,
+                                        assert_rigorous_stuck):
+    out = run_cli(["reduce", nagata_file, "--inverse", nagata_inverse_file,
+                   "--weight", weight, "--json"])
+    assert out.returncode == 2
+    assert_rigorous_stuck(json.loads(out.stdout))
 
 
 def test_check_pair_su_fail_for_identity_pair(tmp_path):

@@ -21,10 +21,12 @@ D = DegreeValue.of
 def test_pair_with_itself_fails_su5(su_pair_family):
     ws, F, _ = su_pair_family[0]
     rep = check_su_conditions(ws, F, F)
-    assert not rep["SU5"]["holds"]
+    d3 = ws.deg(F[2]).to_json()
+    # only the strict block records the degrees in its SU5 payload
+    assert rep["SU5"] == {"holds": False, "deg_g3": d3, "deg_f3": d3}
     assert not rep.overall
     quasi = check_quasi_su(ws, F, F)
-    assert not quasi["SU5"]["holds"]
+    assert quasi["SU5"] == {"holds": False}
 
 
 def test_su_implies_quasi(su_pair_family):
@@ -233,6 +235,31 @@ def test_detect_type_iv_peel_returns(F):
     # only the return is checked, as the accept needs a peeled residual of
     # degree 3l/2, which is not below deg h3
     detect_type(F, "IV")
+
+
+def test_type_iii_iv_gate_skips_the_barren_branch(monkeypatch):
+    # deg (8, 12, 5): only sigma (1, 2, 3) passes the parity gate with
+    # l = 4, deg h2 = 3l and 2l < 2 deg h3 < 3l.  That branch's only scalar
+    # is 0 and no residual below h3 has degree 3l/2, so the gate stops it
+    # before any wedge scalar or peel is computed.
+    import tame3.conditions as conditions
+
+    calls = []
+
+    def counted(name):
+        inner = getattr(conditions, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("peel", "_leading_dependence_scalars"):
+        monkeypatch.setattr(conditions, name, counted(name))
+    F = _triple("x1^8 + x2", "x1^12 + x3", "x2^5")
+    assert detect_type(F, "III") is None
+    assert detect_type(F, "IV") is None
+    assert calls == []
 
 
 def test_su_pair_with_moved_generators_gives_type(su_pair_family):

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tame3.algebra import DegreeValue, Poly, lex_weight
+from tame3.algebra import Poly, lex_weight
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
+    ReductionTrace,
+    ReductionVerdict,
     TameFactor,
     apply_scaling,
     certificate_json,
@@ -20,6 +22,7 @@ from tame3.engine import (
     recompose,
     reduce_step,
     reduce_to_floor,
+    stuck_rigorous,
     su_number,
     triangularize_at_floor,
     verify_automorphism,
@@ -27,8 +30,6 @@ from tame3.engine import (
 )
 from tame3.search import permute_triple
 from tame3.univariate import BiPoly
-
-D = DegreeValue.of
 
 
 # --- composition and verification -------------------------------------------
@@ -153,7 +154,7 @@ def test_reduce_step_elementary(wt, xyz):
 def test_reduce_step_nagata_stuck(nagata, nagata_ws):
     step = reduce_step(nagata_ws, nagata.components)
     assert step.kind == "stuck"
-    assert step.rigorous
+    assert stuck_rigorous(step.reasons)
 
 
 def test_reduce_to_floor_identity(wt):
@@ -350,26 +351,44 @@ def test_random_tame_validation():
 # --- certificate ------------------------------------------------------------------
 
 
-def test_certificate_values(nagata_ws):
+def test_certificate_values(nagata, nagata_ws, assert_rigorous_stuck):
     cert = certify_nagata()
-    assert [d.vec for d in cert.degrees] == [(2, 0, 3), (1, 0, 2), (0, 0, 1)]
-    assert cert.total == D(3, 0, 6)
-    assert cert.floor == D(1, 1, 1)
+    assert cert.ws == nagata_ws and cert.verified
+    assert cert.trace.origin == nagata.components
     assert cert.all_rigorous()
-    for rec in cert.elementary_obstruction.values():
-        assert rec["absent"]
-    for rec in cert.su_obstruction_half.values():
-        assert rec["no_half"]
-    for rec in cert.su_obstruction_order.values():
-        assert rec["dominates_all_multiples"]
+    assert_rigorous_stuck(cert.to_json())
 
 
-def test_certificate_byte_stable():
+@pytest.mark.parametrize("verified, result, reason, rigorous", [
+    (True, "stuck", "degree-shape", True),
+    (False, "stuck", "degree-shape", False),
+    (True, "stuck", "limits-exhausted", False),
+    (True, "floor", None, False),
+])
+def test_reduction_verdict_needs_every_part(nagata, nagata_ws, verified, result, reason,
+                                            rigorous):
+    trace = ReductionTrace(origin=nagata.components, final=nagata.components,
+                           result=result)
+    if reason is not None:
+        absent = {"absent": {"reason": reason, "rigorous": reason != "limits-exhausted"}}
+        trace.stuck_reasons = {"elementary": {str(i): absent for i in (1, 2, 3)},
+                               "su": [absent]}
+    verdict = ReductionVerdict(nagata_ws, trace, verified)
+    assert verdict.all_rigorous() is rigorous
+    doc = verdict.to_json()
+    assert doc["automorphism_status"] == ("verified" if verified else "unverified")
+    if result == "stuck":
+        assert doc["verdict"].startswith("stuck with rigorous") is rigorous
+        assert rigorous or doc["verdict"] == "no reduction found"
+    else:
+        assert "verdict" not in doc
+
+
+def test_certificate_byte_stable(assert_rigorous_stuck):
     a = certificate_json(certify_nagata())
     b = certificate_json(certify_nagata())
     assert a == b
-    parsed = json.loads(a)
-    assert parsed["verdict"].startswith("not tame")
+    assert_rigorous_stuck(json.loads(a))
 
 
 def test_factor_tame_single_elementary(wt, xyz):

@@ -1,12 +1,15 @@
 """Module boundaries inside the package: a private name stays in its module,
 every module-level import is used, only the algebra module writes the
-fields of a Poly, and only the algebra module calls the sparse solver.
+fields of a Poly, only the algebra module calls the sparse solver, and only
+the engine module states a non-tameness verdict.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
 the unused-import check.  A Poly remembers its weighted degree, which is
 sound only while no other module changes its contents after it is built.
+A non-tameness claim is read off one rule (a rigorous stuck on a verified
+map), so its wording lives next to that rule and nowhere else.
 """
 
 import ast
@@ -171,3 +174,8 @@ def test_poly_field_write_detector(tmp_path):
     assert _poly_field_writes(probe) == [
         "4: p.nums", "5: q.nums[m]", "6: p.den", "7: q._deg", "8: p.nums[m]",
         "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})"]
+
+
+def test_one_module_states_the_verdict():
+    stating = [p.name for p in sorted(PKG.glob("*.py")) if "not tame" in p.read_text()]
+    assert stating == ["engine.py"]
