@@ -318,8 +318,17 @@ def cmd_nagata_fixture(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are input errors: usage and one
+    message line on stderr, exit 3 (argparse's own 2 means stuck here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tame3",
         description="Exact weighted-degree reduction tools for three-variable "
                     "polynomial maps.",

@@ -112,31 +112,45 @@ class MembershipOutcome:
 
 
 class _ProductCache:
-    """Cached powers/products of a fixed generator pair, with each product's
-    terms pre-sorted by weighted degree for fast threshold slicing."""
+    """Cached powers and products of a fixed generator pair f, g.
 
-    def __init__(self, f: Poly, g: Poly, ws: Optional[WeightSystem] = None):
+    Weighted degree is additive, so the terms of f^i g^j at its own degree
+    i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg.
+    ``tail`` at that degree (every exact-slice pair) reads the leading-form
+    product and builds no full product; only a widened pair, above the
+    target degree, builds the full f^i g^j, whose terms are sorted by degree
+    once for threshold slicing.
+    """
+
+    def __init__(self, f: Poly, g: Poly, ws: WeightSystem):
         self.f = f
         self.g = g
         self.ws = ws
+        self.lf = ws.leading_form(f)
+        self.lg = ws.leading_form(g)
+        self._degs = (ws.deg(f).vec, ws.deg(g).vec)
         one = Poly.constant(1, f.n)
         self._fp: dict[int, Poly] = {0: one, 1: f}
         self._gp: dict[int, Poly] = {0: one, 1: g}
         self._prod: dict[tuple[int, int], Poly] = {}
+        self._lfp: dict[int, Poly] = {0: one, 1: self.lf}
+        self._lgp: dict[int, Poly] = {0: one, 1: self.lg}
+        self._lprod: dict[tuple[int, int], Poly] = {}
         self._sorted: dict[tuple[int, int], list] = {}
 
-    def _power(self, cache: dict, base: Poly, k: int) -> Poly:
-        if k not in cache:
-            cache[k] = self._power(cache, base, k - 1) * base
-        return cache[k]
+    @staticmethod
+    def _product(prod: dict, fp: dict, gp: dict, i: int, j: int) -> Poly:
+        """fp[1]^i gp[1]^j, caching every power and product it builds."""
+        key = (i, j)
+        if key not in prod:
+            for powers, k in ((fp, i), (gp, j)):
+                for e in range(len(powers), k + 1):
+                    powers[e] = powers[e - 1] * powers[1]
+            prod[key] = gp[j] if i == 0 else fp[i] if j == 0 else fp[i] * gp[j]
+        return prod[key]
 
     def product(self, i: int, j: int) -> Poly:
-        key = (i, j)
-        if key not in self._prod:
-            fi = self._power(self._fp, self.f, i)
-            gj = self._power(self._gp, self.g, j)
-            self._prod[key] = gj if i == 0 else fi if j == 0 else fi * gj
-        return self._prod[key]
+        return self._product(self._prod, self._fp, self._gp, i, j)
 
     def product_within(self, i: int, j: int, term_cap: int) -> bool:
         """Whether f^i g^j is worth building: bounds both the result size
@@ -162,7 +176,10 @@ class _ProductCache:
     def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
         """(denominator, [(mono, int_coeff)] of the terms of f^i g^j with
         degree >= threshold), from the product's terms sorted by their degree
-        vectors."""
+        vectors; at the degree of f^i g^j itself, the contents of lf^i lg^j."""
+        if tuple(i * a + j * b for a, b in zip(*self._degs)) == threshold.vec:
+            p = self._product(self._lprod, self._lfp, self._lgp, i, j)
+            return p.den, list(p.nums.items())
         p = self.product(i, j)
         entries = self._sorted.get((i, j))
         if entries is None:
@@ -214,23 +231,12 @@ def homogeneous_membership(
             raise ValueError(f"{name} is not homogeneous")
     if not (ws.deg(g1h).is_positive() and ws.deg(g2h).is_positive()):
         raise ValueError("generators must be nonconstant")
-    _, found = _exact_slice(ws, h, (g1h, g2h), _ProductCache(g1h, g2h, ws))
+    d = ws.deg(h)
+    pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
+    found = _solve_with_pairs(ws, h, (g1h, g2h), pairs, d, _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
     return found
-
-
-def _exact_slice(
-    ws: WeightSystem, target: Poly, gens: tuple[Poly, Poly], cache: _ProductCache
-) -> tuple[list[tuple[int, int]], Optional[BiPoly]]:
-    """The exponent pairs on the degree slice of target, and a representation
-    of its leading form over them (None when the slice has none).
-
-    ValueError past the enumeration guard of ``all_semigroup_pairs``.
-    """
-    d = ws.deg(target)
-    pairs = all_semigroup_pairs(d, ws.deg(gens[0]), ws.deg(gens[1]))
-    return pairs, _solve_with_pairs(ws, target, gens, pairs, d, cache)
 
 
 def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> MembershipOutcome:
@@ -286,10 +292,11 @@ def _decide_exact(
     d = ws.deg(target)
     cache = cache or _ProductCache(f, g, ws)
     try:
-        exact_pairs, found = _exact_slice(ws, target, gens, cache)
+        exact_pairs = all_semigroup_pairs(d, d1, d2)
     except ValueError:
         return MembershipOutcome(None, Absence("limits-exhausted",
                                                "degree-slice enumeration guard"))
+    found = _solve_with_pairs(ws, target, gens, exact_pairs, d, cache)
     if found is not None:
         return _found(ws, target, found, 0)
     if z_independent(d1, d2):
@@ -299,7 +306,7 @@ def _decide_exact(
     # Cancellation among leading products forces a power proportionality of
     # the generator leading forms; without one, the exact slice already
     # decided membership rigorously.
-    scaled = find_scaled_pair(ws, ws.leading_form(f), ws.leading_form(g))
+    scaled = find_scaled_pair(ws, cache.lf, cache.lg)
     if scaled is None:
         return _decided_absent(exact_pairs, d,
                                "homogeneous-slice-mismatch (independent leading forms)",

@@ -255,3 +255,28 @@ def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "{f}", "--limits-bidegree", "abc"],
+    ["gen", "--count", "x"],
+    ["reduce", "{f}", "--prefer", "foo"],
+    ["frobnicate"],
+    ["reduce"],
+], ids=["limits-not-int", "gen-count-not-int", "unknown-choice", "unknown-subcommand",
+        "missing-file"])
+def test_usage_error_exit_3_without_traceback(tmp_path, argv):
+    # argparse's own exit code 2 would read as "stuck"
+    path = tmp_path / "in.txt"
+    path.write_text("x1\nx2\nx3\n")
+    out = run_cli([a.format(f=path) for a in argv])
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert out.stderr.strip().splitlines()[-1].startswith("tame3")
+    assert "error:" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"]])
+def test_help_exits_0(argv):
+    out = run_cli(argv)
+    assert out.returncode == 0 and "usage:" in out.stdout

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tame3 import search
 from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
@@ -262,11 +263,12 @@ def test_widening_builds_only_the_levels_it_runs(xyz, monkeypatch):
     g2 = y**4 + z
     ws, target = total_weight(3), x + g1**2 - g2**3
     assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 2
-    levels = []
+    levels, degrees = [], []
     product = search._ProductCache.product
 
     def counted(cache, i, j):
         levels.append(i + j)
+        degrees.append(i * ws.deg(cache.f) + j * ws.deg(cache.g))
         return product(cache, i, j)
 
     monkeypatch.setattr(search._ProductCache, "product", counted)
@@ -275,6 +277,9 @@ def test_widening_builds_only_the_levels_it_runs(xyz, monkeypatch):
                                 lambda res, _: ws.deg(res) < d, 2)
     assert phi is not None and residual == x
     assert max(levels) == 3
+    # the exact pair (1, 0) on the target's slice is a leading-form
+    # product: every full product built is a widened one, above the target
+    assert degrees and all(dd > d for dd in degrees)
 
 
 def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
@@ -296,6 +301,68 @@ def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
     # searched on its own, component 1 does check its floor
     assert leading_membership_search(wt, F[0], (F[1], F[2])).found is not None
     assert len(calls) == 1
+
+
+def test_elementary_step_in_pass_one_builds_no_full_product(wt, xyz, monkeypatch):
+    # pass 1 solves every exact slice on leading-form products; component 1
+    # is left open and component 3 steps, so no full f^i g^j is ever built
+    x1, x2, x3 = xyz
+    F = (x1 - (x2 * x3).scale(2) - x3.scale(2), x2, x3 - (x2**2).scale(2))
+    built = []
+    product = search._ProductCache.product
+
+    def counted(cache, i, j):
+        built.append((i, j))
+        return product(cache, i, j)
+
+    monkeypatch.setattr(search._ProductCache, "product", counted)
+    out = find_elementary_reduction(wt, F)
+    assert out.step is not None and out.step.index == 3
+    assert built == []
+
+
+@st.composite
+def _nonconstant_polys(draw):
+    terms = {tuple(draw(st.integers(0, 3)) for _ in range(3)): draw(st.integers(-4, 4))
+             for _ in range(draw(st.integers(1, 4)))}
+    p = Poly(3, terms)
+    return p if not p.is_constant else p + Poly.variable(0, 3)
+
+
+_TAIL_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (1, 1), (0, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonconstant_polys(), _nonconstant_polys(), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(_TAIL_WEIGHTS))
+def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
+    full = f**i * g**j
+    d = ws.deg(full)
+    den, contents = search._ProductCache(f, g, ws).tail(i, j, d)
+    top = {m: c for m, c in full.terms.items() if ws.monomial_degree(m) == d}
+    assert Poly.from_contents(3, dict(contents), den) == Poly(3, top)
+
+
+def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
+    # only the semigroup enumeration guard is an absence; an error from the
+    # slice solve or a product build is not swallowed into one
+    x1, x2, x3 = xyz
+
+    def broken(*args):
+        raise ValueError("product build failed")
+
+    monkeypatch.setattr(search._ProductCache, "tail", broken)
+    with pytest.raises(ValueError, match="product build failed"):
+        leading_membership_search(wt, x1 + x2**2, (x2, x3))
+
+
+def test_enumeration_guard_is_an_inconclusive_absence(wt, xyz):
+    x1, x2, x3 = xyz
+    out = leading_membership_search(wt, x3**4001, (x1, x2))
+    assert out.found is None
+    assert out.absence.to_json() == {"absent": {
+        "reason": "limits-exhausted", "rigorous": False,
+        "detail": "degree-slice enumeration guard"}}
 
 
 def test_elementary_reduction_rejects_dependent(wt, xyz):
