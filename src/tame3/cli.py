@@ -35,7 +35,7 @@ from .engine import (
     nagata_endo,
     reduce_to_floor,
 )
-from .forms import differentials_wedge
+from .forms import algebraically_independent
 from .search import DEFAULT_LIMITS, SearchLimits
 from .univariate import AuxPoly, su_inequality_report
 from .engine import random_tame
@@ -170,7 +170,7 @@ def cmd_deg(args) -> int:
 
 def _load_endo(args) -> Endo3:
     triple = _parse_triple(_read_lines(args.file), args.file)
-    if differentials_wedge(list(triple)).is_zero:
+    if not algebraically_independent(triple):
         raise InputError(f"{args.file}: components are algebraically dependent")
     inverse = None
     if args.inverse:
@@ -243,7 +243,7 @@ def cmd_check(args) -> int:
             payload, ok = rep.to_json(), rep.overall
         else:
             # the checkers reject a dependent F themselves; detect_type does not
-            if differentials_wedge(list(F)).is_zero:
+            if not algebraically_independent(F):
                 raise ValueError("F has algebraically dependent components")
             witness = detect_type(F, kind, limits, ws)
             payload = {f"type{kind}": witness.to_json() if witness else None}

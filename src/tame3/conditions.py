@@ -27,7 +27,7 @@ from .algebra import (
     solve_contents,
     total_weight,
 )
-from .forms import differential, differentials_wedge, wedge, wedge_degree
+from .forms import algebraically_independent, differential, wedge, wedge_degree
 from .search import (
     DEFAULT_LIMITS,
     BiPoly,
@@ -93,7 +93,7 @@ def _membership_flag(outcome) -> tuple[bool, dict]:
 
 def _require_independent(F: Triple, G: Triple) -> None:
     for name, triple in (("F", F), ("G", G)):
-        if differentials_wedge(list(triple)).is_zero:
+        if not algebraically_independent(triple):
             raise ValueError(f"{name} has algebraically dependent components")
 
 

@@ -32,7 +32,7 @@ from .search import (
     find_su_reduction,
     unpermute_triple,
 )
-from .forms import differentials_wedge
+from .forms import algebraically_independent
 
 Triple = tuple[Poly, Poly, Poly]
 
@@ -98,17 +98,27 @@ class Endo3:
 
 @dataclass
 class TameFactor:
-    """Affine (invertible matrix + translation) or elementary factor."""
+    """Affine (invertible matrix + translation) or elementary factor.
+
+    An affine factor keeps, beside its Fraction matrix, each component
+    b_i + sum_j A_ij x_j as integer contents over the row's common
+    denominator (``_rows``, built once from the fields and never part of
+    ``==``); ``apply`` and ``inverted`` read them.
+    """
 
     kind: str  # "affine" | "elementary"
     matrix: Optional[tuple] = None  # rows of Fractions
     translation: Optional[tuple] = None
     index: Optional[int] = None  # 1-based, for elementary
     phi: Optional[Poly] = None  # omits x_index
+    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "affine":
-            if _det3(_int_matrix(self.matrix)[0]) == 0:
+            self._rows = tuple(_int_row((b, *row))
+                               for b, row in zip(self.translation, self.matrix))
+            # scaling a row by its denominator does not change whether det A is 0
+            if _det3([nums[1:] for nums, _ in self._rows]) == 0:
                 raise ValueError("affine factor must have invertible matrix")
         elif self.kind == "elementary":
             if not 1 <= self.index <= N:
@@ -130,27 +140,38 @@ class TameFactor:
     def elementary(index: int, phi: Poly) -> "TameFactor":
         return TameFactor(kind="elementary", index=index, phi=phi)
 
-    def as_endo(self) -> Triple:
+    def apply(self, acc: Sequence[Poly]) -> Triple:
+        """``compose_endo(acc, self.as_endo())``, computed directly.
+
+        An elementary factor changes only component i, to
+        acc[i] + phi(acc); phi omits x_i, so no power of acc[i] is built.
+        An affine component is one integer combination of acc's contents.
+        """
         if self.kind == "affine":
-            # component i is b_i + sum_j A_ij x_j, built from the integer
-            # contents of its row over the row's common denominator
-            comps = []
-            for b, row in zip(self.translation, self.matrix):
-                nums, den = _int_row((b, *row))
-                comps.append(Poly.from_contents(N, dict(zip(_AFFINE_MONOS, nums)), den))
-            return tuple(comps)
-        comps = list(identity_endo())
-        comps[self.index - 1] = comps[self.index - 1] + self.phi
-        return tuple(comps)
+            return tuple(_combine(nums, den, acc) for nums, den in self._rows)
+        out = list(acc)
+        i = self.index - 1
+        out[i] = acc[i] + self.phi.compose(acc)
+        return tuple(out)
+
+    def as_endo(self) -> Triple:
+        return self.apply(identity_endo())
 
     def inverted(self) -> "TameFactor":
         if self.kind == "elementary":
             return TameFactor.elementary(self.index, -self.phi)
-        adj, d = _invert3(self.matrix)
-        # y = Ax + b  =>  x = A^-1 y - A^-1 b, with A^-1 = adj / d
-        t, tden = _int_row(self.translation)
-        neg_b = [Fraction(-sum(a * c for a, c in zip(row, t)), d * tden) for row in adj]
-        return TameFactor.affine([[Fraction(a, d) for a in row] for row in adj], neg_b)
+        # With A = diag(1/den_i) R for integer R and b_i = t_i / den_i:
+        # A^-1 = adj(R) diag(den) / det R and A^-1 b = adj(R) t / det R, and
+        # y = Ax + b  =>  x = A^-1 y - A^-1 b.
+        r = [nums[1:] for nums, _ in self._rows]
+        d = _det3(r)
+        adj = _adj3(r)
+        dens = [den for _, den in self._rows]
+        t = [nums[0] for nums, _ in self._rows]
+        return TameFactor.affine(
+            [[Fraction(a * den, d) for a, den in zip(row, dens)] for row in adj],
+            [Fraction(-sum(a * c for a, c in zip(row, t)), d) for row in adj],
+        )
 
     def to_json(self) -> dict:
         if self.kind == "affine":
@@ -162,7 +183,7 @@ class TameFactor:
         return {"kind": "elementary", "index": self.index, "phi": poly_to_text(self.phi)}
 
 
-_AFFINE_MONOS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+_LINEAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _int_row(row) -> tuple[list[int], int]:
@@ -172,10 +193,18 @@ def _int_row(row) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in row], den
 
 
-def _int_matrix(m) -> tuple[list[list[int]], int]:
-    """(a, den) with m == a / den for a 3x3 Fraction matrix m."""
-    nums, den = _int_row([c for row in m for c in row])
-    return [nums[0:3], nums[3:6], nums[6:9]], den
+def _combine(nums: Sequence[int], den: int, acc: Sequence[Poly]) -> Poly:
+    """(nums[0] + sum_j nums[j + 1] * acc[j]) / den, over one integer
+    accumulator on the common denominator of the acc[j] it uses."""
+    n = acc[0].n
+    common = math.lcm(*(p.den for c, p in zip(nums[1:], acc) if c))
+    out: dict = {(0,) * n: nums[0] * common} if nums[0] else {}
+    for c, p in zip(nums[1:], acc):
+        if c:
+            k = c * (common // p.den)
+            for m, v in p.nums.items():
+                out[m] = out.get(m, 0) + k * v
+    return Poly.from_contents(n, out, den * common)
 
 
 def _det3(m):
@@ -186,37 +215,29 @@ def _det3(m):
     )
 
 
-def _invert3(m) -> tuple[list[list[int]], int]:
-    """(adj, d) in ints with m^-1 == adj / d, for a 3x3 Fraction matrix m.
-
-    m is cleared to a / den first, so one integer determinant decides
-    invertibility, and m^-1 = den * adj(a) / det(a).
-    """
-    a, den = _int_matrix(m)
-    d = _det3(a)
-    if d == 0:
-        raise ValueError("singular matrix")
-    adj = [
+def _adj3(m) -> list[list[int]]:
+    """The adjugate of a 3x3 matrix: m * adj(m) == det(m) * I."""
+    return [
         [
-            den * (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-                   - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
             for i in range(3)
         ]
         for j in range(3)
     ]
-    return adj, d
 
 
 def recompose(factors: Sequence[TameFactor]) -> Triple:
     """Apply factors in list order (first entry acts first).
 
-    Folded outermost-first: for factor lists produced by the reduction
-    undo, the intermediates then retrace the trace triples instead of
-    composing raw correction maps, whose degrees would multiply.
+    Folded outermost-first, each factor applied in place to the running
+    triple (``TameFactor.apply``): for factor lists produced by the
+    reduction undo, the intermediates then retrace the trace triples
+    instead of composing raw correction maps, whose degrees would multiply.
     """
     acc = identity_endo()
     for factor in reversed(factors):
-        acc = compose_endo(acc, factor.as_endo())
+        acc = factor.apply(acc)
     return acc
 
 
@@ -308,7 +329,7 @@ class ReductionTrace:
         current = self.final
         for step in reversed(self.steps):
             for factor in reversed(step.undo_factors()):
-                current = compose_endo(current, factor.as_endo())
+                current = factor.apply(current)
         return current
 
     def to_json(self, ws: WeightSystem) -> dict:
@@ -342,7 +363,7 @@ def reduce_step(
     deg = ws.deg_endo(F)
     floor = ws.total
     if deg == floor:
-        if differentials_wedge(list(F)).is_zero:
+        if not algebraically_independent(F):
             raise ValueError("components are algebraically dependent")
         return TraceStep("at-floor")
     if deg < floor:
@@ -451,14 +472,13 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     to be triangular in that order are accepted above the floor too.
     """
     b = [f.constant_term() for f in F]
-    G = tuple(f - Poly.constant(bi, N) for f, bi in zip(F, b))
-    L = [[G[i].coeff(mono) for mono in _AFFINE_MONOS[1:]] for i in range(N)]
+    L = [[f.coeff(mono) for mono in _LINEAR_MONOS] for f in F]
     try:
-        adj, d = _invert3(L)
+        affine = TameFactor.affine(L, b)
     except ValueError:
         raise ValueError("internal inconsistency: singular linear part") from None
-    K = compose_endo(G, tuple(Poly.from_contents(N, dict(zip(_AFFINE_MONOS[1:], row)), d)
-                              for row in adj))
+    # the inverse affine map applied to F: A^-1 (F - b), linear part the identity
+    K = affine.inverted().apply(F)
 
     def key(i):
         return (ws.weights[i], i)
@@ -476,7 +496,7 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
                         "involves a later variable"
                     )
         tails.append(tail)
-    factors: list[TameFactor] = [TameFactor.affine(L, b)]
+    factors: list[TameFactor] = [affine]
     for i in sorted(range(N), key=key):
         if not tails[i].is_zero:
             factors.append(TameFactor.elementary(i + 1, tails[i]))

@@ -8,6 +8,7 @@ erroring, which keeps the product total.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import DegreeValue, Poly, WeightSystem, poly_to_text
@@ -157,12 +158,55 @@ def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
     return wedge_all([differential(f) for f in fs])
 
 
+# Integer points at which the Jacobian is tried before any full expansion:
+# the origin first (a map with constant nonzero Jacobian, such as any
+# automorphism, is decided there), then small points off the coordinate
+# hyperplanes, cycled to the arity.
+_PROBE_COORDS = ((1, 1, 1), (1, -1, 2), (2, 3, -1), (-3, 1, 4), (5, -2, 3), (-1, 4, -5))
+
+
+def _jacobian_at(f: Poly, point: Sequence[int]) -> list[int]:
+    """The gradient of f's integer contents at an integer point: den * grad f."""
+    grad = [0] * f.n
+    for mono, c in f.nums.items():
+        for i, e in enumerate(mono):
+            if e:
+                term = c * e
+                for j, (p, ej) in enumerate(zip(point, mono)):
+                    term *= p ** (ej - (j == i))
+                grad[i] += term
+    return grad
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a small square integer matrix (Laplace)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
 def algebraically_independent(fs: Sequence[Poly]) -> bool:
-    """Wedge-of-differentials test: nonzero iff the family is independent."""
+    """Jacobian criterion: nonzero df_1 ^ ... ^ df_k iff the family is
+    independent.
+
+    The wedge's coefficients are the k x k minors of the Jacobian, so one
+    nonzero minor at one integer point proves independence; the points of
+    ``_PROBE_COORDS`` (and the origin) are tried on the integer contents
+    first, and the full wedge is expanded only when every minor vanishes at
+    all of them.  Either way the verdict is exact.
+    """
     if not 1 <= len(fs) <= fs[0].n:
         return False
     if any(f.is_zero for f in fs):
         return False
+    n, k = fs[0].n, len(fs)
+    points = [(0,) * n] + [tuple(c[i % len(c)] for i in range(n)) for c in _PROBE_COORDS]
+    minors = list(combinations(range(n), k))
+    for point in points:
+        jac = [_jacobian_at(f, point) for f in fs]
+        if any(_det([[row[j] for j in cols] for row in jac]) for cols in minors):
+            return True
     return not differentials_wedge(fs).is_zero
 
 

@@ -38,7 +38,7 @@ from .algebra import (
     sqrt_up_to_scalar,
     z_independent,
 )
-from .forms import differentials_wedge, wedge_degree
+from .forms import algebraically_independent, wedge_degree
 from .univariate import BiPoly
 
 PERMUTATIONS_3 = (
@@ -152,26 +152,24 @@ class _ProductCache:
     def product(self, i: int, j: int) -> Poly:
         return self._product(self._prod, self._fp, self._gp, i, j)
 
-    def product_within(self, i: int, j: int, term_cap: int) -> bool:
-        """Whether f^i g^j is worth building: bounds both the result size
-        and the construction work before committing to the power chain."""
-        key = (i, j)
-        hit = self._prod.get(key)
-        if hit is not None:
-            return len(hit.nums) <= term_cap
-        n = self.f.n
+    def size_bound(self, i: int, j: int) -> int:
+        """A bound on the term count of f^i g^j: at most tf^i tg^j products
+        of terms, and at most the number of monomials of its total degree."""
         tf, tg = len(self.f.nums), len(self.g.nums)
         deg = i * self.f.total_degree() + j * self.g.total_degree()
         dense = 1
-        for k in range(1, n + 1):
+        for k in range(1, self.f.n + 1):
             dense = dense * (deg + k) // k
-        size_bound = min(tf**i * tg**j, dense)
-        if size_bound > term_cap:
-            return False
-        # Last multiplication in the chain dominates the build cost.
-        if size_bound * max(tf, tg) > 50 * term_cap:
-            return False
-        return len(self.product(i, j).nums) <= term_cap
+        return min(tf**i * tg**j, dense)
+
+    def product_within(self, i: int, j: int, term_cap: int) -> bool:
+        """Whether f^i g^j is worth building: its size bound stays within
+        term_cap, and the last multiplication in its chain, which dominates
+        the build cost, within 50 * term_cap term pairs.  Decided from the
+        bound alone; the product is built when ``tail`` first reads it."""
+        bound = self.size_bound(i, j)
+        tf, tg = len(self.f.nums), len(self.g.nums)
+        return bound <= term_cap and bound * max(tf, tg) <= 50 * term_cap
 
     def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
         """(denominator, [(mono, int_coeff)] of the terms of f^i g^j with
@@ -543,7 +541,7 @@ def find_elementary_reduction(
     open.  The first success of either pass is the step; ``reasons`` lists
     the decided absences in index order.
     """
-    if check_independent and differentials_wedge(list(triple)).is_zero:
+    if check_independent and not algebraically_independent(triple):
         raise ValueError("components are algebraically dependent")
     reasons: dict[int, Absence] = {}
     pending: dict[int, _Widening] = {}
@@ -664,7 +662,7 @@ def find_su_reduction(
     searches the third-component correction over the new generator pair.
     Absence is rigorous only for the degree-shape obstructions.
     """
-    if check_independent and differentials_wedge(list(triple)).is_zero:
+    if check_independent and not algebraically_independent(triple):
         raise ValueError("components are algebraically dependent")
     degs = [ws.deg(f) for f in triple]
     reasons: list[dict] = []
@@ -726,7 +724,7 @@ def find_su_reduction(
                                     "skip": "no admissible third-component correction"})
                     continue
                 phi3 = phi3.negate()
-                if differentials_wedge([g1, g2, g3]).is_zero:
+                if not algebraically_independent([g1, g2, g3]):
                     continue
                 witness = SUWitness(sigma=sigma, a=a, b=b, c=c, phi3=phi3, s=s,
                                     delta=delta)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tame3 import engine
 from tame3.algebra import Poly, lex_weight
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
@@ -118,6 +119,72 @@ def test_affine_inverse_on_random_rational_factors(entries):
     inv = f.inverted()
     assert compose_endo(f.as_endo(), inv.as_endo()) == identity_endo()
     assert inv.inverted().matrix == f.matrix and inv.inverted().translation == f.translation
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _rational_polys(draw, omit=None):
+    """A random rational polynomial in three variables, without x_omit."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [draw(st.integers(0, 3)) for _ in range(3)]
+        if omit is not None:
+            mono[omit] = 0
+        terms[tuple(mono)] = draw(_FRACTIONS)
+    return Poly(3, terms)
+
+
+@st.composite
+def _rational_factors(draw):
+    if draw(st.booleans()):
+        matrix = [[draw(_FRACTIONS) for _ in range(3)] for _ in range(3)]
+        translation = [draw(_FRACTIONS) for _ in range(3)]
+        try:
+            return TameFactor.affine(matrix, translation)
+        except ValueError:
+            return TameFactor.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]], translation)
+    index = draw(st.integers(1, 3))
+    return TameFactor.elementary(index, draw(_rational_polys(omit=index - 1)))
+
+
+def _endo_by_hand(factor):
+    """The factor's map from its fields, by Poly arithmetic alone."""
+    y = identity_endo()
+    if factor.kind == "elementary":
+        comps = list(y)
+        comps[factor.index - 1] = comps[factor.index - 1] + factor.phi
+        return tuple(comps)
+    return tuple(
+        sum((v.scale(c) for v, c in zip(y, row)), Poly.constant(b, 3))
+        for row, b in zip(factor.matrix, factor.translation)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_factors(), st.tuples(*[_rational_polys()] * 3))
+def test_apply_matches_composition(factor, acc):
+    assert factor.as_endo() == _endo_by_hand(factor)
+    assert factor.apply(acc) == compose_endo(acc, factor.as_endo())
+    assert factor.apply(acc) == compose_endo(acc, _endo_by_hand(factor))
+
+
+def test_recompositions_apply_factors_in_place(wt, small_corpus, monkeypatch):
+    calls = []
+
+    def counted(F, G):
+        calls.append(1)
+        return compose_endo(F, G)
+
+    monkeypatch.setattr(engine, "compose_endo", counted)
+    for endo, factors in small_corpus[:6]:
+        trace = reduce_to_floor(wt, endo.components)
+        assert trace.recompose_origin() == endo.components
+        triangularize_at_floor(wt, trace.final)
+        assert recompose(factors) == endo.components
+        assert recompose(invert_factors(factors)) == endo.inverse
+    assert calls == []
 
 
 def test_singular_rational_matrix_rejected():

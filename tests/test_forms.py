@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tame3 import forms
 from tame3.algebra import DegreeValue, Poly, lex_weight, total_weight
 from tame3.forms import (
     DiffForm,
@@ -69,6 +71,53 @@ def test_independence_examples(xyz, nagata):
     f = x1 + x2**2
     assert not algebraically_independent([f, f * f])
     assert algebraically_independent(list(nagata.components))
+
+
+@st.composite
+def _polys(draw):
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)): draw(st.integers(-3, 3))
+             for _ in range(draw(st.integers(1, 4)))}
+    return Poly(3, terms)
+
+
+@st.composite
+def _triples(draw):
+    """Random triples; half of them dependent, with f3 a polynomial in f1, f2."""
+    f, g = draw(_polys()), draw(_polys())
+    if draw(st.booleans()):
+        return [f, g, draw(_polys())]
+    h = Poly.zero(3)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        h = h + (f**i * g**j).scale(draw(st.integers(-3, 3)))
+    return [f, g, h]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_triples())
+def test_independence_agrees_with_the_wedge(fs):
+    assert algebraically_independent(fs) == (not differentials_wedge(fs).is_zero)
+
+
+def test_independence_of_a_map_is_decided_at_a_point(small_corpus, xyz, monkeypatch):
+    calls = []
+    full = forms.differentials_wedge
+
+    def counted(fs):
+        calls.append(1)
+        return full(fs)
+
+    monkeypatch.setattr(forms, "differentials_wedge", counted)
+    for endo, _ in small_corpus:
+        assert algebraically_independent(list(endo.components))
+    # Jacobian x2*x3 vanishes at the origin but not at the next point
+    x1, x2, x3 = xyz
+    assert algebraically_independent([x1 * x2, x2 * x3, x3])
+    assert calls == []
+    # a dependent triple vanishes at every point and reaches the full wedge
+    f = x1 + x2**2
+    assert not algebraically_independent([f, x3, f * x3])
+    assert calls == [1]
 
 
 def _random_poly(rng, max_deg=3, terms=3):

@@ -343,6 +343,13 @@ def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
     assert Poly.from_contents(3, dict(contents), den) == Poly(3, top)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_nonconstant_polys(), _nonconstant_polys(), st.integers(0, 4), st.integers(0, 4))
+def test_product_size_never_exceeds_its_bound(f, g, i, j):
+    cache = search._ProductCache(f, g, total_weight(3))
+    assert len(cache.product(i, j).nums) <= cache.size_bound(i, j)
+
+
 def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
     # only the semigroup enumeration guard is an absence; an error from the
     # slice solve or a product build is not swallowed into one
