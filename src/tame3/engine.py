@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -98,31 +99,34 @@ class Endo3:
 
 @dataclass
 class TameFactor:
-    """Affine (invertible matrix + translation) or elementary factor.
+    """Affine or elementary factor of a tame map.
 
-    An affine factor keeps, beside its Fraction matrix, each component
-    b_i + sum_j A_ij x_j as integer contents over the row's common
-    denominator (``_rows``, built once from the fields and never part of
-    ``==``); ``apply`` and ``inverted`` read them.
+    An affine factor is its integer rows: ``rows[i] = (nums, den)`` is
+    component i, (nums[0] + sum_j nums[j + 1] * x_j) / den, with den > 0 and
+    gcd(den, *nums) == 1.  That form is canonical, so ``==`` is exact;
+    ``matrix`` and ``translation`` are read-only Fraction views of it, built
+    once per factor.  An elementary factor adds ``phi``, which omits
+    x_index, to component ``index``.
     """
 
     kind: str  # "affine" | "elementary"
-    matrix: Optional[tuple] = None  # rows of Fractions
-    translation: Optional[tuple] = None
+    rows: Optional[tuple] = None  # affine: per component (nums, den)
     index: Optional[int] = None  # 1-based, for elementary
     phi: Optional[Poly] = None  # omits x_index
-    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "affine":
-            self._rows = tuple(_int_row((b, *row))
-                               for b, row in zip(self.translation, self.matrix))
+            if len(self.rows) != N or any(len(nums) != N + 1 for nums, _ in self.rows):
+                raise ValueError("affine factor needs a 3x3 matrix and 3 translations")
+            self.rows = tuple(_primitive(nums, den) for nums, den in self.rows)
             # scaling a row by its denominator does not change whether det A is 0
-            if _det3([nums[1:] for nums, _ in self._rows]) == 0:
+            if _det3([nums[1:] for nums, _ in self.rows]) == 0:
                 raise ValueError("affine factor must have invertible matrix")
         elif self.kind == "elementary":
             if not 1 <= self.index <= N:
                 raise ValueError("elementary index out of range")
+            if self.phi.n != N:
+                raise ValueError("elementary polynomial must be in 3 variables")
             if any(m[self.index - 1] for m in self.phi.nums):
                 raise ValueError("elementary polynomial must omit its own variable")
         else:
@@ -130,15 +134,31 @@ class TameFactor:
 
     @staticmethod
     def affine(matrix, translation) -> "TameFactor":
-        return TameFactor(
-            kind="affine",
-            matrix=tuple(tuple(Fraction(c) for c in row) for row in matrix),
-            translation=tuple(Fraction(c) for c in translation),
-        )
+        """x -> matrix x + translation, for int or Fraction entries."""
+        rows = []
+        for b, row in zip(translation, matrix, strict=True):
+            entries = (b, *row)
+            if not all(isinstance(c, (int, Fraction)) for c in entries):
+                raise TypeError("affine entries must be exact rationals")
+            den = math.lcm(*(c.denominator for c in entries))
+            rows.append((tuple(c.numerator * (den // c.denominator) for c in entries), den))
+        return TameFactor("affine", tuple(rows))
 
     @staticmethod
     def elementary(index: int, phi: Poly) -> "TameFactor":
         return TameFactor(kind="elementary", index=index, phi=phi)
+
+    @cached_property
+    def matrix(self) -> Optional[tuple]:
+        if self.kind != "affine":
+            return None
+        return tuple(tuple(Fraction(c, den) for c in nums[1:]) for nums, den in self.rows)
+
+    @cached_property
+    def translation(self) -> Optional[tuple]:
+        if self.kind != "affine":
+            return None
+        return tuple(Fraction(nums[0], den) for nums, den in self.rows)
 
     def apply(self, acc: Sequence[Poly]) -> Triple:
         """``compose_endo(acc, self.as_endo())``, computed directly.
@@ -148,7 +168,7 @@ class TameFactor:
         An affine component is one integer combination of acc's contents.
         """
         if self.kind == "affine":
-            return tuple(_combine(nums, den, acc) for nums, den in self._rows)
+            return tuple(_combine(nums, den, acc) for nums, den in self.rows)
         out = list(acc)
         i = self.index - 1
         out[i] = acc[i] + self.phi.compose(acc)
@@ -163,15 +183,15 @@ class TameFactor:
         # With A = diag(1/den_i) R for integer R and b_i = t_i / den_i:
         # A^-1 = adj(R) diag(den) / det R and A^-1 b = adj(R) t / det R, and
         # y = Ax + b  =>  x = A^-1 y - A^-1 b.
-        r = [nums[1:] for nums, _ in self._rows]
+        r = [nums[1:] for nums, _ in self.rows]
         d = _det3(r)
-        adj = _adj3(r)
-        dens = [den for _, den in self._rows]
-        t = [nums[0] for nums, _ in self._rows]
-        return TameFactor.affine(
-            [[Fraction(a * den, d) for a, den in zip(row, dens)] for row in adj],
-            [Fraction(-sum(a * c for a, c in zip(row, t)), d) for row in adj],
-        )
+        dens = [den for _, den in self.rows]
+        t = [nums[0] for nums, _ in self.rows]
+        rows = []
+        for row in _adj3(r):
+            nums = (-sum(a * c for a, c in zip(row, t)), *(a * den for a, den in zip(row, dens)))
+            rows.append((nums, d))
+        return TameFactor("affine", tuple(rows))
 
     def to_json(self) -> dict:
         if self.kind == "affine":
@@ -183,14 +203,15 @@ class TameFactor:
         return {"kind": "elementary", "index": self.index, "phi": poly_to_text(self.phi)}
 
 
-_LINEAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_AFFINE_MONOS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _int_row(row) -> tuple[list[int], int]:
-    """(nums, den) with row == nums / den, den the least common denominator
-    of the Fractions in row."""
-    den = math.lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row], den
+def _primitive(nums: Sequence[int], den: int) -> tuple[tuple, int]:
+    """The row nums / den (den nonzero) with den > 0 and no common content."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(c // g for c in nums), den // g
 
 
 def _combine(nums: Sequence[int], den: int, acc: Sequence[Poly]) -> Poly:
@@ -282,16 +303,14 @@ class TraceStep:
         F = G . P_sigma . E3^-1 . E2^-1 . E1^-1 . P_sigma^-1, which in
         application order reads [P_sigma^-1, E1^-1, E2^-1, E3^-1, P_sigma].
         """
-        y = identity_endo()
         if self.kind == "elementary":
             st = self.elementary
             j, k = [x for x in range(N) if x != st.index - 1]
-            return [TameFactor.elementary(st.index, -st.phi.at((y[j], y[k])))]
+            return [TameFactor.elementary(st.index, -st.phi.on_variables(j, k, N))]
         w = self.su_witness
-        y1, y2, y3 = y
-        e1_phi = (y3 * y3).scale(w.a) + y3.scale(w.c)
-        e2_phi = y3.scale(w.b)
-        e3_phi = w.phi3.at((y1, y2))
+        e1_phi = Poly(N, {(0, 0, 2): w.a, (0, 0, 1): w.c})
+        e2_phi = Poly(N, {(0, 0, 1): w.b})
+        e3_phi = w.phi3.on_variables(0, 1, N)
         factors = [_perm_factor(unpermute_triple((1, 2, 3), w.sigma))]
         for idx, phi in ((1, e1_phi), (2, e2_phi), (3, e3_phi)):
             if not phi.is_zero:
@@ -344,9 +363,9 @@ class ReductionTrace:
 
 
 def _perm_factor(sigma: tuple) -> TameFactor:
-    matrix = [[Fraction(1) if sigma[i] - 1 == j else Fraction(0) for j in range(N)]
-              for i in range(N)]
-    return TameFactor.affine(matrix, [0, 0, 0])
+    """The affine factor y_i = x_sigma[i]."""
+    return TameFactor("affine", tuple(
+        ((0, *(int(s - 1 == j) for j in range(N))), 1) for s in sigma))
 
 
 def reduce_step(
@@ -471,10 +490,9 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     (weight, index) order, which is what the peel needs; maps that happen
     to be triangular in that order are accepted above the floor too.
     """
-    b = [f.constant_term() for f in F]
-    L = [[f.coeff(mono) for mono in _LINEAR_MONOS] for f in F]
+    rows = tuple((tuple(f.nums.get(mono, 0) for mono in _AFFINE_MONOS), f.den) for f in F)
     try:
-        affine = TameFactor.affine(L, b)
+        affine = TameFactor("affine", rows)
     except ValueError:
         raise ValueError("internal inconsistency: singular linear part") from None
     # the inverse affine map applied to F: A^-1 (F - b), linear part the identity

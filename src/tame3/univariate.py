@@ -136,6 +136,18 @@ class BiPoly:
     def value(self) -> Poly:
         return self.at(self.gens)
 
+    def on_variables(self, j: int, k: int, n: int) -> Poly:
+        """``at`` on (x_{j+1}, x_{k+1}) of n variables, j != k: each pair
+        (i, l) becomes the monomial with exponent i at j and l at k."""
+        if j == k:
+            raise ValueError("generators need two distinct variables")
+        terms = {}
+        for (a, b), c in self.coeffs.items():
+            mono = [0] * n
+            mono[j], mono[k] = a, b
+            terms[tuple(mono)] = c
+        return Poly(n, terms)
+
     def negate(self) -> "BiPoly":
         return BiPoly(self.gens, {k: -c for k, c in self.coeffs.items()})
 

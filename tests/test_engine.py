@@ -1,17 +1,19 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import engine
-from tame3.algebra import Poly, lex_weight
+from tame3.algebra import Poly, lex_weight, total_weight
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
     ReductionTrace,
     ReductionVerdict,
     TameFactor,
+    TraceStep,
     apply_scaling,
     certificate_json,
     certify_nagata,
@@ -29,7 +31,7 @@ from tame3.engine import (
     verify_automorphism,
     invert_factors,
 )
-from tame3.search import permute_triple
+from tame3.search import ElementaryStep, permute_triple, unpermute_triple
 from tame3.univariate import BiPoly
 
 
@@ -80,6 +82,23 @@ def test_factor_validation(xyz):
         TameFactor.elementary(1, x1)  # uses its own variable
     with pytest.raises(ValueError):
         TameFactor.affine([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 0])
+
+
+def test_factor_shapes_are_checked_at_construction():
+    # a fourth column, a missing row and a 2-variable phi used to be accepted
+    # or to fail later with an IndexError inside apply
+    with pytest.raises(ValueError):
+        TameFactor.affine([[1, 0, 0, 5], [0, 1, 0, 0], [0, 0, 1, 0]], [0, 0, 0])
+    with pytest.raises(ValueError):
+        TameFactor.affine([[1, 0, 0], [0, 1, 0]], [0, 0])
+    with pytest.raises(ValueError):
+        TameFactor.affine([[1, 0, 0], [0, 1, 0]], [0, 0, 0])
+    with pytest.raises(ValueError):
+        TameFactor.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        TameFactor.elementary(1, Poly.variable(1, 2))
+    with pytest.raises(TypeError):
+        TameFactor.affine([[0.5, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
 
 
 _RATIONAL_MATRIX = [[Fraction(1, 2), Fraction(-2, 3), 0],
@@ -160,6 +179,34 @@ def _endo_by_hand(factor):
         sum((v.scale(c) for v, c in zip(y, row)), Poly.constant(b, 3))
         for row, b in zip(factor.matrix, factor.translation)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_factors())
+def test_affine_rows_are_canonical(factor):
+    assert factor.inverted().inverted() == factor
+    if factor.kind != "affine":
+        return
+    for nums, den in factor.rows:
+        assert den > 0 and math.gcd(den, *nums) == 1
+    assert TameFactor.affine(factor.matrix, factor.translation) == factor
+    as_ints = [[int(c) if c.denominator == 1 else c for c in row] for row in factor.matrix]
+    assert TameFactor.affine(as_ints, factor.translation) == factor
+
+
+def test_affine_json_is_unchanged():
+    f = TameFactor.affine(_RATIONAL_MATRIX, _RATIONAL_SHIFT)
+    assert f.to_json() == {
+        "kind": "affine",
+        "matrix": [["1/2", "-2/3", "0"], ["3/4", "1", "5/6"], ["0", "-1/5", "2"]],
+        "translation": ["7/3", "0", "-1/4"],
+    }
+    assert f.inverted().to_json() == {
+        "kind": "affine",
+        "matrix": [["26/25", "16/25", "-4/15"], ["-18/25", "12/25", "-1/5"],
+                   ["-9/125", "6/125", "12/25"]],
+        "translation": ["-187/75", "163/100", "36/125"],
+    }
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,6 +327,61 @@ def test_su_step_json_keys(su_pair_family):
     assert set(payload["witness"]) == {"sigma", "a", "b", "c", "phi3", "s", "delta"}
 
 
+_PAIR_COEFFS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _FRACTIONS,
+                               max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PAIR_COEFFS, st.integers(1, 3))
+def test_elementary_undo_places_phi_on_the_other_variables(coeffs, index):
+    y = identity_endo()
+    j, k = [x for x in range(3) if x != index - 1]
+    phi = BiPoly((y[0], y[1]), coeffs)
+    step = TraceStep("elementary", elementary=ElementaryStep(index, phi, None))
+    assert step.undo_factors() == [TameFactor.elementary(index, -phi.at((y[j], y[k])))]
+    with pytest.raises(ValueError):
+        phi.on_variables(j, j, 3)
+
+
+def _su_undo_by_composition(w):
+    """The SU undo factors built by Poly arithmetic and compose."""
+    y1, y2, y3 = identity_endo()
+
+    def perm(sigma):
+        return TameFactor.affine([[int(s - 1 == j) for j in range(3)] for s in sigma],
+                                 [0, 0, 0])
+
+    factors = [perm(unpermute_triple((1, 2, 3), w.sigma))]
+    for idx, phi in ((1, (y3 * y3).scale(w.a) + y3.scale(w.c)), (2, y3.scale(w.b)),
+                     (3, w.phi3.at((y1, y2)))):
+        if not phi.is_zero:
+            factors.append(TameFactor.elementary(idx, -phi))
+    factors.append(perm(w.sigma))
+    return factors
+
+
+def test_undo_factors_place_without_compose(su_pair_family, small_corpus, wt, monkeypatch):
+    steps = []
+    for ws, F, _ in su_pair_family:
+        steps += reduce_to_floor(ws, F, prefer="su", itercap=50).steps
+    for endo, _ in small_corpus[:6]:
+        steps += reduce_to_floor(wt, endo.components).steps
+    su_steps = [s for s in steps if s.kind == "su"]
+    assert len(su_steps) >= 4 and len(steps) > len(su_steps)
+    expected = [_su_undo_by_composition(s.su_witness) for s in su_steps]
+    calls = []
+    compose = Poly.compose
+
+    def counted(self, subs):
+        calls.append(1)
+        return compose(self, subs)
+
+    monkeypatch.setattr(Poly, "compose", counted)
+    undone = [step.undo_factors() for step in steps]
+    assert calls == []
+    assert [u for s, u in zip(steps, undone) if s.kind == "su"] == expected
+
+
 def test_elementary_step_expands_its_representation_once(wt, xyz, monkeypatch):
     # the search's residual is the reduced component, so the loop does not
     # expand the found representation again
@@ -341,6 +443,38 @@ def test_triangularize_weighted(xyz):
     assert ws.deg_endo(F) == ws.total
     factors = triangularize_at_floor(ws, F)
     assert recompose(factors) == F
+
+
+def _nonlinear(p, omit):
+    """p without its constant and linear terms and without the variables
+    in omit."""
+    return Poly(3, {m: c for m, c in p.terms.items()
+                    if sum(m) >= 2 and not any(m[i] for i in omit)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_FRACTIONS, min_size=12, max_size=12), _rational_polys(), _rational_polys())
+def test_floor_affine_factor_reads_the_linear_part(entries, p2, p3):
+    # F = A K + b with K unit-triangular in the total-weight order: the
+    # floor's affine factor is the one built from F's coefficients
+    matrix, shift = [entries[0:3], entries[3:6], entries[6:9]], entries[9:]
+    try:
+        affine = TameFactor.affine(matrix, shift)
+    except ValueError:
+        assume(False)
+    F = recompose([affine, TameFactor.elementary(2, _nonlinear(p2, (1, 2))),
+                   TameFactor.elementary(3, _nonlinear(p3, (2,)))])
+    linear = [[f.coeff(m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for f in F]
+    factors = triangularize_at_floor(total_weight(3), F)
+    assert factors[0] == TameFactor.affine(linear, [f.constant_term() for f in F])
+    assert factors[0] == affine
+
+
+def test_floor_singular_linear_part(wt, xyz):
+    x1, x2, x3 = xyz
+    F = (x1.scale(Fraction(1, 2)) + x2, x1 + x2.scale(2) + Poly.constant(1, 3), x3)
+    with pytest.raises(ValueError, match="internal inconsistency: singular linear part"):
+        triangularize_at_floor(wt, F)
 
 
 def test_triangularize_rejects_above_floor(wt, xyz):
