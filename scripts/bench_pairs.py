@@ -5,9 +5,9 @@
         --out BENCH_14.json
 
 Each checkout directory runs its own ``bench/run.py`` with ``--trace 0``.
-Pair k uses seed ``--first-seed + k``, runs both sides one after the other
-on that seed, and alternates which side runs first (the parent in even
-pairs).  A workload is a name, optionally followed by extra ``bench/run.py``
+Pair k uses seed ``FIRST_SEED + k`` (11, 12, ...), runs both sides one
+after the other on that seed, and alternates which side runs first (the
+parent in even pairs).  A workload is a name, optionally followed by extra ``bench/run.py``
 arguments; the default is every workload in the change's
 ``BENCHMARK.json``.  The output holds, per workload, every run's result
 line and, per end-to-end metric, both sides' median and quartiles, the
@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FIRST_SEED = 11
 
 
 def run_once(checkout: Path, workload: list[str], seed: int, seconds: float,
@@ -88,7 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--first-seed", type=int, default=11)
     parser.add_argument("--workload", action="append",
                         help="name and extra bench/run.py arguments; repeatable")
     parser.add_argument("--claimed", default=None, help="the metric the change claims")
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
-    seeds = [args.first_seed + k for k in range(args.pairs)]
+    seeds = [FIRST_SEED + k for k in range(args.pairs)]
 
     doc = {
         "what": "bench/run.py end-to-end metrics, parent commit beside this change",

@@ -139,8 +139,6 @@ class BiPoly:
     def on_variables(self, j: int, k: int, n: int) -> Poly:
         """``at`` on (x_{j+1}, x_{k+1}) of n variables, j != k: each pair
         (i, l) becomes the monomial with exponent i at j and l at k."""
-        if j == k:
-            raise ValueError("generators need two distinct variables")
         terms = {}
         for (a, b), c in self.coeffs.items():
             mono = [0] * n
