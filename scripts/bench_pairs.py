@@ -12,7 +12,13 @@ arguments; the default is every workload in the change's
 ``BENCHMARK.json``.  The output holds, per workload, every run's result
 line and, per end-to-end metric, both sides' median and quartiles, the
 ratio of the medians and how many pairs the change won (ties count for
-neither side).
+neither side), and the two pipeline tests:
+
+* ``claim_met``: the change won at least 9 in 10 of the pairs, and its
+  median is better than the parent's by more than the parent's q3 - q1;
+* ``within_bound``: the change median is worse than the parent's by at
+  most the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+  parent median.
 """
 
 from __future__ import annotations
@@ -49,23 +55,29 @@ def run_once(checkout: Path, workload: list[str], seed: int, seconds: float,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Median, quartiles and pair wins of every end-to-end metric."""
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Median, quartiles, pair wins and the two pipeline tests of every
+    end-to-end metric; ``metrics`` maps a name to its ``BENCHMARK.json``
+    entry."""
     by_seed = {side: {r["seed"]: r["metrics"] for r in runs if r["side"] == side}
                for side in SIDES}
     seeds = sorted(by_seed["parent"])
     summary = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         values = {side: [by_seed[side][s][name] for s in seeds] for side in SIDES}
         out = {}
         for side in SIDES:
             q1, median, q3 = _quartiles(values[side])
             out.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (out["change_median"] - out["parent_median"])
         out["change_over_parent"] = (out["change_median"] / out["parent_median"]
                                      if out["parent_median"] else None)
         out["change_wins"] = f"{wins}/{len(seeds)}"
+        out["claim_met"] = (10 * wins >= 9 * len(seeds)
+                            and gain > out["parent_q3"] - out["parent_q1"])
+        out["within_bound"] = gain >= -spec["bound"] * abs(out["parent_median"])
         summary[name] = out
     return summary
 
@@ -98,7 +110,7 @@ def main(argv=None) -> int:
         parser.error("need --pairs >= 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
     seeds = [FIRST_SEED + k for k in range(args.pairs)]
@@ -131,7 +143,7 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "digests_match": all(digests[s, "parent"] == digests[s, "change"]
                                  for s in seeds),
-            "summary": summarize(runs, better),
+            "summary": summarize(runs, metrics),
             "runs": runs,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -11,6 +11,7 @@ whose every store is a single slot assignment of a correct value.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from collections.abc import Mapping
@@ -461,7 +462,10 @@ class WeightSystem:
 
     def rank(self) -> int:
         """Rank of the integer lattice spanned by the weight vectors."""
-        return len(_echelon(({k: c for k, c in enumerate(w) if c}, 0) for w in self.weights))
+        system = Elimination()
+        for w in self.weights:
+            system.add((k, c) for k, c in enumerate(w) if c)
+        return system.rank
 
     def monomial_vec(self, mono: Sequence[int]) -> tuple:
         """The weighted degree of mono as a plain int tuple (lex-ordered)."""
@@ -484,6 +488,17 @@ class WeightSystem:
             cache[mono] = vec
         return vec
 
+    def term_vecs(self, monos) -> list[tuple]:
+        """The degree vectors of the monomials in ``monos`` (the keys of a
+        Poly's ``nums``), in order: one cache lookup each when every one is
+        cached, else through ``monomial_vec``, which checks arity."""
+        if self._is_total:
+            return [(sum(m),) for m in monos]
+        try:
+            return list(map(self._vec_cache.__getitem__, monos))
+        except KeyError:
+            return list(map(self.monomial_vec, monos))
+
     def monomial_degree(self, mono: Sequence[int]) -> DegreeValue:
         return _degree(self.monomial_vec(mono))
 
@@ -504,10 +519,7 @@ class WeightSystem:
         elif self._is_total:
             d = _degree((max(map(sum, nums)),))
         else:
-            try:
-                d = _degree(max(map(self._vec_cache.__getitem__, nums)))
-            except KeyError:
-                d = _degree(max(map(self.monomial_vec, nums)))
+            d = _degree(max(self.term_vecs(nums)))
         f._deg = (w, d)
         return d
 
@@ -520,8 +532,9 @@ class WeightSystem:
             top = d.vec[0]
             nums = {m: c for m, c in f.nums.items() if sum(m) == top}
         else:
-            vec = self.monomial_vec
-            nums = {m: c for m, c in f.nums.items() if vec(m) == d.vec}
+            top = d.vec
+            nums = {m: c for (m, c), v in zip(f.nums.items(), self.term_vecs(f.nums))
+                    if v == top}
         out = _poly(f.n, nums, f.den)
         out._deg = (self.weights, d)
         return out
@@ -808,81 +821,127 @@ def poly_to_text(f: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows) -> Optional[dict]:
-    """Fraction-free echelon form of a sparse integer system, or None when
-    it is inconsistent.
+class Elimination:
+    """Fraction-free elimination of a sparse linear system, column by column.
 
-    ``rows`` is an iterable of ``(coeffs, rhs)``: ``coeffs`` maps unknown
-    index to a nonzero int and ``rhs`` is an int.  Rows are taken in the
-    given order and each pivots on its smallest unknown; the result maps
-    each pivot unknown to its stored ``(coeffs, rhs)``, kept primitive with
-    a positive lead, so every step is an int operation.  An inconsistent
-    row ends the scan before the remaining rows are read.
+    The system asks for x with sum_k x_k * column_k / den_k == target / den,
+    where the target and every column are sparse integer vectors: mappings
+    (or iterables of pairs) from a row key, any hashable and totally ordered
+    key, to nonzero ints, each over a positive int denominator.  Columns may
+    be added in rounds, and ``solution`` asked for after any of them.
+
+    Each added column is reduced against the pivots so far.  When something
+    is left, the column is independent of the columns before it, and the
+    remainder becomes a pivot on its largest key: it is stored primitive with
+    a positive lead, beside the integer combination of the original columns
+    it equals, so every step is an int operation.  A pivot's keys are at most
+    its own key, so one pass over the pivots in descending key order cancels
+    them all.  The pivot columns are the columns independent of the columns
+    before them, and ``solution`` is the target's unique representation on
+    them, with 0 for every other column; row elimination with free unknowns
+    set to 0 gives the same answer.  The target's residual is kept across
+    rounds, so a later ``solution`` reduces it only against the new pivots.
     """
-    pivots: dict[int, tuple[dict, int]] = {}
-    for coeffs, rhs in rows:
-        row = dict(coeffs)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            prow, prhs = piv
-            # cancel the lead: row <- a*row - b*prow, a/b = p/factor in lowest terms
-            p, factor = prow[lead], row.pop(lead)
+
+    __slots__ = ("_den", "_dens", "_pivots", "_keys", "_fresh", "_residual")
+
+    def __init__(self, target=(), den: int = 1):
+        self._den = den
+        self._dens: list[int] = []
+        self._pivots: dict = {}  # key -> (vec, combo)
+        self._keys: list = []  # pivot keys, ascending
+        self._fresh: list = []  # pivot keys the residual has not met
+        # residual == combo[-1] * target + sum_k combo[k] * column_k
+        self._residual = (dict(target), {-1: 1})
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def width(self) -> int:
+        """The number of columns added."""
+        return len(self._dens)
+
+    def add(self, column, den: int = 1) -> None:
+        """Append the next column, column / den."""
+        k = len(self._dens)
+        self._dens.append(den)
+        vec, combo = self._reduce(dict(column), {k: 1}, reversed(self._keys))
+        if not vec:
+            return
+        lead = max(vec)
+        self._pivots[lead] = _primitive(vec, combo, vec[lead] < 0)
+        bisect.insort(self._keys, lead)
+        self._fresh.append(lead)
+
+    def solution(self) -> Optional[list[Fraction]]:
+        """x over the columns added so far, or None when the target is not
+        in their span."""
+        if self._fresh:
+            self._fresh.sort(reverse=True)
+            self._residual = _primitive(*self._reduce(*self._residual, self._fresh))
+            self._fresh = []
+        vec, combo = self._residual
+        if vec:
+            return None
+        t = -combo[-1] * self._den
+        return [Fraction(combo[k] * den, t) if k in combo else ZERO
+                for k, den in enumerate(self._dens)]
+
+    def _reduce(self, vec: dict, combo: dict, keys) -> tuple[dict, dict]:
+        """Cancel the pivots `keys` (descending) from vec; combo follows."""
+        pivots = self._pivots
+        for key in keys:
+            factor = vec.get(key)
+            if factor is None:
+                continue
+            pvec, pcombo = pivots[key]
+            # vec <- a*vec - b*pvec, a/b = lead/factor in lowest terms
+            p = pvec[key]
             g = math.gcd(p, factor)
             a, b = p // g, factor // g
             if a != 1:
-                row = {k: a * v for k, v in row.items()}
-                rhs *= a
-            for k, v in prow.items():
-                if k == lead:
-                    continue
-                nv = row.get(k, 0) - b * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            rhs -= b * prhs
-        if row:
-            lead = min(row)
-            g = math.gcd(rhs, *row.values())
-            if row[lead] < 0:
-                g = -g
-            if g != 1:
-                row = {k: v // g for k, v in row.items()}
-                rhs //= g
-            pivots[lead] = (row, rhs)
-        elif rhs:
-            return None
-    return pivots
+                vec = {k: a * v for k, v in vec.items()}
+                combo = {k: a * v for k, v in combo.items()}
+            for part, prow in ((vec, pvec), (combo, pcombo)):
+                for k, v in prow.items():
+                    nv = part.get(k, 0) - b * v
+                    if nv:
+                        part[k] = nv
+                    else:
+                        del part[k]
+        return vec, combo
+
+
+def _primitive(vec: dict, combo: dict, negate: bool = False) -> tuple[dict, dict]:
+    """vec and combo divided by their common content, negated too if asked."""
+    g = math.gcd(*vec.values(), *combo.values())
+    if negate:
+        g = -g
+    if g == 1:
+        return vec, combo
+    return {k: v // g for k, v in vec.items()}, {k: v // g for k, v in combo.items()}
 
 
 def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
     """Exact solve of a sparse integer system; free unknowns get 0.
 
-    ``rows`` is as for ``_echelon``, whose pivots decide the answer.  The
-    back substitution keeps the solution as ints over one common
-    denominator, so each unknown costs one division at the end.
+    ``rows`` is an iterable of ``(coeffs, rhs)``: ``coeffs`` maps unknown
+    index to a nonzero int and ``rhs`` is an int.  The rows are read once
+    into columns keyed by row number, which one ``Elimination`` solves.
     """
-    pivots = _echelon(rows)
-    if pivots is None:
-        return None
-    nums: dict[int, int] = {}
-    den = 1
-    for lead in sorted(pivots, reverse=True):
-        prow, prhs = pivots[lead]
-        acc = prhs * den - sum(v * nums[k] for k, v in prow.items() if k in nums)
-        p = prow[lead]
-        g = math.gcd(acc, p)
-        acc, p = acc // g, p // g
-        if p != 1:
-            for k in nums:
-                nums[k] *= p
-            den *= p
-        if acc:
-            nums[lead] = acc
-    return [Fraction(nums[k], den) if k in nums else ZERO for k in range(ncols)]
+    columns: list[dict] = [{} for _ in range(ncols)]
+    target = {}
+    for r, (coeffs, rhs) in enumerate(rows):
+        for k, c in coeffs.items():
+            columns[k][r] = c
+        if rhs:
+            target[r] = rhs
+    system = Elimination(target)
+    for column in columns:
+        system.add(column)
+    return system.solution()
 
 
 def solve_contents(target, columns) -> Optional[list[Fraction]]:
@@ -891,9 +950,9 @@ def solve_contents(target, columns) -> Optional[list[Fraction]]:
 
     Each argument is ``(den, contents)`` with ``contents`` an iterable of
     ``(monomial, int)`` pairs, standing for the sum of c * x^m / den.  There
-    is one row per monomial of the columns, in descending monomial order; a
-    target monomial that no column has makes the system inconsistent
-    without a solve.  On contents, unknown k is x_k * target_den / den_k.
+    is one row per monomial of the columns; a target monomial that no column
+    has makes the system inconsistent without a solve.  On contents, unknown
+    k is x_k * target_den / den_k.
     """
     tden, tnums = target
     rows: dict = {}
@@ -909,12 +968,10 @@ def solve_contents(target, columns) -> Optional[list[Fraction]]:
     rhs = dict(tnums)
     if not rhs.keys() <= rows.keys():
         return None
-    sol = solve_sparse_int(
-        ((rows[m], rhs.get(m, 0)) for m in sorted(rows, reverse=True)), len(dens)
-    )
+    sol = solve_sparse_int(((row, rhs.get(m, 0)) for m, row in rows.items()), len(dens))
     if sol is None:
         return None
-    return [c * den / tden for c, den in zip(sol, dens)]
+    return [Fraction(c.numerator * den, c.denominator * tden) for c, den in zip(sol, dens)]
 
 
 def poly_sqrt(p: Poly) -> Optional[Poly]:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
     DegreeValue,
+    Elimination,
     Poly,
     ScaledPair,
     WeightSystem,
@@ -112,14 +113,16 @@ class MembershipOutcome:
 
 
 class _ProductCache:
-    """Cached powers and products of a fixed generator pair f, g.
+    """Cached powers of a fixed generator pair f, g, and the slices of their
+    products f^i g^j that a leading search reads.
 
     Weighted degree is additive, so the terms of f^i g^j at its own degree
     i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg.
     ``tail`` at that degree (every exact-slice pair) reads the leading-form
-    product and builds no full product; only a widened pair, above the
-    target degree, builds the full f^i g^j, whose terms are sorted by degree
-    once for threshold slicing.
+    product.  A widened pair lies above the target degree; its ``tail``
+    multiplies the powers f^i and g^j, each built once and sorted by degree
+    once, and skips every term pair whose degrees sum below the threshold,
+    so no full f^i g^j is built.
     """
 
     def __init__(self, f: Poly, g: Poly, ws: WeightSystem):
@@ -132,25 +135,36 @@ class _ProductCache:
         one = Poly.constant(1, f.n)
         self._fp: dict[int, Poly] = {0: one, 1: f}
         self._gp: dict[int, Poly] = {0: one, 1: g}
-        self._prod: dict[tuple[int, int], Poly] = {}
         self._lfp: dict[int, Poly] = {0: one, 1: self.lf}
         self._lgp: dict[int, Poly] = {0: one, 1: self.lg}
         self._lprod: dict[tuple[int, int], Poly] = {}
-        self._sorted: dict[tuple[int, int], list] = {}
+        self._sorted: dict[tuple[int, int], list] = {}  # (0, i) f^i, (1, j) g^j
 
     @staticmethod
-    def _product(prod: dict, fp: dict, gp: dict, i: int, j: int) -> Poly:
-        """fp[1]^i gp[1]^j, caching every power and product it builds."""
-        key = (i, j)
-        if key not in prod:
-            for powers, k in ((fp, i), (gp, j)):
-                for e in range(len(powers), k + 1):
-                    powers[e] = powers[e - 1] * powers[1]
-            prod[key] = gp[j] if i == 0 else fp[i] if j == 0 else fp[i] * gp[j]
-        return prod[key]
+    def _power(powers: dict, k: int) -> Poly:
+        """powers[1]^k, caching every power of the chain it builds."""
+        for e in range(len(powers), k + 1):
+            powers[e] = powers[e - 1] * powers[1]
+        return powers[k]
 
-    def product(self, i: int, j: int) -> Poly:
-        return self._product(self._prod, self._fp, self._gp, i, j)
+    def _leading_product(self, i: int, j: int) -> Poly:
+        key = (i, j)
+        if key not in self._lprod:
+            fi, gj = self._power(self._lfp, i), self._power(self._lgp, j)
+            self._lprod[key] = gj if i == 0 else fi if j == 0 else fi * gj
+        return self._lprod[key]
+
+    def _sorted_power(self, side: int, k: int) -> list:
+        """[(degree vector, mono, int)] of f^k (side 0) or g^k (side 1), by
+        descending degree vector."""
+        key = (side, k)
+        entries = self._sorted.get(key)
+        if entries is None:
+            p = self._power((self._fp, self._gp)[side], k)
+            entries = sorted(zip(self.ws.term_vecs(p.nums), p.nums, p.nums.values()),
+                             key=itemgetter(0), reverse=True)
+            self._sorted[key] = entries
+        return entries
 
     def size_bound(self, i: int, j: int) -> int:
         """A bound on the term count of f^i g^j: at most tf^i tg^j products
@@ -163,35 +177,49 @@ class _ProductCache:
         return min(tf**i * tg**j, dense)
 
     def product_within(self, i: int, j: int, term_cap: int) -> bool:
-        """Whether f^i g^j is worth building: its size bound stays within
-        term_cap, and the last multiplication in its chain, which dominates
-        the build cost, within 50 * term_cap term pairs.  Decided from the
-        bound alone; the product is built when ``tail`` first reads it."""
+        """Whether f^i g^j is worth searching over: its size bound stays
+        within term_cap, and the last multiplication in its chain within
+        50 * term_cap term pairs.  Decided from the bound alone; the powers
+        are built when ``tail`` first reads them."""
         bound = self.size_bound(i, j)
         tf, tg = len(self.f.nums), len(self.g.nums)
         return bound <= term_cap and bound * max(tf, tg) <= 50 * term_cap
 
     def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
-        """(denominator, [(mono, int_coeff)] of the terms of f^i g^j with
-        degree >= threshold), from the product's terms sorted by their degree
-        vectors; at the degree of f^i g^j itself, the contents of lf^i lg^j."""
+        """(denominator, [(mono, int_coeff)]) of the terms of f^i g^j with
+        degree >= threshold; at the degree of f^i g^j itself, the contents
+        of lf^i lg^j."""
         if tuple(i * a + j * b for a, b in zip(*self._degs)) == threshold.vec:
-            p = self._product(self._lprod, self._lfp, self._lgp, i, j)
+            p = self._leading_product(i, j)
             return p.den, list(p.nums.items())
-        p = self.product(i, j)
-        entries = self._sorted.get((i, j))
-        if entries is None:
-            vec = self.ws.monomial_vec
-            entries = sorted(((vec(m), m, c) for m, c in p.nums.items()),
-                             key=itemgetter(0), reverse=True)
-            self._sorted[(i, j)] = entries
-        top = threshold.vec
-        out = []
-        for v, m, c in entries:
-            if v < top:
+        return self._truncated(i, j, threshold.vec)
+
+    def _truncated(self, i: int, j: int, top: tuple) -> tuple[int, list]:
+        """The terms of f^i g^j with degree vector >= top, from the term
+        pairs of f^i and g^j whose degree vectors sum to at least top."""
+        fs, gs = self._sorted_power(0, i), self._sorted_power(1, j)
+        g_top = gs[0][0]
+        acc: dict = {}
+        for fv, fm, fc in fs:
+            # gv >= top - fv, read off the sorted powers
+            need = tuple(t - v for t, v in zip(top, fv))
+            if g_top < need:
                 break
-            out.append((m, c))
-        return p.den, out
+            for gv, gm, gc in gs:
+                if gv < need:
+                    break
+                m = tuple(map(add, fm, gm))
+                v = acc.get(m)
+                acc[m] = fc * gc if v is None else v + fc * gc
+        den = self._fp[i].den * self._gp[j].den
+        return den, [(m, c) for m, c in acc.items() if c]
+
+
+def _above(ws: WeightSystem, p: Poly, threshold: DegreeValue) -> tuple[int, list]:
+    """(den, [(mono, int_coeff)]) of the terms of p with degree >= threshold."""
+    top = threshold.vec
+    return p.den, [(m, c) for (m, c), v in zip(p.nums.items(), ws.term_vecs(p.nums))
+                   if v >= top]
 
 
 def _solve_with_pairs(
@@ -203,11 +231,13 @@ def _solve_with_pairs(
     cache: _ProductCache,
 ) -> Optional[BiPoly]:
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) < threshold."""
-    vec, top = ws.monomial_vec, threshold.vec
-    sol = solve_contents(
-        (target.den, [(m, c) for m, c in target.nums.items() if vec(m) >= top]),
-        [cache.tail(i, j, threshold) for i, j in pairs],
-    )
+    return _over_pairs(gens, pairs, solve_contents(
+        _above(ws, target, threshold), [cache.tail(i, j, threshold) for i, j in pairs]))
+
+
+def _over_pairs(gens, pairs: list, sol: Optional[list]) -> Optional[BiPoly]:
+    """The BiPoly with coefficients sol on the exponent pairs; None for no
+    solution."""
     if sol is None:
         return None
     return BiPoly(gens, {pair: c for pair, c in zip(pairs, sol) if c})
@@ -317,8 +347,11 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     the target degree may cancel among themselves.
 
     Round k adds the k-th level i + j (i, j <= max_bidegree) with a product
-    worth building; a level's products are built only when its round runs,
-    and the exact pairs stay in every round.
+    worth searching over; a level's truncated products are built only when
+    its round runs, and the exact pairs stay in every round.  The rounds
+    share one elimination, so round k reduces only its own columns and the
+    target's residual, and its answer is the one-round solve's on every
+    pair so far.
     """
     f, g = state.gens
     d = state.degree
@@ -334,6 +367,10 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     first_cap = d.first + 4 * max(d1.first, d2.first)
     top = limits.max_bidegree
     pairs = list(state.exact_pairs)
+    # one elimination for every round: a round adds only its new columns,
+    # and the first round the exact pairs' too
+    tden, tnums = _above(ws, state.target, d)
+    system = Elimination(tnums, tden)
     rounds = 0
     for level in range(2 * top + 1):
         if rounds == limits.max_cancellation_rounds:
@@ -348,7 +385,10 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
         if len(pairs) == width:
             continue
         rounds += 1
-        found = _solve_with_pairs(ws, state.target, state.gens, pairs, d, cache)
+        for i, j in pairs[system.width:]:
+            den, contents = cache.tail(i, j, d)
+            system.add(contents, den)
+        found = _over_pairs(state.gens, pairs, system.solution())
         if found is not None:
             return _found(ws, state.target, found, rounds)
     return MembershipOutcome(
@@ -744,10 +784,9 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     with 2m <= s - 1 lies wholly below s*delta, so its column would be zero.
     """
     target_deg = s * delta
-    vec, top = ws.monomial_vec, target_deg.vec
 
     def above(p: Poly) -> tuple:
-        return p.den, [(m, c) for m, c in p.nums.items() if vec(m) >= top]
+        return _above(ws, p, target_deg)
 
     f3sq, us = f3 * f3, u**s
     columns = [above(f3sq), above(f3)]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tame3.algebra import (
     DegreeValue,
+    Elimination,
     Poly,
     ScaledPair,
     WeightSystem,
@@ -25,7 +26,6 @@ from tame3.algebra import (
     total_weight,
     z_independent,
 )
-from tame3.algebra import _echelon
 from tame3.univariate import AuxPoly
 
 try:
@@ -479,17 +479,21 @@ def test_sparse_solver_agrees_with_sympy_rref(m, n, rng):
     else:
         rhs = [rng.randint(-4, 4) for _ in range(m)]
     sol = solve_sparse_int(iter(_rows(matrix, rhs)), n)
-    echelon = _echelon(iter(_rows(matrix, rhs)))
+    system = Elimination({r: b for r, b in enumerate(rhs) if b})
+    for j in range(n):
+        system.add({r: row[j] for r, row in enumerate(matrix) if row[j]})
     reduced, pivots = sympy.Matrix([r + [b] for r, b in zip(matrix, rhs)]).rref()
     if n in pivots:
-        assert sol is None and echelon is None
+        assert sol is None and system.solution() is None
         return
-    # the elimination stays on ints: stored rows are primitive, lead positive
-    assert set(echelon) == set(pivots)
-    for lead, (row, b) in echelon.items():
-        assert lead == min(row) and row[lead] > 0
-        assert all(type(v) is int for v in (b, *row.values()))
-        assert math.gcd(b, *row.values()) == 1
+    # the pivot columns are sympy's, and the elimination stays on ints: each
+    # stored pivot is primitive with a positive lead on its largest key, and
+    # its combination ends at the column it was added as
+    assert {max(combo) for _, combo in system._pivots.values()} == set(pivots)
+    for lead, (vec, combo) in system._pivots.items():
+        assert lead == max(vec) and vec[lead] > 0
+        assert all(type(v) is int for v in (*vec.values(), *combo.values()))
+        assert math.gcd(*vec.values(), *combo.values()) == 1
     # pivot unknowns from the reduced rows, free unknowns 0
     expected = [Fraction(0)] * n
     for i, j in enumerate(pivots):
@@ -497,6 +501,63 @@ def test_sparse_solver_agrees_with_sympy_rref(m, n, rng):
         expected[j] = Fraction(int(q.p), int(q.q))
     assert sol == expected
     assert all(isinstance(c, Fraction) for c in sol)
+
+
+def _mix(keys, a, b, ca, cb):
+    """ca * a + cb * b for contents columns (den, {key: int})."""
+    (da, va), (db, vb) = a, b
+    mixed = {k: ca * db * va.get(k, 0) + cb * da * vb.get(k, 0) for k in keys}
+    return da * db, {k: v for k, v in mixed.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.randoms(use_true_random=False))
+def test_elimination_rounds_agree_with_solve_contents(m, n, rng):
+    # random sparse columns, some dependent on earlier ones, and a target
+    # that may be inconsistent; a last column (the target less a mix of
+    # earlier columns) makes it consistent.  Fed in random rounds, the
+    # elimination answers after every round what solve_contents answers on
+    # the columns so far: the same Fractions, or None.
+    keys = [(k, m - k) for k in range(m)]
+
+    def sparse():
+        values = {k: rng.choice((0, 0, rng.randint(-9, 9))) for k in keys}
+        return rng.randint(1, 4), {k: v for k, v in values.items() if v}
+
+    columns = []
+    for _ in range(n):
+        if columns and rng.random() < 0.4:
+            a, b = rng.choice(columns), rng.choice(columns)
+            columns.append(_mix(keys, a, b, rng.randint(-3, 3), rng.randint(-3, 3)))
+        else:
+            columns.append(sparse())
+    target = sparse()
+    a, b = rng.choice(columns), rng.choice(columns)
+    columns.append(_mix(keys, target, _mix(keys, a, b, rng.randint(-3, 3), 1), 1, -1))
+    cuts = sorted(rng.sample(range(1, n + 1), rng.randint(0, n))) + [n + 1]
+    system = Elimination(target[1], target[0])
+    answers = []
+    for end in cuts:
+        for den, contents in columns[system.width:end]:
+            system.add(contents, den)
+        expected = solve_contents((target[0], target[1].items()),
+                                  [(den, contents.items()) for den, contents in columns[:end]])
+        answers.append(expected)
+        assert system.solution() == expected
+        assert system.solution() == expected
+    assert answers[-1] is not None
+
+
+def test_elimination_round_makes_a_target_consistent():
+    # x + y is out of reach of x + 2y and 2x + 4y, and in reach once y joins
+    x, y = (1, 0), (0, 1)
+    system = Elimination({x: 1, y: 1})
+    system.add({x: 1, y: 2})
+    system.add({x: 2, y: 4}, 3)
+    assert system.solution() is None and system.rank == 1
+    system.add({y: 1})
+    assert system.solution() == [1, 0, -1]
+    assert system.rank == 2 and system.width == 3
 
 
 def test_solve_contents_rescales_and_rejects_untouched_monomials():

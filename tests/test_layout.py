@@ -72,8 +72,9 @@ def _solver_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in PKG.glob("*.py") if p.name != "algebra.py"),
                          ids=lambda p: p.name)
 def test_only_algebra_calls_the_sparse_solver(path):
-    # every solve goes through algebra.solve_contents, so a wrapper on
-    # solve_sparse_int in the algebra module sees all of them
+    # every one-round solve goes through algebra.solve_contents, so a
+    # wrapper on solve_sparse_int in the algebra module sees all of them
+    # (the widened search's rounds share one algebra.Elimination instead)
     assert _solver_imports(path) == []
 
 

@@ -1,5 +1,6 @@
 """Smoke runs of the experiments under scripts/, which call the engine API."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,13 @@ def _run(*args):
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           cwd=ROOT, env=env, timeout=120)
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_certificate_demo_matches_cli():
@@ -52,3 +60,30 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
             assert stats["parent_q1"] <= stats["parent_median"] <= stats["parent_q3"]
             assert stats["change_wins"] in ("0/1", "1/1")
     assert doc["workloads"]["compose --heldout-seed 1"]["extra_args"] == "--heldout-seed 1"
+    for workload in doc["workloads"].values():
+        for stats in workload["summary"].values():
+            assert type(stats["claim_met"]) is bool and type(stats["within_bound"]) is bool
+
+    # the two pipeline tests on made-up pairs: parent median 100, q3 - q1 2.5
+    bench_pairs = _load_script("bench_pairs")
+    parent = [90, 95, 100, 100, 100, 100, 100, 100, 105, 110]
+
+    def tests(change, better="higher", parent=parent):
+        runs = [{"side": side, "seed": k, "metrics": {"m": v}}
+                for side, values in (("parent", parent), ("change", change))
+                for k, v in enumerate(values)]
+        out = bench_pairs.summarize(runs, {"m": {"better": better, "bound": 0.25}})["m"]
+        return out["claim_met"], out["within_bound"]
+
+    # 9 of 10 pairs won and the median 3 better: met
+    assert tests([v + 3 for v in parent[:9]] + [99]) == (True, True)
+    # 8 of 10 won, or a median gain within the parent's spread: not met
+    assert tests([v + 3 for v in parent[:8]] + [99, 100]) == (False, True)
+    assert tests([v + 2 for v in parent]) == (False, True)
+    assert tests([v - 3 for v in parent], better="lower") == (True, True)
+    # the bound is a fraction of the parent median, met at its edge
+    flat = [100] * 10
+    assert tests([75] * 10, parent=flat) == (False, True)
+    assert tests([74] * 10, parent=flat) == (False, False)
+    assert tests([125] * 10, "lower", flat) == (False, True)
+    assert tests([126] * 10, "lower", flat) == (False, False)

@@ -1,10 +1,13 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tame3 import search
-from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
+from tame3 import cli, search
+from tame3.algebra import (DegreeValue, Poly, WeightSystem, lex_weight, parse_poly,
+                           poly_to_text, total_weight)
+from tame3.engine import random_tame
 from tame3.search import (
     DEFAULT_LIMITS,
     SearchLimits,
@@ -264,22 +267,47 @@ def test_widening_builds_only_the_levels_it_runs(xyz, monkeypatch):
     ws, target = total_weight(3), x + g1**2 - g2**3
     assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 2
     levels, degrees = [], []
-    product = search._ProductCache.product
+    truncated = search._ProductCache._truncated
 
-    def counted(cache, i, j):
+    def counted(cache, i, j, top):
         levels.append(i + j)
         degrees.append(i * ws.deg(cache.f) + j * ws.deg(cache.g))
-        return product(cache, i, j)
+        return truncated(cache, i, j, top)
 
-    monkeypatch.setattr(search._ProductCache, "product", counted)
+    monkeypatch.setattr(search._ProductCache, "_truncated", counted)
     d = ws.deg(target)
     phi, residual = search.peel(ws, target, (g1, g2), DEFAULT_LIMITS,
                                 lambda res, _: ws.deg(res) < d, 2)
     assert phi is not None and residual == x
     assert max(levels) == 3
     # the exact pair (1, 0) on the target's slice is a leading-form
-    # product: every full product built is a widened one, above the target
+    # product: every truncated product built is a widened one, above the
+    # target
     assert degrees and all(dd > d for dd in degrees)
+
+
+def test_widened_corpus_map_is_pinned(tmp_path, monkeypatch, capsys):
+    # corpus seed 19 at lex weight is the round trip's one widening map: its
+    # widened search cancels in round 5 on the pairs (2, 2) and (7, 0), and
+    # `factor --json` prints the bytes hashed here
+    endo, _ = random_tame(19, 5)
+    path = tmp_path / "F.txt"
+    path.write_text("".join(poly_to_text(f) + "\n" for f in endo.components))
+    widened = []
+    widen = search._widen
+
+    def counted(*args):
+        out = widen(*args)
+        widened.append(out)
+        return out
+
+    monkeypatch.setattr(search, "_widen", counted)
+    code = cli.main(["factor", str(path), "--weight", "1,0,0;0,1,0;0,0,1", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b1b3695067934949e839ba7d6f3c152b1222dbda8f029cb0685079d41c6be7f1"
+    assert [(out.rounds_used, set(out.found.coeffs)) for out in widened] == [
+        (5, {(2, 2), (7, 0)})]
 
 
 def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
@@ -305,17 +333,18 @@ def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
 
 def test_elementary_step_in_pass_one_builds_no_full_product(wt, xyz, monkeypatch):
     # pass 1 solves every exact slice on leading-form products; component 1
-    # is left open and component 3 steps, so no full f^i g^j is ever built
+    # is left open and component 3 steps, so no f^i g^j beyond its leading
+    # form, not even a truncated one, is ever built
     x1, x2, x3 = xyz
     F = (x1 - (x2 * x3).scale(2) - x3.scale(2), x2, x3 - (x2**2).scale(2))
     built = []
-    product = search._ProductCache.product
+    truncated = search._ProductCache._truncated
 
-    def counted(cache, i, j):
+    def counted(cache, i, j, top):
         built.append((i, j))
-        return product(cache, i, j)
+        return truncated(cache, i, j, top)
 
-    monkeypatch.setattr(search._ProductCache, "product", counted)
+    monkeypatch.setattr(search._ProductCache, "_truncated", counted)
     out = find_elementary_reduction(wt, F)
     assert out.step is not None and out.step.index == 3
     assert built == []
@@ -338,16 +367,26 @@ _TAIL_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (1, 1), (
 def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
     full = f**i * g**j
     d = ws.deg(full)
-    den, contents = search._ProductCache(f, g, ws).tail(i, j, d)
+    cache = search._ProductCache(f, g, ws)
+    den, contents = cache.tail(i, j, d)
     top = {m: c for m, c in full.terms.items() if ws.monomial_degree(m) == d}
     assert Poly.from_contents(3, dict(contents), den) == Poly(3, top)
+    # below its own degree (a widened pair) the tail is the full product cut
+    # at the threshold: each term pair reaching it counted once, none dropped
+    degrees = sorted({ws.monomial_degree(m) for m in full.nums}, key=lambda t: t.vec)
+    below_all = DegreeValue((-1,) + (0,) * (ws.r - 1))
+    for threshold in [below_all] + degrees[:-1]:
+        den, contents = cache.tail(i, j, threshold)
+        assert len({m for m, _ in contents}) == len(contents)
+        cut = {m: c for m, c in full.terms.items() if ws.monomial_degree(m) >= threshold}
+        assert Poly.from_contents(3, dict(contents), den) == Poly(3, cut)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_nonconstant_polys(), _nonconstant_polys(), st.integers(0, 4), st.integers(0, 4))
 def test_product_size_never_exceeds_its_bound(f, g, i, j):
     cache = search._ProductCache(f, g, total_weight(3))
-    assert len(cache.product(i, j).nums) <= cache.size_bound(i, j)
+    assert len((f**i * g**j).nums) <= cache.size_bound(i, j)
 
 
 def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
