@@ -464,7 +464,7 @@ class WeightSystem:
         """Rank of the integer lattice spanned by the weight vectors."""
         system = Elimination()
         for w in self.weights:
-            system.add((k, c) for k, c in enumerate(w) if c)
+            system.add((1, [(k, c) for k, c in enumerate(w) if c]))
         return system.rank
 
     def monomial_vec(self, mono: Sequence[int]) -> tuple:
@@ -824,11 +824,12 @@ def poly_to_text(f: Poly) -> str:
 class Elimination:
     """Fraction-free elimination of a sparse linear system, column by column.
 
-    The system asks for x with sum_k x_k * column_k / den_k == target / den,
-    where the target and every column are sparse integer vectors: mappings
-    (or iterables of pairs) from a row key, any hashable and totally ordered
-    key, to nonzero ints, each over a positive int denominator.  Columns may
-    be added in rounds, and ``solution`` asked for after any of them.
+    The system asks for x with sum_k x_k * column_k == target.  The target
+    and each column are ``(den, contents)``, as for ``solve_contents``:
+    ``contents`` maps (or lists pairs from) a row key, any hashable and
+    totally ordered key, to a nonzero int, over a positive int ``den``.
+    Columns may be added in rounds, and ``solution`` asked for after any of
+    them.
 
     Each added column is reduced against the pivots so far.  When something
     is left, the column is independent of the columns before it, and the
@@ -845,14 +846,14 @@ class Elimination:
 
     __slots__ = ("_den", "_dens", "_pivots", "_keys", "_fresh", "_residual")
 
-    def __init__(self, target=(), den: int = 1):
-        self._den = den
+    def __init__(self, target=(1, ())):
+        self._den, contents = target
         self._dens: list[int] = []
         self._pivots: dict = {}  # key -> (vec, combo)
         self._keys: list = []  # pivot keys, ascending
         self._fresh: list = []  # pivot keys the residual has not met
-        # residual == combo[-1] * target + sum_k combo[k] * column_k
-        self._residual = (dict(target), {-1: 1})
+        # residual == combo[-1] * target + sum_k combo[k] * column_k, on contents
+        self._residual = (dict(contents), {-1: 1})
 
     @property
     def rank(self) -> int:
@@ -863,11 +864,14 @@ class Elimination:
         """The number of columns added."""
         return len(self._dens)
 
-    def add(self, column, den: int = 1) -> None:
-        """Append the next column, column / den."""
+    def add(self, column) -> None:
+        """Append the next column."""
+        den, contents = column
         k = len(self._dens)
         self._dens.append(den)
-        vec, combo = self._reduce(dict(column), {k: 1}, reversed(self._keys))
+        vec, combo = dict(contents), {k: 1}
+        if self._keys:
+            vec, combo = self._reduce(vec, combo, reversed(self._keys))
         if not vec:
             return
         lead = max(vec)
@@ -880,11 +884,14 @@ class Elimination:
         in their span."""
         if self._fresh:
             self._fresh.sort(reverse=True)
-            self._residual = _primitive(*self._reduce(*self._residual, self._fresh))
+            vec, combo = self._reduce(*self._residual, self._fresh)
             self._fresh = []
+            # a residual kept for later rounds is kept over its content
+            self._residual = _primitive(vec, combo) if vec else (vec, combo)
         vec, combo = self._residual
         if vec:
             return None
+        # on contents, x_k * column_k / den_k sums to target / den
         t = -combo[-1] * self._den
         return [Fraction(combo[k] * den, t) if k in combo else ZERO
                 for k, den in enumerate(self._dens)]
@@ -938,9 +945,9 @@ def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
             columns[k][r] = c
         if rhs:
             target[r] = rhs
-    system = Elimination(target)
+    system = Elimination((1, target))
     for column in columns:
-        system.add(column)
+        system.add((1, column))
     return system.solution()
 
 
@@ -949,29 +956,13 @@ def solve_contents(target, columns) -> Optional[list[Fraction]]:
     get 0.
 
     Each argument is ``(den, contents)`` with ``contents`` an iterable of
-    ``(monomial, int)`` pairs, standing for the sum of c * x^m / den.  There
-    is one row per monomial of the columns; a target monomial that no column
-    has makes the system inconsistent without a solve.  On contents, unknown
-    k is x_k * target_den / den_k.
+    ``(monomial, int)`` pairs, standing for the sum of c * x^m / den: one
+    round of an ``Elimination``, with one row per monomial.
     """
-    tden, tnums = target
-    rows: dict = {}
-    dens = []
-    for k, (den, contents) in enumerate(columns):
-        dens.append(den)
-        for m, c in contents:
-            row = rows.get(m)
-            if row is None:
-                rows[m] = {k: c}
-            else:
-                row[k] = c
-    rhs = dict(tnums)
-    if not rhs.keys() <= rows.keys():
-        return None
-    sol = solve_sparse_int(((row, rhs.get(m, 0)) for m, row in rows.items()), len(dens))
-    if sol is None:
-        return None
-    return [Fraction(c.numerator * den, c.denominator * tden) for c, den in zip(sol, dens)]
+    system = Elimination(target)
+    for column in columns:
+        system.add(column)
+    return system.solution()
 
 
 def poly_sqrt(p: Poly) -> Optional[Poly]:

@@ -177,10 +177,11 @@ class _ProductCache:
         return min(tf**i * tg**j, dense)
 
     def product_within(self, i: int, j: int, term_cap: int) -> bool:
-        """Whether f^i g^j is worth searching over: its size bound stays
-        within term_cap, and the last multiplication in its chain within
-        50 * term_cap term pairs.  Decided from the bound alone; the powers
-        are built when ``tail`` first reads them."""
+        """Whether the pair (i, j) joins the widened ansatz: the size bound
+        of f^i g^j stays within term_cap, and the term pairs of a last
+        multiplication in its chain within 50 * term_cap.  Decided from the
+        bound alone, so the pairs tried do not depend on what ``tail``
+        builds."""
         bound = self.size_bound(i, j)
         tf, tg = len(self.f.nums), len(self.g.nums)
         return bound <= term_cap and bound * max(tf, tg) <= 50 * term_cap
@@ -223,21 +224,22 @@ def _above(ws: WeightSystem, p: Poly, threshold: DegreeValue) -> tuple[int, list
 
 
 def _solve_with_pairs(
-    ws: WeightSystem,
-    target: Poly,
+    system: Elimination,
     gens: tuple[Poly, Poly],
     pairs: list[tuple[int, int]],
     threshold: DegreeValue,
     cache: _ProductCache,
 ) -> Optional[BiPoly]:
-    """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) < threshold."""
-    return _over_pairs(gens, pairs, solve_contents(
-        _above(ws, target, threshold), [cache.tail(i, j, threshold) for i, j in pairs]))
+    """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) <
+    threshold, where `system` was made from the target's terms at or above
+    threshold (``_above``).
 
-
-def _over_pairs(gens, pairs: list, sol: Optional[list]) -> Optional[BiPoly]:
-    """The BiPoly with coefficients sol on the exponent pairs; None for no
-    solution."""
+    The tails of the pairs past ``system.width`` are added as its columns
+    first, so a caller that extends `pairs` and solves again reduces only
+    the new columns."""
+    for i, j in pairs[system.width:]:
+        system.add(cache.tail(i, j, threshold))
+    sol = system.solution()
     if sol is None:
         return None
     return BiPoly(gens, {pair: c for pair, c in zip(pairs, sol) if c})
@@ -261,7 +263,8 @@ def homogeneous_membership(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(h)
     pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
-    found = _solve_with_pairs(ws, h, (g1h, g2h), pairs, d, _ProductCache(g1h, g2h, ws))
+    found = _solve_with_pairs(Elimination(_above(ws, h, d)), (g1h, g2h), pairs, d,
+                              _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
     return found
@@ -278,7 +281,8 @@ def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> Member
 class _Widening:
     """A target the exact decision left open: its generator leading forms
     are power-proportional (g^p a multiple of f^q), so only the cancellation
-    floor and the widened ansatz can settle it."""
+    floor and the widened ansatz can settle it.  ``system`` holds the exact
+    pairs' columns, which the widened rounds extend."""
 
     target: Poly
     gens: tuple[Poly, Poly]
@@ -286,6 +290,7 @@ class _Widening:
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
     q: int
+    system: Elimination
 
 
 def _decided_absent(exact_pairs: list, d: DegreeValue, shape_detail,
@@ -324,7 +329,8 @@ def _decide_exact(
     except ValueError:
         return MembershipOutcome(None, Absence("limits-exhausted",
                                                "degree-slice enumeration guard"))
-    found = _solve_with_pairs(ws, target, gens, exact_pairs, d, cache)
+    system = Elimination(_above(ws, target, d))
+    found = _solve_with_pairs(system, gens, exact_pairs, d, cache)
     if found is not None:
         return _found(ws, target, found, 0)
     if z_independent(d1, d2):
@@ -339,7 +345,7 @@ def _decide_exact(
         return _decided_absent(exact_pairs, d,
                                "homogeneous-slice-mismatch (independent leading forms)",
                                "independent leading forms")
-    return _Widening(target, gens, d, exact_pairs, cache, scaled.q)
+    return _Widening(target, gens, d, exact_pairs, cache, scaled.q, system)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -349,9 +355,9 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     Round k adds the k-th level i + j (i, j <= max_bidegree) with a product
     worth searching over; a level's truncated products are built only when
     its round runs, and the exact pairs stay in every round.  The rounds
-    share one elimination, so round k reduces only its own columns and the
-    target's residual, and its answer is the one-round solve's on every
-    pair so far.
+    extend the exact slice's elimination, so round k reduces only its own
+    columns and the target's residual, and its answer is the one-round
+    solve's on every pair so far.
     """
     f, g = state.gens
     d = state.degree
@@ -367,10 +373,6 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     first_cap = d.first + 4 * max(d1.first, d2.first)
     top = limits.max_bidegree
     pairs = list(state.exact_pairs)
-    # one elimination for every round: a round adds only its new columns,
-    # and the first round the exact pairs' too
-    tden, tnums = _above(ws, state.target, d)
-    system = Elimination(tnums, tden)
     rounds = 0
     for level in range(2 * top + 1):
         if rounds == limits.max_cancellation_rounds:
@@ -385,10 +387,7 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
         if len(pairs) == width:
             continue
         rounds += 1
-        for i, j in pairs[system.width:]:
-            den, contents = cache.tail(i, j, d)
-            system.add(contents, den)
-        found = _over_pairs(state.gens, pairs, system.solution())
+        found = _solve_with_pairs(state.system, state.gens, pairs, d, cache)
         if found is not None:
             return _found(ws, state.target, found, rounds)
     return MembershipOutcome(

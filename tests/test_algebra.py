@@ -479,9 +479,9 @@ def test_sparse_solver_agrees_with_sympy_rref(m, n, rng):
     else:
         rhs = [rng.randint(-4, 4) for _ in range(m)]
     sol = solve_sparse_int(iter(_rows(matrix, rhs)), n)
-    system = Elimination({r: b for r, b in enumerate(rhs) if b})
+    system = Elimination((1, {r: b for r, b in enumerate(rhs) if b}))
     for j in range(n):
-        system.add({r: row[j] for r, row in enumerate(matrix) if row[j]})
+        system.add((1, {r: row[j] for r, row in enumerate(matrix) if row[j]}))
     reduced, pivots = sympy.Matrix([r + [b] for r, b in zip(matrix, rhs)]).rref()
     if n in pivots:
         assert sol is None and system.solution() is None
@@ -535,11 +535,11 @@ def test_elimination_rounds_agree_with_solve_contents(m, n, rng):
     a, b = rng.choice(columns), rng.choice(columns)
     columns.append(_mix(keys, target, _mix(keys, a, b, rng.randint(-3, 3), 1), 1, -1))
     cuts = sorted(rng.sample(range(1, n + 1), rng.randint(0, n))) + [n + 1]
-    system = Elimination(target[1], target[0])
+    system = Elimination(target)
     answers = []
     for end in cuts:
-        for den, contents in columns[system.width:end]:
-            system.add(contents, den)
+        for column in columns[system.width:end]:
+            system.add(column)
         expected = solve_contents((target[0], target[1].items()),
                                   [(den, contents.items()) for den, contents in columns[:end]])
         answers.append(expected)
@@ -551,11 +551,11 @@ def test_elimination_rounds_agree_with_solve_contents(m, n, rng):
 def test_elimination_round_makes_a_target_consistent():
     # x + y is out of reach of x + 2y and 2x + 4y, and in reach once y joins
     x, y = (1, 0), (0, 1)
-    system = Elimination({x: 1, y: 1})
-    system.add({x: 1, y: 2})
-    system.add({x: 2, y: 4}, 3)
+    system = Elimination((1, {x: 1, y: 1}))
+    system.add((1, {x: 1, y: 2}))
+    system.add((3, {x: 2, y: 4}))
     assert system.solution() is None and system.rank == 1
-    system.add({y: 1})
+    system.add((1, {y: 1}))
     assert system.solution() == [1, 0, -1]
     assert system.rank == 2 and system.width == 3
 

@@ -72,9 +72,8 @@ def _solver_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in PKG.glob("*.py") if p.name != "algebra.py"),
                          ids=lambda p: p.name)
 def test_only_algebra_calls_the_sparse_solver(path):
-    # every one-round solve goes through algebra.solve_contents, so a
-    # wrapper on solve_sparse_int in the algebra module sees all of them
-    # (the widened search's rounds share one algebra.Elimination instead)
+    # solve_sparse_int is the row interface to algebra.Elimination; a
+    # wrapper on it in the algebra module sees every call
     assert _solver_imports(path) == []
 
 
