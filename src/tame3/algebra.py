@@ -655,6 +655,45 @@ def all_semigroup_pairs(
     return [(p, (mt - p * ma) // mb) for p in range(mt // ma + 1) if (mt - p * ma) % mb == 0]
 
 
+def cancellation_window(
+    d: DegreeValue, d1: DegreeValue, d2: DegreeValue, wedge: DegreeValue, p: int, q: int
+) -> Optional[list[tuple[int, int]]]:
+    """The pairs (i, j) with i*d1 + j*d2 > d that a representation phi over
+    f, g with deg phi(f, g) == d can use, by the generalized SU inequality;
+    None when it bounds nothing: floor.first <= 0, or f, g dependent.
+
+    Here deg f = d1 and deg g = d2 are positive with q*d1 == p*d2 for
+    coprime p, q (the leading forms are power-proportional), and wedge =
+    deg(df ^ dg).  Let I and J be phi's largest f- and g-exponents.  On
+    Phi = sum_j (sum_i c_ij f^i) y^j at g, Kuroda's inequality (arXiv
+    0801.0117) gives degS phi <= d + m*K, with K = d1 + d2 - wedge and m
+    the multiplicity of g^w in Phi's leading part.  That part is a
+    polynomial in y^p and (f^w)^q times a monomial, and g^w is a simple
+    root of y^p - a*(f^w)^q, so the integer m is at most J/p and at most
+    I/q.  With J*d2 and I*d1 at most degS phi, this gives J*floor <= p*d and
+    I*floor <= q*d for the cancellation floor q*d1 + wedge - d1 - d2.  So
+    when floor.first > 0, every pair lies in the window: i <= Imax,
+    j <= Jmax and d < i*d1 + j*d2 <= d + min(Jmax // p, Imax // q)*K.  The
+    pairs are listed by level i + j, then by i.
+    """
+    if wedge.is_bottom:  # dependent f, g: the inequality does not apply
+        return None
+    floor = q * d1 + wedge - d1 - d2
+    if floor.first <= 0:
+        return None
+    imax, jmax = q * d.first // floor.first, p * d.first // floor.first
+    top = (d + min(jmax // p, imax // q) * (d1 + d2 - wedge)).vec
+    pairs = []
+    for i in range(imax + 1):
+        for j in range(jmax + 1):
+            dd = tuple(i * a + j * b for a, b in zip(d1.vec, d2.vec))
+            if dd > top:  # i*d1 + j*d2 grows with j
+                break
+            if dd > d.vec:
+                pairs.append((i, j))
+    return sorted(pairs, key=lambda pair: (pair[0] + pair[1], pair[0]))
+
+
 def half(d: DegreeValue) -> Optional[DegreeValue]:
     """d/2 when every component is even, else None; no rational degrees."""
     if d.is_bottom:

@@ -341,8 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weight", default="total",
                            help="total | nagata-lex | 'a,b,c;d,e,f;g,h,i'")
         if with_limits:
-            p.add_argument("--limits-bidegree", type=int, default=None)
-            p.add_argument("--limits-rounds", type=int, default=None)
+            p.add_argument("--limits-bidegree", type=int, default=None,
+                           help="widened exponent cap, used only when no "
+                                "cancellation window bounds the search")
+            p.add_argument("--limits-rounds", type=int, default=None,
+                           help="widening rounds cap, used only when no "
+                                "cancellation window bounds the search")
 
     p = sub.add_parser("deg", help="weighted degree table of a triple")
     p.add_argument("file")

@@ -30,6 +30,7 @@ from .algebra import (
     ScaledPair,
     WeightSystem,
     all_semigroup_pairs,
+    cancellation_window,
     exists_multiple_exceeding,
     half,
     parallel_multipliers,
@@ -70,9 +71,13 @@ class SearchLimits:
     """Bounds for the cancellation ansatz; all positive.
 
     ``max_bidegree`` caps each generator exponent explored beyond the
-    exact-degree pairs; ``max_cancellation_rounds`` caps how many times the
-    ansatz is widened; ``max_candidates`` caps scalar/exponent branching in
-    the structured searches.
+    exact-degree pairs and ``max_cancellation_rounds`` caps how many times
+    the ansatz is widened; both apply only when the generalized SU
+    inequality leaves the widened pairs unbounded (no
+    ``algebra.cancellation_window``).  ``max_product_terms`` drops a
+    widened pair whose product may exceed that many terms;
+    ``max_candidates`` caps scalar/exponent branching in the structured
+    searches.
     """
 
     max_bidegree: int = 14
@@ -108,6 +113,8 @@ class Absence:
 class MembershipOutcome:
     found: Optional[BiPoly]
     absence: Optional[Absence] = None
+    # widened solves behind `found`: 0 on the exact slice, 1 over a
+    # cancellation window, else the level rounds that ran
     rounds_used: int = 0
     residual: Optional[Poly] = None  # target - found.value(), when found
 
@@ -282,13 +289,14 @@ class _Widening:
     """A target the exact decision left open: its generator leading forms
     are power-proportional (g^p a multiple of f^q), so only the cancellation
     floor and the widened ansatz can settle it.  ``system`` holds the exact
-    pairs' columns, which the widened rounds extend."""
+    pairs' columns, which the widened solve extends."""
 
     target: Poly
     gens: tuple[Poly, Poly]
     degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
+    p: int
     q: int
     system: Elimination
 
@@ -345,30 +353,62 @@ def _decide_exact(
         return _decided_absent(exact_pairs, d,
                                "homogeneous-slice-mismatch (independent leading forms)",
                                "independent leading forms")
-    return _Widening(target, gens, d, exact_pairs, cache, scaled.q, system)
+    return _Widening(target, gens, d, exact_pairs, cache, scaled.p, scaled.q, system)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
-    """Check the cancellation floor, then widen the ansatz so products above
-    the target degree may cancel among themselves.
+    """Check the cancellation floor, then solve over the pairs above the
+    target degree whose products may cancel among themselves.
 
-    Round k adds the k-th level i + j (i, j <= max_bidegree) with a product
+    When the generalized SU inequality bounds them
+    (``algebra.cancellation_window``), one solve extends the exact slice's
+    elimination by the window's pairs, less those ``max_product_terms``
+    drops.  The window lists its pairs in the level rounds' order: by level
+    i + j, then by i.  Only an unbounded window runs the rounds
+    (``_widen_by_levels``).  An absence
+    stays ``limits-exhausted`` either way; its detail names the window and
+    any pairs the term cap dropped.
+    """
+    f, g = state.gens
+    d = state.degree
+    d1, d2 = ws.deg(f), ws.deg(g)
+    wedge = wedge_degree(ws, f, g)
+    # Any element whose representation degree exceeds its value degree obeys
+    # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
+    # below it cannot be reached by the widened ansatz at all.
+    floor = state.q * d1 + wedge - d1 - d2
+    if d < floor:
+        return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
+                               "below the cancellation floor")
+    window = cancellation_window(d, d1, d2, wedge, state.p, state.q)
+    if window is None:
+        return _widen_by_levels(ws, state, limits)
+    cache = state.cache
+    kept = [pair for pair in window if cache.product_within(*pair, limits.max_product_terms)]
+    found = _solve_with_pairs(state.system, state.gens, state.exact_pairs + kept, d, cache)
+    if found is not None:
+        return _found(ws, state.target, found, 1)
+    detail = {"cancellation_window": [list(pair) for pair in window]}
+    if len(kept) < len(window):
+        detail["max_product_terms"] = limits.max_product_terms
+        detail["dropped"] = [list(pair) for pair in window if pair not in kept]
+    return MembershipOutcome(None, Absence("limits-exhausted", detail))
+
+
+def _widen_by_levels(ws: WeightSystem, state: _Widening,
+                     limits: SearchLimits) -> MembershipOutcome:
+    """The widened ansatz where no cancellation window bounds it.
+
+    Round k adds the k-th level i + j (i, j <= max_bidegree, first degree
+    component at most d.first + 4*max(d1.first, d2.first)) with a product
     worth searching over; a level's truncated products are built only when
     its round runs, and the exact pairs stay in every round.  The rounds
     extend the exact slice's elimination, so round k reduces only its own
     columns and the target's residual, and its answer is the one-round
     solve's on every pair so far.
     """
-    f, g = state.gens
     d = state.degree
-    d1, d2 = ws.deg(f), ws.deg(g)
-    # Any element whose representation degree exceeds its value degree obeys
-    # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
-    # below it cannot be reached by the widened ansatz at all.
-    floor = state.q * d1 + wedge_degree(ws, f, g) - d1 - d2
-    if d < floor:
-        return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
-                               "below the cancellation floor")
+    d1, d2 = (ws.deg(gen) for gen in state.gens)
     cache = state.cache
     first_cap = d.first + 4 * max(d1.first, d2.first)
     top = limits.max_bidegree

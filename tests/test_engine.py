@@ -502,7 +502,7 @@ def test_factor_tame_with_su_steps(su_pair_family, k):
     # factor_tame puts in front of the floor factorization.  The pairs are
     # not automorphisms (nonconstant Jacobian), so their reductions end
     # stuck; an SU automorphism that reaches the floor is still open
-    # (ROADMAP open item 4).
+    # (ROADMAP open item 6).
     ws, F, G = su_pair_family[k]
     trace = reduce_to_floor(ws, F, prefer="su", itercap=50)
     assert su_number(trace) >= 1

@@ -2,11 +2,11 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import cli, search
-from tame3.algebra import (DegreeValue, Poly, WeightSystem, lex_weight, parse_poly,
-                           poly_to_text, total_weight)
+from tame3.algebra import (DegreeValue, Poly, WeightSystem, cancellation_window,
+                           lex_weight, parse_poly, poly_to_text, total_weight)
 from tame3.engine import random_tame
 from tame3.search import (
     DEFAULT_LIMITS,
@@ -23,6 +23,8 @@ from tame3.search import (
     unpermute_triple,
 )
 from tame3.conditions import check_quasi_su
+from tame3.forms import wedge_degree
+from tame3.univariate import AuxPoly, BiPoly, degS, su_inequality_report
 
 D = DegreeValue.of
 
@@ -234,6 +236,11 @@ def test_elementary_exact_slice_before_widening(wt, xyz, monkeypatch):
     assert widened == []
 
 
+def _cancelling_pair(y, z):
+    # g1^2 and g2^3 share their degree-12 top and cancel down to degree 6
+    return y**6 + (y**2 * z).scale(Fraction(3, 2)), y**4 + z
+
+
 @pytest.mark.parametrize("case", ["nagata-lex", "widened-absence"])
 def test_elementary_reasons_in_component_order(case, nagata, xyz):
     # each absence is the leading search's own, listed 1, 2, 3 whichever
@@ -241,13 +248,13 @@ def test_elementary_reasons_in_component_order(case, nagata, xyz):
     if case == "nagata-lex":
         ws, F, limits = lex_weight(3), nagata.components, DEFAULT_LIMITS
     else:
-        # component 1 needs two widening rounds; components 2 and 3 are
+        # component 1 needs the window pairs (2, 0) and (0, 3), and a term
+        # cap of 7 drops (0, 3) (at most 2^3 terms); components 2 and 3 are
         # decided on their exact slices
         x, y, z = xyz
-        g1 = y**6 + (y**2 * z).scale(Fraction(3, 2))
-        g2 = y**4 + z
+        g1, g2 = _cancelling_pair(y, z)
         ws, F = total_weight(3), (x + g1**2 - g2**3, g1, g2)
-        limits = SearchLimits(max_cancellation_rounds=1)
+        limits = SearchLimits(max_product_terms=7)
     out = find_elementary_reduction(ws, F, limits)
     assert out.step is None
     assert list(out.reasons) == [1, 2, 3]
@@ -255,41 +262,78 @@ def test_elementary_reasons_in_component_order(case, nagata, xyz):
         for i, (j, k) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
             alone = leading_membership_search(ws, F[i - 1], (F[j - 1], F[k - 1]), limits)
             assert out.reasons[i].to_json() == alone.absence.to_json()
-        assert out.reasons[1].reason == "limits-exhausted"
+        assert out.reasons[1].to_json() == {"absent": {
+            "reason": "limits-exhausted", "rigorous": False,
+            "detail": {"cancellation_window": [[0, 2], [1, 1], [2, 0], [0, 3]],
+                       "max_product_terms": 7, "dropped": [[0, 3]]}}}
 
 
-def test_widening_builds_only_the_levels_it_runs(xyz, monkeypatch):
-    # g1^2 - g2^3 cancels the target's top at level i + j = 3, which is the
-    # second round (level 2 is the first with products above the target)
+def test_widening_builds_only_the_window(xyz, monkeypatch):
+    # at total weight deg g1 = 6, deg g2 = 4 (p, q = 3, 2) and
+    # deg(dg1 ^ dg2) = 4, so for a degree-6 target the floor is 6, Imax = 2,
+    # Jmax = 3 and m <= 1: the window is the pairs of degree 7..12
     x, y, z = xyz
-    g1 = y**6 + (y**2 * z).scale(Fraction(3, 2))
-    g2 = y**4 + z
+    g1, g2 = _cancelling_pair(y, z)
     ws, target = total_weight(3), x + g1**2 - g2**3
-    assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 2
-    levels, degrees = [], []
+    d = ws.deg(target)
+    window = cancellation_window(d, ws.deg(g1), ws.deg(g2), wedge_degree(ws, g1, g2), 3, 2)
+    assert window == [(0, 2), (1, 1), (2, 0), (0, 3)]
+    assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 1
+    built = []
     truncated = search._ProductCache._truncated
 
     def counted(cache, i, j, top):
-        levels.append(i + j)
-        degrees.append(i * ws.deg(cache.f) + j * ws.deg(cache.g))
+        built.append((i, j))
         return truncated(cache, i, j, top)
 
     monkeypatch.setattr(search._ProductCache, "_truncated", counted)
-    d = ws.deg(target)
     phi, residual = search.peel(ws, target, (g1, g2), DEFAULT_LIMITS,
                                 lambda res, _: ws.deg(res) < d, 2)
     assert phi is not None and residual == x
-    assert max(levels) == 3
     # the exact pair (1, 0) on the target's slice is a leading-form
-    # product: every truncated product built is a widened one, above the
-    # target
-    assert degrees and all(dd > d for dd in degrees)
+    # product: the truncated products built are the window's, each once
+    assert built == window
+
+
+def test_fully_solved_window_names_it(xyz):
+    # x^6 sits at the floor, so the window is searched, but no combination
+    # of products over y and z reaches an x
+    x, y, z = xyz
+    g1, g2 = _cancelling_pair(y, z)
+    out = leading_membership_search(total_weight(3), x**6, (g1, g2))
+    assert out.found is None
+    assert out.absence.to_json() == {"absent": {
+        "reason": "limits-exhausted", "rigorous": False,
+        "detail": {"cancellation_window": [[0, 2], [1, 1], [2, 0], [0, 3]]}}}
+
+
+def test_unbounded_window_runs_the_level_rounds(xyz, monkeypatch):
+    # at lex weight no degree here has an x component, so floor.first = 0
+    # and the inequality bounds nothing: the level rounds find g1^2 - g2^3
+    x, y, z = xyz
+    g1, g2 = _cancelling_pair(y, z)
+    ws, target = lex_weight(3), z**5 + g1**2 - g2**3
+    d1, d2 = ws.deg(g1), ws.deg(g2)
+    assert cancellation_window(ws.deg(target), d1, d2, wedge_degree(ws, g1, g2), 3, 2) is None
+    rounds = []
+    by_levels = search._widen_by_levels
+
+    def counted(*args):
+        out = by_levels(*args)
+        rounds.append(out.rounds_used)
+        return out
+
+    monkeypatch.setattr(search, "_widen_by_levels", counted)
+    out = leading_membership_search(ws, target, (g1, g2))
+    assert out.found is not None and out.found.coeffs == {(2, 0): 1, (0, 3): -1}
+    assert out.rounds_used == 3 and rounds == [3]
+    assert ws.deg(out.residual) < ws.deg(target)
 
 
 def test_widened_corpus_map_is_pinned(tmp_path, monkeypatch, capsys):
     # corpus seed 19 at lex weight is the round trip's one widening map: its
-    # widened search cancels in round 5 on the pairs (2, 2) and (7, 0), and
-    # `factor --json` prints the bytes hashed here
+    # window is exactly the pairs (2, 2) and (7, 0), which cancel in the one
+    # solve, and `factor --json` prints the bytes hashed here
     endo, _ = random_tame(19, 5)
     path = tmp_path / "F.txt"
     path.write_text("".join(poly_to_text(f) + "\n" for f in endo.components))
@@ -307,7 +351,82 @@ def test_widened_corpus_map_is_pinned(tmp_path, monkeypatch, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "b1b3695067934949e839ba7d6f3c152b1222dbda8f029cb0685079d41c6be7f1"
     assert [(out.rounds_used, set(out.found.coeffs)) for out in widened] == [
-        (5, {(2, 2), (7, 0)})]
+        (1, {(2, 2), (7, 0)})]
+
+
+def test_cancellation_window_of_the_corpus_map():
+    # seed 19's widening: d = (13, 1, 0), deg f = (2, 0, 0), deg g = (5, 0, 0),
+    # deg(df ^ dg) = (6, 1, 0) and 5*deg f = 2*deg g.  The floor is (9, 1, 0),
+    # so Imax = 65 // 9 = 7, Jmax = 26 // 9 = 2, m <= 1 and K = (1, -1, 0):
+    # the window's pairs lie in ((13, 1, 0), (14, 0, 0)]
+    window = cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), D(6, 1, 0), 2, 5)
+    assert window == [(2, 2), (7, 0)]
+    # dependent f, g, or a floor with first component 0, bounds nothing
+    assert cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), DegreeValue.bottom(),
+                               2, 5) is None
+    assert cancellation_window(D(0, 4, 2), D(0, 6, 0), D(0, 4, 0), D(0, 2, 2), 3, 2) is None
+
+
+_UNITS = ("x1", "x1 + x2", "x1*x2", "x2 - 2*x3")
+
+
+@st.composite
+def _power_proportional_case(draw):
+    """(p, q, f, g, phi): f = u^p + lower and g = u^q + lower at total
+    weight, so (g^w)^p = (f^w)^q, and phi(x, y) with a factor (x^q - y^p)^k,
+    which cancels the tops of its products at f, g."""
+    p, q = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]))
+    u = parse_poly(draw(st.sampled_from(_UNITS)), 3)
+
+    def lower(below):
+        # x3 keeps f and g independent for most units u
+        terms = {(0, 0, 1): 1} if below > 1 else {}
+        for _ in range(draw(st.integers(1, 3))):
+            mono = tuple(draw(st.integers(0, 2)) for _ in range(3))
+            if sum(mono) < below:
+                terms[mono] = draw(st.integers(-3, 3))
+        return Poly(3, terms)
+
+    du = u.total_degree()
+    f, g = u**p + lower(p * du), u**q + lower(q * du)
+
+    def small():
+        terms = {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(st.integers(-3, 3))
+                 for _ in range(draw(st.integers(1, 2)))}
+        return Poly(2, terms)
+
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    phi = small() * (x**q - y**p)**draw(st.integers(0, 2)) + small()
+    return p, q, f, g, phi
+
+
+@settings(max_examples=40, deadline=None)
+@given(_power_proportional_case())
+def test_cancellation_window_holds_every_cancelling_pair(case):
+    # Kuroda's inequality on Phi = sum_j (sum_i c_ij f^i) y^j at g, as the
+    # oracle evaluates it, against the window built from the same degrees
+    p, q, f, g, phi2 = case
+    ws = total_weight(3)
+    wedge = wedge_degree(ws, f, g)
+    assume(not phi2.is_zero and not wedge.is_bottom)
+    phi = BiPoly((f, g), phi2.terms)
+    d, d1, d2 = ws.deg(phi.value()), ws.deg(f), ws.deg(g)
+    assert q * d1 == p * d2
+    columns = {}
+    for (i, j), c in phi.coeffs.items():
+        columns[j] = columns.get(j, Poly.zero(3)) + (f**i).scale(c)
+    report = su_inequality_report(ws, (f,), AuxPoly(3, columns), g)
+    assert report.holds is True
+    assert report.lhs == d and report.aux_deg == degS(ws, phi)
+    # the two bounds on the multiplicity that the window rests on
+    big_i = max(i for i, _ in phi.coeffs)
+    big_j = max(j for _, j in phi.coeffs)
+    assert report.multiplicity <= min(big_j // p, big_i // q)
+    window = cancellation_window(d, d1, d2, wedge, p, q)
+    if window is None:
+        assert (q * d1 + wedge - d1 - d2).first <= 0
+    else:
+        assert {pair for pair in phi.coeffs if pair[0] * d1 + pair[1] * d2 > d} <= set(window)
 
 
 def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
@@ -326,7 +445,8 @@ def test_elementary_step_in_pass_one_computes_no_floor(wt, xyz, monkeypatch):
     out = find_elementary_reduction(wt, F)
     assert out.step is not None and out.step.index == 3
     assert calls == []
-    # searched on its own, component 1 does check its floor
+    # searched on its own, component 1 does check its floor, and its window
+    # reads the same wedge degree
     assert leading_membership_search(wt, F[0], (F[1], F[2])).found is not None
     assert len(calls) == 1
 
