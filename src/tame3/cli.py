@@ -32,13 +32,14 @@ from .engine import (
     ReductionVerdict,
     certify_nagata,
     factor_tame,
+    inverse_verified,
     nagata_endo,
+    random_tame,
     reduce_to_floor,
 )
 from .forms import algebraically_independent
 from .search import DEFAULT_LIMITS, SearchLimits
 from .univariate import AuxPoly, su_inequality_report
-from .engine import random_tame
 
 N = 3
 
@@ -175,10 +176,14 @@ def _load_endo(args) -> Endo3:
     inverse = None
     if args.inverse:
         inverse = _parse_triple(_read_lines(args.inverse), args.inverse)
-    try:
-        return Endo3(triple, inverse)
-    except ValueError as exc:
-        raise InputError("supplied inverse fails the two-sided check") from exc
+    return Endo3(triple, inverse)
+
+
+def _inverse_checked(args, ws: WeightSystem, endo: Endo3, trace) -> bool:
+    """Whether an inverse was supplied; one that fails its check is exit 3."""
+    if endo.inverse is not None and not inverse_verified(ws, trace, endo.inverse):
+        raise InputError(f"{args.inverse}: not the inverse of {args.file}")
+    return endo.inverse is not None
 
 
 def _emit_verdict(args, verdict: ReductionVerdict) -> None:
@@ -195,7 +200,8 @@ def cmd_reduce(args) -> int:
     limits = _parse_limits(args)
     endo = _load_endo(args)
     trace = reduce_to_floor(ws, endo.components, limits, prefer=args.prefer)
-    _emit_verdict(args, ReductionVerdict(ws, trace, endo.is_verified))
+    verified = _inverse_checked(args, ws, endo, trace)
+    _emit_verdict(args, ReductionVerdict(ws, trace, verified))
     return 2 if trace.result == "stuck" else 0
 
 
@@ -204,6 +210,7 @@ def cmd_factor(args) -> int:
     limits = _parse_limits(args)
     endo = _load_endo(args)
     factors, trace = factor_tame(ws, endo, limits)
+    _inverse_checked(args, ws, endo, trace)
     if factors is None:
         payload = trace.to_json(ws)
         payload["factors"] = None

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from tame3.engine import reduce_step
+from tame3 import cli, engine
+from tame3.algebra import Poly, poly_to_text
+from tame3.engine import nagata_endo, random_tame, reduce_step
 
 PKG_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -91,6 +93,55 @@ def test_reduce_rejects_bad_inverse(nagata_file, tmp_path):
     path.write_text("x1\nx2\nx3\n")
     out = run_cli(["reduce", nagata_file, "--inverse", str(path)])
     assert out.returncode == 3
+
+
+def _write_triple(path, triple):
+    path.write_text("".join(poly_to_text(f) + "\n" for f in triple))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def inverse_files(tmp_path_factory):
+    """Map, inverse and the inverse with one coefficient changed, for corpus
+    seed 13 (a floor map) and Nagata's map (stuck)."""
+    out = tmp_path_factory.mktemp("inverses")
+    files = {}
+    for name, endo in (("floor", random_tame(13, 13 % 5 + 1)[0]), ("nagata", nagata_endo())):
+        G = endo.inverse
+        files[name] = tuple(_write_triple(out / f"{name}-{part}.txt", triple) for part, triple in (
+            ("map", endo.components), ("inverse", G),
+            ("changed", (G[0] + Poly.constant(1, 3), *G[1:]))))
+    return files
+
+
+@pytest.mark.parametrize("command", ["reduce", "factor"])
+@pytest.mark.parametrize("name", ["floor", "nagata"])
+def test_changed_inverse_exit_3(inverse_files, command, name):
+    F, _, changed = inverse_files[name]
+    weight = "nagata-lex" if name == "nagata" else "total"
+    out = run_cli([command, F, "--inverse", changed, "--weight", weight, "--json"])
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"input error: {changed}: not the inverse of {F}"]
+
+
+def test_floor_inverse_checked_without_composition(inverse_files, monkeypatch, capsys):
+    # a floor trace checks its inverse through its factors: no composition
+    F, G, _ = inverse_files["floor"]
+    plain = {}
+    for command in ("reduce", "factor"):
+        assert cli.main([command, F, "--json"]) == 0
+        plain[command] = json.loads(capsys.readouterr().out)
+    assert plain["reduce"]["automorphism_status"] == "unverified"
+
+    def no_composition(*_):
+        raise AssertionError("compose_endo called")
+
+    monkeypatch.setattr(engine, "compose_endo", no_composition)
+    assert cli.main(["reduce", F, "--inverse", G, "--json"]) == 0
+    assert '"automorphism_status":"verified"' in capsys.readouterr().out
+    assert cli.main(["factor", F, "--inverse", G, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == plain["factor"]
 
 
 def test_factor_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from tame3.engine import (
     compose_endo,
     factor_tame,
     identity_endo,
+    inverse_verified,
     nagata_endo,
     random_tame,
     recompose,
@@ -66,11 +68,21 @@ def test_apply_permutation_and_scaling(nagata):
         apply_scaling(F, [Fraction(0), Fraction(1), Fraction(1)])
 
 
-def test_endo3_validation(nagata):
+def test_endo3_validation(nagata, nagata_ws):
+    # Endo3 checks only its length; the claimed inverse is checked once,
+    # after the reduction, by whoever reads a verdict from it
+    assert Endo3(nagata.components, identity_endo()).inverse == identity_endo()
     with pytest.raises(ValueError):
-        Endo3(nagata.components, identity_endo())
-    endo = Endo3(nagata.components, nagata.inverse)
-    assert endo.is_verified
+        Endo3(nagata.components[:2])
+    trace = reduce_to_floor(nagata_ws, nagata.components)
+    assert trace.result == "stuck"
+    assert inverse_verified(nagata_ws, trace, nagata.inverse)
+    assert not inverse_verified(nagata_ws, trace, identity_endo())
+    assert not inverse_verified(nagata_ws, trace, _one_coefficient_changed(nagata.inverse))
+
+
+def _one_coefficient_changed(G):
+    return (G[0] + Poly.constant(1, 3), *G[1:])
 
 
 # --- factors ------------------------------------------------------------------
@@ -529,8 +541,8 @@ def test_random_tame_zero_factors():
     assert factors == []
 
 
-def test_random_tame_explicit_inverse_check():
-    # small members admit the full two-sided verification
+def test_random_tame_explicit_inverse_check(wt):
+    # small members admit the composition check
     checked = 0
     for seed in range(1, 40):
         endo, _ = random_tame(seed, 2)
@@ -538,6 +550,16 @@ def test_random_tame_explicit_inverse_check():
             assert verify_automorphism(endo.components, endo.inverse)
             checked += 1
     assert checked >= 5
+    # every member, and every criterion-4 corpus member, checks through its factors
+    for seed in range(1, 40):
+        for endo, _ in (random_tame(seed, 2), random_tame(seed, seed % 5 + 1)):
+            _, trace = factor_tame(wt, endo)
+            assert trace.result == "floor"
+            assert inverse_verified(wt, trace, endo.inverse)
+            assert not inverse_verified(wt, trace, _one_coefficient_changed(endo.inverse))
+            # the factors must also recompose to the trace's origin
+            forged = dataclasses.replace(trace, origin=_one_coefficient_changed(endo.components))
+            assert not inverse_verified(wt, forged, endo.inverse)
 
 
 def test_random_tame_validation():
