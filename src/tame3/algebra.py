@@ -4,9 +4,10 @@ Coefficients are exact rationals, stored per polynomial as integers over one
 common denominator; degrees live in a lexicographically ordered ``Z^r``
 extended by a bottom element for the zero polynomial.  Everything here is
 immutable by convention: operations return fresh values and never mutate
-their inputs, so all types are safe to share across threads.  The one
-write after construction is a Poly's remembered weighted degree, a cache
-whose every store is a single slot assignment of a correct value.
+their inputs, so all types are safe to share across threads.  The only
+writes after construction are a Poly's two remembered values, its weighted
+degree and its powers: every store puts a correct value in one slot or
+under one exponent, so a store that two threads repeat does no harm.
 """
 
 from __future__ import annotations
@@ -182,16 +183,19 @@ class Poly:
     fields; the zero polynomial is ``{}`` over 1.  ``terms`` is a read-only
     monomial -> Fraction view.
 
-    A Poly is never mutated after it is built, so it remembers its weighted
-    degree under the weight system it was last asked about (the ``_deg``
-    slot, set by ``WeightSystem.deg`` and never part of ``==`` or ``hash``).
+    A Poly is never mutated after it is built, so it remembers two values,
+    neither part of ``==`` or ``hash``: its weighted degree under the weight
+    system it was last asked about (the ``_deg`` slot, set by
+    ``WeightSystem.deg``), and the powers ``**`` has built of it (the
+    ``_powers`` slot, a dict from exponent k >= 2 to self**k).
     """
 
-    __slots__ = ("n", "nums", "den", "_deg")
+    __slots__ = ("n", "nums", "den", "_deg", "_powers")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         self.n = n
         self._deg = None
+        self._powers = None
         clean: dict = {}
         if terms:
             for mono, coeff in terms.items():
@@ -328,19 +332,21 @@ class Poly:
         return _poly(self.n, {m: k * v for m, v in self.nums.items()}, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Poly":
+        """self**k; each power is built once, by one multiplication of the
+        power below it, and remembered for the life of self."""
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
             return Poly.constant(1, self.n)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        if k == 1:
+            return self
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        # the exponents present are always 2..len(powers) + 1
+        for e in range(len(powers) + 2, k + 1):
+            powers[e] = (powers[e - 1] if e > 2 else self) * self
+        return powers[k]
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in x_{i+1}, exact integer scaling per term."""
@@ -354,9 +360,10 @@ class Poly:
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
         """Substitute subs[i] for x_{i+1}; exact full expansion.
 
-        Powers of each substituted polynomial are cached across terms, and
-        every term is scattered into one integer accumulator over a running
-        common denominator.
+        Powers of each substituted polynomial come from ``**``, so they are
+        built once for the life of that polynomial, and every term is
+        scattered into one integer accumulator over a running common
+        denominator.
         """
         if len(subs) != self.n:
             raise ValueError(f"expected {self.n} substitutions, got {len(subs)}")
@@ -364,14 +371,6 @@ class Poly:
         for s in subs:
             if s.n != m:
                 raise ValueError("substitution polynomials must share arity")
-        power_cache: list[dict[int, Poly]] = [dict() for _ in range(self.n)]
-
-        def power(i: int, e: int) -> Poly:
-            cache = power_cache[i]
-            if e not in cache:
-                cache[e] = subs[i] if e == 1 else power(i, e - 1) * subs[i]
-            return cache[e]
-
         one = _poly(m, {(0,) * m: 1}, 1)
         acc: dict = {}
         den = 1
@@ -379,7 +378,7 @@ class Poly:
             prod = one
             for i, e in enumerate(mono):
                 if e:
-                    prod = power(i, e) if prod is one else prod * power(i, e)
+                    prod = subs[i] ** e if prod is one else prod * subs[i] ** e
             if den % prod.den:
                 lift = prod.den // math.gcd(den, prod.den)
                 den *= lift
@@ -410,6 +409,7 @@ def _poly(n: int, nums: dict, den: int) -> Poly:
     out.nums = nums
     out.den = den
     out._deg = None
+    out._powers = None
     return out
 
 
@@ -768,7 +768,7 @@ def parse_poly(text: str, n: int) -> Poly:
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
 
-    result = Poly.zero(n)
+    terms: dict[tuple, Fraction] = {}
     i = 0
     first = True
     while i < len(tokens):
@@ -823,9 +823,10 @@ def parse_poly(text: str, n: int) -> Poly:
             raise PolyParseError("empty term", tokens[i][2] if i < len(tokens) else len(text))
         if expect_factor and saw_factor and i < len(tokens):
             raise PolyParseError("dangling '*'", tokens[i][2])
-        result = result + Poly(n, {tuple(mono): coeff})
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + coeff
         first = False
-    return result
+    return Poly(n, terms)
 
 
 def poly_to_text(f: Poly) -> str:

@@ -133,7 +133,7 @@ def check_su_conditions(
     sol1 = (
         [Fraction(0), Fraction(0)]
         if shift1.is_zero
-        else _decompose(shift1, [f3 * f3, f3])
+        else _decompose(shift1, [f3**2, f3])
     )
     shift2 = g2 - f2
     sol2 = [Fraction(0)] if shift2.is_zero else _decompose(shift2, [f3])
@@ -200,7 +200,7 @@ def check_quasi_su(
 def _shift_atoms(f2: Poly, f3: Poly, s: int) -> list[Poly]:
     """[f3^2, f3, f2^0, ..., f2^((s-1)/2)]: the atoms of the first shift
     g1 - f1 = a*f3^2 + c*f3 + psi(f2) of a weak pair with odd exponent s."""
-    return [f3 * f3, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
+    return [f3**2, f3] + [f2**m for m in range((s - 1) // 2 + 1)]
 
 
 def _p11_decomposition(F: Triple, G: Triple, s: int):
@@ -647,7 +647,7 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
 def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
     h1, h2, h3 = H
     h1w, h2w = ws.leading_form(h1), ws.leading_form(h2)
-    h3sq = h3 * h3
+    h3sq = h3**2
     if h2.total_degree() == 3 * l:
         alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
     else:
@@ -683,10 +683,10 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
                 return False
             if 2 * d.vec[0] != 3 * l:
                 return False
-            t = proportionality(ws.leading_form(g2), ws.leading_form(res * res))
+            t = proportionality(ws.leading_form(g2), ws.leading_form(res**2))
             if t is None:
                 return False
-            return (g2 - (res * res).scale(t)).total_degree() <= 2 * l and bool(peeled)
+            return (g2 - (res**2).scale(t)).total_degree() <= 2 * l and bool(peeled)
 
         return accept
 
@@ -698,7 +698,7 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
     g1, g2, g3 = derived
     mu = None
     if which == "IV":
-        mu = proportionality(ws.leading_form(g2), ws.leading_form(g3 * g3))
+        mu = proportionality(ws.leading_form(g2), ws.leading_form(g3**2))
     return TypeWitness(type=which, l=l, sigma=sigma, alpha=alpha, beta=Fraction(0),
                        gamma=Fraction(0), mu=mu, sigma_scalar=Fraction(1), g=g,
                        derived=derived)

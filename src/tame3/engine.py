@@ -369,9 +369,11 @@ def reduce_step(
 ) -> TraceStep:
     """One reduction attempt: floor test, then the two search families.
 
-    Raises ValueError when F is algebraically dependent at the floor or
-    below it.
+    Raises ValueError on a prefer other than "elementary" or "su", and
+    when F is algebraically dependent at the floor or below it.
     """
+    if prefer not in ("elementary", "su"):
+        raise ValueError(f"prefer must be 'elementary' or 'su', got {prefer!r}")
     deg = ws.deg_endo(F)
     floor = ws.total
     if deg == floor:
@@ -622,11 +624,11 @@ def _random_factor(rng: random.Random, cbound: int, dbound: int) -> TameFactor:
 def nagata_endo() -> Endo3:
     """The classical candidate triple with its exact inverse attached."""
     x1, x2, x3 = (Poly.variable(i, N) for i in range(N))
-    t = x1 * x3 + x2 * x2
-    f1 = x1 - (t * x2).scale(2) - (t * t) * x3
+    t = x1 * x3 + x2**2
+    f1 = x1 - (t * x2).scale(2) - t**2 * x3
     f2 = x2 + t * x3
     f3 = x3
-    g1 = x1 + (t * x2).scale(2) - (t * t) * x3
+    g1 = x1 + (t * x2).scale(2) - t**2 * x3
     g2 = x2 - t * x3
     g3 = x3
     return Endo3((f1, f2, f3), (g1, g2, g3))

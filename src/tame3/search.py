@@ -120,16 +120,17 @@ class MembershipOutcome:
 
 
 class _ProductCache:
-    """Cached powers of a fixed generator pair f, g, and the slices of their
-    products f^i g^j that a leading search reads.
+    """The slices of the products f^i g^j of a fixed generator pair f, g that
+    a leading search reads.  Every power comes from ``Poly.__pow__``, so f,
+    g and their leading forms each build a power once and keep it.
 
     Weighted degree is additive, so the terms of f^i g^j at its own degree
     i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg.
     ``tail`` at that degree (every exact-slice pair) reads the leading-form
     product.  A widened pair lies above the target degree; its ``tail``
-    multiplies the powers f^i and g^j, each built once and sorted by degree
-    once, and skips every term pair whose degrees sum below the threshold,
-    so no full f^i g^j is built.
+    multiplies the powers f^i and g^j, each sorted by degree once here, and
+    skips every term pair whose degrees sum below the threshold, so no full
+    f^i g^j is built.
     """
 
     def __init__(self, f: Poly, g: Poly, ws: WeightSystem):
@@ -139,27 +140,7 @@ class _ProductCache:
         self.lf = ws.leading_form(f)
         self.lg = ws.leading_form(g)
         self._degs = (ws.deg(f).vec, ws.deg(g).vec)
-        one = Poly.constant(1, f.n)
-        self._fp: dict[int, Poly] = {0: one, 1: f}
-        self._gp: dict[int, Poly] = {0: one, 1: g}
-        self._lfp: dict[int, Poly] = {0: one, 1: self.lf}
-        self._lgp: dict[int, Poly] = {0: one, 1: self.lg}
-        self._lprod: dict[tuple[int, int], Poly] = {}
         self._sorted: dict[tuple[int, int], list] = {}  # (0, i) f^i, (1, j) g^j
-
-    @staticmethod
-    def _power(powers: dict, k: int) -> Poly:
-        """powers[1]^k, caching every power of the chain it builds."""
-        for e in range(len(powers), k + 1):
-            powers[e] = powers[e - 1] * powers[1]
-        return powers[k]
-
-    def _leading_product(self, i: int, j: int) -> Poly:
-        key = (i, j)
-        if key not in self._lprod:
-            fi, gj = self._power(self._lfp, i), self._power(self._lgp, j)
-            self._lprod[key] = gj if i == 0 else fi if j == 0 else fi * gj
-        return self._lprod[key]
 
     def _sorted_power(self, side: int, k: int) -> list:
         """[(degree vector, mono, int)] of f^k (side 0) or g^k (side 1), by
@@ -167,7 +148,7 @@ class _ProductCache:
         key = (side, k)
         entries = self._sorted.get(key)
         if entries is None:
-            p = self._power((self._fp, self._gp)[side], k)
+            p = (self.f, self.g)[side] ** k
             entries = sorted(zip(self.ws.term_vecs(p.nums), p.nums, p.nums.values()),
                              key=itemgetter(0), reverse=True)
             self._sorted[key] = entries
@@ -198,7 +179,7 @@ class _ProductCache:
         degree >= threshold; at the degree of f^i g^j itself, the contents
         of lf^i lg^j."""
         if tuple(i * a + j * b for a, b in zip(*self._degs)) == threshold.vec:
-            p = self._leading_product(i, j)
+            p = self.lg**j if i == 0 else self.lf**i if j == 0 else self.lf**i * self.lg**j
             return p.den, list(p.nums.items())
         return self._truncated(i, j, threshold.vec)
 
@@ -219,7 +200,7 @@ class _ProductCache:
                 m = tuple(map(add, fm, gm))
                 v = acc.get(m)
                 acc[m] = fc * gc if v is None else v + fc * gc
-        den = self._fp[i].den * self._gp[j].den
+        den = (self.f**i).den * (self.g**j).den
         return den, [(m, c) for m, c in acc.items() if c]
 
 
@@ -827,7 +808,7 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     def above(p: Poly) -> tuple:
         return _above(ws, p, target_deg)
 
-    f3sq, us = f3 * f3, u**s
+    f3sq, us = f3**2, u**s
     columns = [above(f3sq), above(f3)]
     sol = solve_contents(above(-f1), columns + [above(-us)])
     if sol is None:

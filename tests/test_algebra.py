@@ -162,6 +162,46 @@ def test_pow_matches_repeated_mul(xyz):
         acc = acc * f
 
 
+def _count_muls(monkeypatch) -> list:
+    """A list that grows by one on every Poly multiplication from now on."""
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    return calls
+
+
+def test_pow_builds_each_power_once(xyz, monkeypatch):
+    x1, x2, x3 = xyz
+    f = x1 + x2.scale(2) - x3
+    expected = [Poly.constant(1, 3)]
+    for _ in range(6):
+        expected.append(expected[-1] * f)
+    calls = _count_muls(monkeypatch)
+    counts = []
+    for k in (6, 6, 4):
+        before = len(calls)
+        assert f**k == expected[k]
+        counts.append(len(calls) - before)
+    # f^2..f^6 once each, then every later power is remembered
+    assert counts == [5, 0, 0]
+
+
+def test_compose_reuses_the_powers_of_its_substitutions(xyz, monkeypatch):
+    x1, x2, x3 = xyz
+    q = x1**5 - x2.scale(3) + x3**2  # no monomial mixes two variables
+    subs = [x1 + x2, x2 - x3.scale(2), x3 + Poly.constant(1, 3)]
+    calls = _count_muls(monkeypatch)
+    first = q.compose(subs)
+    built = len(calls)
+    assert q.compose(subs) == first
+    assert built == 5 and len(calls) == built
+
+
 @pytest.mark.parametrize("coeffs", [
     {},
     {0: Fraction(5)},
@@ -433,6 +473,23 @@ def test_parse_errors():
     for bad in ("x4", "x1 +", "2**x1", "x1^^2", "x1^1/2", ""):
         with pytest.raises(PolyParseError):
             parse_poly(bad, 3)
+
+
+def test_parse_adds_like_monomials():
+    assert parse_poly("x1 + 2*x1 - 3*x1 + x2", 3) == Poly.variable(1, 3)
+    zero = parse_poly("x1*x2 - 1/2 + 3x3^2 - x2*x1 + 1/2 - 3*x3^2", 3)
+    assert zero == Poly.zero(3) and zero.den == 1
+
+
+def test_parse_builds_one_poly(monkeypatch):
+    # one Poly from all the terms, not one addition per term
+    def refuse(self, other, sign):
+        raise AssertionError("parse_poly added two polynomials")
+
+    monkeypatch.setattr(Poly, "_add_scaled", refuse)
+    text = " + ".join(f"{k}*x1^{k}*x3" for k in range(1, 40)) + " - 1/2"
+    expected = {(k, 0, 1): k for k in range(1, 40)}
+    assert parse_poly(text, 3) == Poly(3, {**expected, (0, 0, 0): Fraction(-1, 2)})
 
 
 @settings(max_examples=80, deadline=None)

@@ -283,6 +283,16 @@ def test_reduce_step_nagata_stuck(nagata, nagata_ws):
     assert stuck_rigorous(step.reasons)
 
 
+@pytest.mark.parametrize("prefer", ["elementry", "SU", ""])
+def test_reduce_step_rejects_an_unknown_prefer(prefer, wt, xyz, nagata, nagata_ws):
+    x1, x2, x3 = xyz
+    for ws, F in ((wt, (x1 + x2, x2, x3)), (nagata_ws, nagata.components)):
+        with pytest.raises(ValueError, match="prefer"):
+            reduce_step(ws, F, prefer=prefer)
+        with pytest.raises(ValueError, match="prefer"):
+            reduce_to_floor(ws, F, prefer=prefer)
+
+
 def test_reduce_to_floor_identity(wt):
     trace = reduce_to_floor(wt, identity_endo())
     assert trace.result == "floor"

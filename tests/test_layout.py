@@ -6,8 +6,9 @@ the engine module states a non-tameness verdict.
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
-the unused-import check.  A Poly remembers its weighted degree, which is
-sound only while no other module changes its contents after it is built.
+the unused-import check.  A Poly remembers its weighted degree and its
+powers, which is sound only while no other module changes its contents
+after it is built.
 A non-tameness claim is read off one rule (a rigorous stuck on a verified
 map), so its wording lives next to that rule and nowhere else.
 """
@@ -113,15 +114,17 @@ def test_unused_import_detector(tmp_path):
     assert _unused_imports(probe) == ["3: json", "4: Iterator"]
 
 
-_POLY_FIELDS = ("nums", "den", "_deg")
+_POLY_FIELDS = ("nums", "den", "_deg", "_powers")
+_POLY_DICTS = ("nums", "_powers")
 _DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem__",
                   "__delitem__")
 
 
 def _poly_field_writes(path: Path) -> list[str]:
     """'line: target' for every assignment or deletion of an attribute named
-    like a Poly field (nums, den, the degree memo _deg), every store into
-    .nums[...], and every setattr or dict-mutating call on those names."""
+    like a Poly field (nums, den, the degree memo _deg, the power memo
+    _powers), every store into .nums[...] or ._powers[...], and every
+    setattr or dict-mutating call on those names."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -137,7 +140,7 @@ def _poly_field_writes(path: Path) -> list[str]:
                 if ((isinstance(sub, ast.Attribute) and sub.attr in _POLY_FIELDS)
                         or (isinstance(sub, ast.Subscript)
                             and isinstance(sub.value, ast.Attribute)
-                            and sub.value.attr == "nums")):
+                            and sub.value.attr in _POLY_DICTS)):
                     found.append(f"{sub.lineno}: {ast.unparse(sub)}")
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
             name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -147,7 +150,7 @@ def _poly_field_writes(path: Path) -> list[str]:
                 found.append(f"{node.lineno}: {ast.unparse(node)}")
             elif (name in _DICT_MUTATORS and isinstance(node.func, ast.Attribute)
                   and isinstance(node.func.value, ast.Attribute)
-                  and node.func.value.attr == "nums"):
+                  and node.func.value.attr in _POLY_DICTS):
                 found.append(f"{node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -170,10 +173,15 @@ def test_poly_field_write_detector(tmp_path):
                      "    del p.nums[m]\n"
                      "    object.__setattr__(p, 'den', 3)\n"
                      "    q.nums.update({m: 1})\n"
+                     "    p._powers = {}\n"
+                     "    q._powers[2] = p\n"
+                     "    q._powers.clear()\n"
                      "    return nums, den\n")
     assert _poly_field_writes(probe) == [
         "4: p.nums", "5: q.nums[m]", "6: p.den", "7: q._deg", "8: p.nums[m]",
-        "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})"]
+        "11: p._powers", "12: q._powers[2]",
+        "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})",
+        "13: q._powers.clear()"]
 
 
 def test_one_module_states_the_verdict():
