@@ -489,13 +489,13 @@ def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
         return [Fraction(0), Fraction(1)] if w0.is_zero else []
     if w0.is_zero:
         return [Fraction(0)]
-    # w0 = t * w1 componentwise, with t read off one coefficient of w1
-    idx, poly = next(iter(w1.coeffs.items()))
-    m = next(iter(poly.nums))
-    other = w0.coeffs.get(idx)
-    t = (other.coeff(m) if other else Fraction(0)) / poly.coeff(m)
-    if t and w0.coeffs == {i: p.scale(t) for i, p in w1.coeffs.items()}:
-        return [t]
+    # w0 = t * w1 iff their integer terms share keys and are proportional;
+    # t is read off one term of each
+    key, c1 = next(iter(w1.contents.items()))
+    c0 = w0.contents.get(key)
+    if w0.contents.keys() == w1.contents.keys() and all(
+            w0.contents[k] * c1 == c0 * c for k, c in w1.contents.items()):
+        return [Fraction(c0 * w1.denom, c1 * w0.denom)]
     return []
 
 

@@ -1,67 +1,91 @@
 """Exterior differential forms over the polynomial ring.
 
-A grade-l form stores polynomial coefficients on strictly increasing index
-tuples (0-based internally).  Wedge products keep exact sign bookkeeping;
-grades above the variable count collapse to the zero form rather than
-erroring, which keeps the product total.
+A form is stored the way a Poly is, as integer contents over one positive
+denominator, with each term keyed in logarithmic coordinates: c * x^a dx_I
+(I strictly increasing, 0-based) is c * x^M * prod_{i in I} dx_i / x_i for
+M = a + e_I, and is stored under (M, I).  So a differential scales contents
+by exponents, a wedge adds keys and multiplies contents, and a form's
+weighted degree is the max of deg x^M over its keys, because
+deg(x^(M - e_I) dx_I) = deg x^M.  Grades above the variable count collapse
+to the zero form rather than erroring, which keeps the product total.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from operator import add
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .algebra import DegreeValue, Poly, WeightSystem, poly_to_text
 
 
 class DiffForm:
-    __slots__ = ("n", "grade", "coeffs")
+    """A grade-l form on n variables over Q: the sum of contents[(M, I)] /
+    denom * x^(M - e_I) dx_I, for nonzero int contents and one positive int
+    denom, kept primitive so that equal forms have identical fields (zero is
+    ``{}`` over 1).  ``coeffs`` is a read-only {I: Poly} view, built when it
+    is read.  Like a Poly, a form is never mutated, so it can be shared.
+    """
 
-    def __init__(self, n: int, grade: int, coeffs: Optional[dict] = None):
+    __slots__ = ("n", "grade", "contents", "denom")
+
+    def __init__(self, n: int, grade: int, coeffs: Optional[Mapping] = None):
         if grade < 1:
             raise ValueError("grade must be >= 1")
-        self.n = n
-        self.grade = grade
-        clean: dict = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != grade or any(b <= a for a, b in zip(idx, idx[1:])):
-                    raise ValueError(f"index tuple {idx} not strictly increasing of length {grade}")
-                if any(i < 0 or i >= n for i in idx):
-                    raise ValueError(f"index tuple {idx} out of range")
-                if not poly.is_zero:
-                    clean[idx] = poly
-        self.coeffs = clean
+        coeffs = {tuple(idx): poly for idx, poly in (coeffs or {}).items()}
+        for idx, poly in coeffs.items():
+            if len(idx) != grade or any(b <= a for a, b in zip(idx, idx[1:])):
+                raise ValueError(f"index tuple {idx} not strictly increasing of length {grade}")
+            if any(i < 0 or i >= n for i in idx):
+                raise ValueError(f"index tuple {idx} out of range")
+            if poly.n != n:
+                raise ValueError(f"coefficient of {idx} has arity {poly.n}, expected {n}")
+        # primitive contents stay primitive over their least common denominator
+        self.n, self.grade, self.denom = n, grade, math.lcm(*(p.den for p in coeffs.values()))
+        self.contents = {(_shift(m, idx, 1), idx): c * (self.denom // poly.den)
+                         for idx, poly in coeffs.items() for m, c in poly.nums.items()}
 
     @staticmethod
     def zero(n: int, grade: int) -> "DiffForm":
-        return DiffForm(n, grade)
+        return _form(n, grade, {}, 1)
+
+    @property
+    def coeffs(self) -> Mapping:
+        nums: dict = {}
+        for (m, idx), c in self.contents.items():
+            nums.setdefault(idx, {})[_shift(m, idx, -1)] = c
+        return MappingProxyType({idx: Poly.from_contents(self.n, part, self.denom)
+                                 for idx, part in nums.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.contents
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffForm):
             return NotImplemented
-        return (self.n, self.grade, self.coeffs) == (other.n, other.grade, other.coeffs)
+        return ((self.n, self.grade, self.denom, self.contents)
+                == (other.n, other.grade, other.denom, other.contents))
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
         if self.grade != other.grade or self.n != other.n:
             raise ValueError("grade/arity mismatch in form addition")
-        coeffs = dict(self.coeffs)
-        for idx, poly in other.coeffs.items():
-            s = coeffs.get(idx)
-            s = poly if s is None else s + poly
-            if s.is_zero:
-                coeffs.pop(idx, None)
+        g = math.gcd(self.denom, other.denom)
+        sa, sb = other.denom // g, self.denom // g
+        contents = {k: c * sa for k, c in self.contents.items()}
+        for k, c in other.contents.items():
+            s = contents.get(k, 0) + c * sb
+            if s:
+                contents[k] = s
             else:
-                coeffs[idx] = s
-        return DiffForm(self.n, self.grade, coeffs)
+                del contents[k]
+        return _form(self.n, self.grade, contents, self.denom * sa)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.n, self.grade, {i: -p for i, p in self.coeffs.items()})
+        return _form(self.n, self.grade, {k: -c for k, c in self.contents.items()}, self.denom)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
@@ -73,56 +97,59 @@ class DiffForm:
         return f"DiffForm({form_to_text(self)!r})"
 
 
+def _shift(m: tuple, idx: tuple, step: int) -> tuple:
+    """The exponent tuple m + step * e_idx."""
+    return tuple(e + step if i in idx else e for i, e in enumerate(m))
+
+
+def _form(n: int, grade: int, contents: dict, denom: int) -> DiffForm:
+    """The form contents / denom, for contents without zero values and
+    denom > 0; the content common to denom and contents is divided out."""
+    if denom != 1:
+        g = math.gcd(denom, *contents.values())
+        if g != 1:
+            denom //= g
+            contents = {k: c // g for k, c in contents.items()}
+    out = DiffForm.__new__(DiffForm)
+    out.n, out.grade, out.contents, out.denom = n, grade, contents, denom
+    return out
+
+
 def differential(f: Poly) -> DiffForm:
-    """df = sum of partial derivatives against dx_i."""
-    coeffs = {}
-    for i in range(f.n):
-        d = f.diff(i)
-        if not d.is_zero:
-            coeffs[(i,)] = d
-    return DiffForm(f.n, 1, coeffs)
+    """df = sum of partial derivatives against dx_i: the term c * x^m gives
+    m_i * c under the key (m, (i,))."""
+    contents = {(m, (i,)): c * e for m, c in f.nums.items() for i, e in enumerate(m) if e}
+    return _form(f.n, 1, contents, f.den)
 
 
+@lru_cache(maxsize=None)  # one entry per pair of index tuples: at most 4^n
 def _merge_indices(a: tuple, b: tuple) -> Optional[tuple[tuple, int]]:
-    """Sorted union with parity sign; None when an index repeats."""
-    merged = list(a)
-    sign = 1
-    for x in b:
-        pos = len(merged)
-        for k, y in enumerate(merged):
-            if x == y:
-                return None
-            if x < y:
-                pos = k
-                break
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, x)
-    return tuple(merged), sign
+    """Sorted union of two sorted index tuples with its shuffle sign,
+    (-1)^#{(x, y) in a x b: x > y}; None when an index repeats."""
+    if set(a) & set(b):
+        return None
+    return tuple(sorted(a + b)), (-1) ** sum(x > y for x in a for y in b)
 
 
 def wedge(w1: DiffForm, w2: DiffForm) -> DiffForm:
-    """Bilinear graded-anticommutative product with exact signs."""
+    """Bilinear graded-anticommutative product with exact signs: one pass
+    over term pairs, adding keys and multiplying contents."""
     if w1.n != w2.n:
         raise ValueError("arity mismatch in wedge")
     n = w1.n
     grade = w1.grade + w2.grade
     if grade > n:
         return DiffForm.zero(n, min(grade, n))
-    coeffs: dict = {}
-    for i1, p1 in w1.coeffs.items():
-        for i2, p2 in w2.coeffs.items():
+    terms2 = list(w2.contents.items())
+    acc: dict = {}
+    for (m1, i1), c1 in w1.contents.items():
+        for (m2, i2), c2 in terms2:
             merged = _merge_indices(i1, i2)
-            if merged is None:
-                continue
-            idx, sign = merged
-            contrib = (p1 * p2).scale(sign)
-            s = coeffs.get(idx)
-            s = contrib if s is None else s + contrib
-            if s.is_zero:
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = s
-    return DiffForm(n, grade, coeffs)
+            if merged is not None:
+                idx, sign = merged
+                k = (tuple(map(add, m1, m2)), idx)
+                acc[k] = acc.get(k, 0) + sign * c1 * c2
+    return _form(n, grade, {k: v for k, v in acc.items() if v}, w1.denom * w2.denom)
 
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
@@ -135,18 +162,13 @@ def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
 
 
 def deg_form(ws: WeightSystem, omega: DiffForm) -> DegreeValue:
-    """Weighted degree of a form: max over tuples of deg(coeff * x_{i1}...x_{il})."""
+    """Weighted degree of a form: the max of deg x^M over its keys (M, I),
+    since deg(x^(M - e_I) dx_I) = deg x^M."""
     if omega.is_zero:
         return DegreeValue.bottom()
-    best: Optional[DegreeValue] = None
-    for idx, poly in omega.coeffs.items():
-        shift = DegreeValue((0,) * ws.r)
-        for i in idx:
-            shift = shift + DegreeValue(ws.weights[i])
-        d = ws.deg(poly) + shift
-        if best is None or d > best:
-            best = d
-    return best
+    if omega.n != ws.n:
+        raise ValueError(f"form arity {omega.n} != weight count {ws.n}")
+    return DegreeValue(max(ws.term_vecs([m for m, _ in omega.contents])))
 
 
 def wedge_degree(ws: WeightSystem, p: Poly, q: Poly) -> DegreeValue:

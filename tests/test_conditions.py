@@ -237,6 +237,22 @@ def test_detect_type_iv_peel_returns(F):
     detect_type(F, "IV")
 
 
+@pytest.mark.parametrize("fixed, base, shift, scalars", [
+    ("x1", "x2 + 5*x1^2", "1/3*x2", [Fraction(3)]),  # base - 3*shift = 5 x1^2
+    ("x1", "2*x2 + 4*x3", "x2 + 3*x3", []),          # same keys, not proportional
+    ("x1", "x2*x3", "x2", []),                        # different keys
+    ("x1", "x1^2", "x2", [Fraction(0)]),
+    ("x1", "x2", None, []),
+])
+def test_leading_dependence_scalars(wt, fixed, base, shift, scalars):
+    # the scalars t with fixed and base - t*shift dependent, from the wedges
+    import tame3.conditions as conditions
+
+    forms = _triple(fixed, base, shift or "0")
+    assert conditions._leading_dependence_scalars(
+        wt, forms[0], forms[1], forms[2] if shift else None) == scalars
+
+
 def test_type_iii_iv_gate_skips_the_barren_branch(monkeypatch):
     # deg (8, 12, 5): only sigma (1, 2, 3) passes the parity gate with
     # l = 4, deg h2 = 3l and 2l < 2 deg h3 < 3l.  That branch's only scalar

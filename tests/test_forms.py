@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tame3 import forms
-from tame3.algebra import DegreeValue, Poly, lex_weight, total_weight
+from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
 from tame3.forms import (
     DiffForm,
     algebraically_independent,
@@ -225,3 +228,73 @@ def test_form_printer():
     form = DiffForm(3, 2, {(0, 2): x1})
     assert form_to_text(form) == "(x1) * dx1^dx3"
     assert form_to_text(DiffForm.zero(3, 1)) == "0"
+
+
+def test_constructor_rejects_a_coefficient_of_another_arity():
+    with pytest.raises(ValueError, match="arity 2, expected 3"):
+        DiffForm(3, 1, {(0,): Poly.variable(0, 2)})
+    with pytest.raises(ValueError, match="form arity 3 != weight count 2"):
+        deg_form(total_weight(2), differential(Poly.variable(0, 3)))
+
+
+# Forms with rational coefficients, by every route that builds one: the
+# constructor from {I: Poly}, differentials and their wedges (grades 1-3).
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_rational_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _rationals,
+                                  max_size=4).map(lambda t: Poly(3, t))
+
+
+@st.composite
+def _forms(draw, grade=None):
+    grade = grade or draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        idxs = draw(st.lists(st.sampled_from(list(combinations(range(3), grade))),
+                             max_size=3))
+        return DiffForm(3, grade, {i: draw(_rational_polys) for i in idxs})
+    return differentials_wedge([draw(_rational_polys) for _ in range(grade)])
+
+
+def _canonical(w: DiffForm) -> DiffForm:
+    """w, after checking that its contents are primitive nonzero ints over a
+    positive denominator, keyed by (M, I) with M_i >= 1 for i in I."""
+    assert type(w.denom) is int and w.denom > 0
+    assert all(type(c) is int and c != 0 for c in w.contents.values())
+    assert math.gcd(w.denom, *w.contents.values()) == 1
+    assert all(len(m) == 3 and all(m[i] >= 1 for i in idx) for m, idx in w.contents)
+    return w
+
+
+_RANK_2 = WeightSystem(((1, 0), (0, 1), (1, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_forms())
+def test_deg_form_is_the_max_over_coefficients(w):
+    for ws in (total_weight(3), lex_weight(3), _RANK_2):
+        expected = max((ws.deg(p) + sum((D(*ws.weights[i]) for i in idx), D(*[0] * ws.r))
+                        for idx, p in w.coeffs.items()), default=DegreeValue.bottom())
+        assert deg_form(ws, w) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda l: st.tuples(_forms(l), _forms(l), _forms(l))),
+       _rational_polys, _rationals)
+def test_routes_agree_on_fields(forms3, f, c):
+    a, b, w = forms3
+    pairs = [
+        ((a + b) + w, a + (b + w)),
+        ((a - b) + b, _canonical(a)),
+        (differential(f).scale_poly(Poly.constant(c, 3)), differential(f.scale(c))),
+        (DiffForm(3, a.grade, a.coeffs), a),
+    ]
+    for x, y in pairs:
+        assert _canonical(x) == _canonical(y)
+        assert (x.contents, x.denom) == (y.contents, y.denom)
+    assert dict((a + b).coeffs) == {
+        i: s for i in set(a.coeffs) | set(b.coeffs)
+        if not (s := a.coeffs.get(i, Poly.zero(3)) + b.coeffs.get(i, Poly.zero(3))).is_zero}
+    # zero coefficients are dropped, and the view is read-only
+    padded = DiffForm(3, 1, {(0,): f, (1,): Poly.zero(3)})
+    assert dict(padded.coeffs) == ({} if f.is_zero else {(0,): f})
+    with pytest.raises(TypeError):
+        padded.coeffs[(2,)] = f

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tame3.algebra import Poly
-from tame3.forms import jacobian_det
+from tame3.forms import differential, jacobian_det, wedge
 
 sympy = pytest.importorskip("sympy")
 
@@ -93,6 +93,23 @@ def test_diff_matches_sympy(f, i):
 def test_jacobian_det_matches_sympy(f, g, h):
     jac = sympy.Matrix([to_sympy(p) for p in (f, g, h)]).jacobian(X)
     assert canonical(jacobian_det([f, g, h])) == from_sympy(jac.det())
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(2, 4), polys(2, 4), polys(2, 3))
+def test_wedge_matches_sympy_minors(p, q, r):
+    # the coefficients of dp ^ dq are the 2x2 minors p_i q_j - p_j q_i; the
+    # grade-3 wedge, associated the other way from jacobian_det, is the
+    # Jacobian determinant
+    two = wedge(differential(p), differential(q))
+    sp, sq = to_sympy(p), to_sympy(q)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        minor = from_sympy(sympy.diff(sp, X[i]) * sympy.diff(sq, X[j])
+                           - sympy.diff(sp, X[j]) * sympy.diff(sq, X[i]))
+        assert canonical(two.coeffs.get((i, j), Poly.zero(3))) == minor
+    three = wedge(differential(r), two)
+    jac = sympy.Matrix([to_sympy(f) for f in (r, p, q)]).jacobian(X)
+    assert canonical(three.coeffs.get((0, 1, 2), Poly.zero(3))) == from_sympy(jac.det())
 
 
 @settings(max_examples=40, deadline=None)
