@@ -300,8 +300,11 @@ def cmd_gen(args) -> int:
     out = []
     for k in range(args.count):
         seed = args.seed + k
-        endo, factors = random_tame(seed, args.factors, args.coeff_bound,
-                                    args.degree_bound)
+        try:
+            endo, factors = random_tame(seed, args.factors, args.coeff_bound,
+                                        args.degree_bound)
+        except RuntimeError as exc:
+            raise InputError(f"seed {seed}, {args.factors} factors: {exc}") from exc
         out.append({
             "seed": seed,
             "components": [poly_to_text(f) for f in endo.components],

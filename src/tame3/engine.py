@@ -556,9 +556,15 @@ def random_tame(
 ) -> tuple[Endo3, list[TameFactor]]:
     """Deterministic-from-seed tame automorphism with ground truth.
 
-    Resamples until the composed total degree stays at most
-    ``_DEGREE_CLAMP`` to keep downstream searches tractable; the
-    ground-truth factor list and its exact, unchecked inverse ride along.
+    Resamples until both the factor list and its inverse list pass
+    ``_compose_clamped``, which keeps every prefix composition of total
+    degree at most ``_DEGREE_CLAMP`` so downstream searches stay tractable.
+    The clamp reads a prefix only just before an elementary factor, and
+    only when a degree bound cannot decide the test; every map is built by
+    left application (``recompose``), never by substituting a factor into
+    the running map.  ``_compose_clamped`` proves that this decides the
+    draws that checking every prefix would.  The ground-truth factor list
+    and its exact, unchecked inverse ride along.
     """
     if factor_count < 0 or coefficient_bound <= 0 or degree_bound <= 0:
         raise ValueError("bounds must be positive")
@@ -577,16 +583,42 @@ def random_tame(
 
 
 def _compose_clamped(factors: Sequence[TameFactor]) -> Optional[Triple]:
-    """Compose with a predictive degree guard so no intermediate blows up."""
-    comps = identity_endo()
-    for factor in factors:
-        top = max(f.total_degree() for f in comps)
-        if factor.kind == "elementary" and factor.phi.total_degree() * top > _DEGREE_CLAMP:
-            return None
-        comps = compose_endo(factor.as_endo(), comps)
-        if max(f.total_degree() for f in comps) > _DEGREE_CLAMP:
-            return None
-    return comps
+    """``recompose(factors)``, or None when the degree clamp rejects it.
+
+    The clamp: with P = ``recompose(factors[:k])``, an elementary factor k
+    whose phi has deg phi * deg P > ``_DEGREE_CLAMP`` rejects the list, and
+    so does any prefix P of degree above the clamp.  Appending factor k
+    turns each component P_c into P_c(factor k's components), and two
+    degree facts bound the result:
+
+    - an affine factor A has an invertible matrix, so it keeps the total
+      degree of every component: deg P_c(A) <= deg P_c, and evaluating
+      P_c(A) at A^-1 gives back P_c, so the reverse inequality holds too;
+    - an elementary factor E adds phi to x_i, so a monomial of degree d
+      becomes a polynomial of degree at most d * max(1, deg phi), and
+      deg P_c(E) <= deg P * max(1, deg phi).
+
+    By induction from deg(identity) = 1, a prefix can exceed the clamp only
+    through an elementary factor that fails the predictive test, so only
+    that test is run.  Its top, deg P, is bounded by the degree of the last
+    prefix built times max(1, deg phi) over the elementary factors since;
+    the prefix itself is built only when that bound cannot pass the test.
+    Every map is built by left application (``recompose``), which is exact
+    and, composition being associative, equals the prefix composed factor
+    by factor.  So the verdicts and maps are those of composing every
+    prefix and checking it, with no factor substituted into a running map.
+    """
+    bound = 1
+    for k, factor in enumerate(factors):
+        if factor.kind != "elementary":
+            continue
+        d = factor.phi.total_degree()
+        if d * bound > _DEGREE_CLAMP:
+            bound = max(f.total_degree() for f in recompose(factors[:k]))
+            if d * bound > _DEGREE_CLAMP:
+                return None
+        bound *= max(1, d)
+    return recompose(factors)
 
 
 def _random_factor(rng: random.Random, cbound: int, dbound: int) -> TameFactor:

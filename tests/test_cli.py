@@ -308,6 +308,16 @@ def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_gen_without_a_clamped_draw_exit_3(monkeypatch, capsys):
+    # as `gen --factors 40` ends after 256 draws, but a clamp rejecting every draw is instant
+    monkeypatch.setattr(engine, "_compose_clamped", lambda factors: None)
+    assert cli.main(["gen", "--seed", "5", "--count", "2", "--factors", "40"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "input error: seed 5, 40 factors: could not sample a clamped tame composition"]
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "{f}", "--limits-bidegree", "abc"],
     ["gen", "--count", "x"],

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -577,6 +578,74 @@ def test_random_tame_validation():
         random_tame(1, -1)
     with pytest.raises(ValueError):
         random_tame(1, 1, coefficient_bound=0)
+
+
+def _compose_clamped_by_substitution(factors):
+    """Reference clamp: substitute each factor into the running map and
+    check the degree of every prefix, before and after composing it."""
+    comps = identity_endo()
+    for factor in factors:
+        top = max(f.total_degree() for f in comps)
+        if factor.kind == "elementary" and factor.phi.total_degree() * top > engine._DEGREE_CLAMP:
+            return None
+        comps = compose_endo(factor.as_endo(), comps)
+        if max(f.total_degree() for f in comps) > engine._DEGREE_CLAMP:
+            return None
+    return comps
+
+
+def test_compose_clamped_matches_the_substitution_reference():
+    # one factor list per seed, count and bounds, and its inverse list
+    rejected = 0
+    for cbound, dbound in ((3, 3), (2, 2), (5, 4)):
+        for count in range(8):
+            for seed in range(12):
+                rng = random.Random(seed)
+                factors = [engine._random_factor(rng, cbound, dbound) for _ in range(count)]
+                for listed in (factors, invert_factors(factors)):
+                    expected = _compose_clamped_by_substitution(listed)
+                    assert engine._compose_clamped(listed) == expected
+                    rejected += expected is None
+    assert rejected > 0
+
+
+def test_random_tame_matches_the_reference_on_the_criterion_4_corpus(monkeypatch):
+    def corpus():
+        return [(endo.components, endo.inverse, [f.to_json() for f in factors])
+                for endo, factors in (random_tame(s, s % 5 + 1) for s in range(1, 201))]
+
+    drawn = corpus()
+    monkeypatch.setattr(engine, "_compose_clamped", _compose_clamped_by_substitution)
+    assert drawn == corpus()
+
+
+def test_random_tame_makes_no_right_substitution(monkeypatch):
+    def no_substitution(*_):
+        raise AssertionError("compose_endo called")
+
+    monkeypatch.setattr(engine, "compose_endo", no_substitution)
+    endo, factors = random_tame(13, 7)
+    monkeypatch.undo()
+    assert max(f.total_degree() for f in endo.components) <= engine._DEGREE_CLAMP
+    assert recompose(factors) == endo.components
+    assert recompose(invert_factors(factors)) == endo.inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_factors().filter(lambda f: f.kind == "affine"),
+       st.tuples(*[_rational_polys()] * 3))
+def test_affine_factor_keeps_every_component_degree(factor, P):
+    for p, q in zip(P, compose_endo(factor.as_endo(), P)):
+        assert q.total_degree() == p.total_degree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_factors().filter(lambda f: f.kind == "elementary"),
+       st.tuples(*[_rational_polys()] * 3))
+def test_elementary_factor_multiplies_degree_by_at_most_deg_phi(factor, P):
+    stretch = max(1, factor.phi.total_degree())
+    for p, q in zip(P, compose_endo(factor.as_endo(), P)):
+        assert q.is_zero if p.is_zero else q.total_degree() <= p.total_degree() * stretch
 
 
 # --- certificate ------------------------------------------------------------------
