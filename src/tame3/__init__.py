@@ -38,7 +38,6 @@ from .search import (
     ElementaryStep,
     SearchLimits,
     SUWitness,
-    cancellation_coefficient,
     exact_membership,
     find_elementary_reduction,
     find_scaled_pair,

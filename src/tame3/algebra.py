@@ -348,15 +348,6 @@ class Poly:
             powers[e] = (powers[e - 1] if e > 2 else self) * self
         return powers[k]
 
-    def diff(self, i: int) -> "Poly":
-        """Partial derivative in x_{i+1}, exact integer scaling per term."""
-        nums: dict = {}
-        for m, c in self.nums.items():
-            e = m[i]
-            if e:
-                nums[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-        return _poly(self.n, nums, self.den)
-
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
         """Substitute subs[i] for x_{i+1}; exact full expansion.
 
@@ -498,9 +489,6 @@ class WeightSystem:
             return list(map(self._vec_cache.__getitem__, monos))
         except KeyError:
             return list(map(self.monomial_vec, monos))
-
-    def monomial_degree(self, mono: Sequence[int]) -> DegreeValue:
-        return _degree(self.monomial_vec(mono))
 
     def deg(self, f: Poly) -> DegreeValue:
         """Weighted degree of f; Bottom iff f = 0.

@@ -59,12 +59,6 @@ def verify_automorphism(F: Sequence[Poly], G: Sequence[Poly]) -> bool:
     return compose_endo(F, G) == identity_endo(F[0].n)
 
 
-def apply_scaling(F: Sequence[Poly], scalars: Sequence[Fraction]) -> Triple:
-    if any(s == 0 for s in scalars):
-        raise ValueError("scaling by zero")
-    return tuple(f.scale(s) for f, s in zip(F, scalars))
-
-
 @dataclass
 class Endo3:
     """Ordered polynomial triple with an optional claimed inverse, which

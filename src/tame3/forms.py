@@ -90,9 +90,6 @@ class DiffForm:
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
-    def scale_poly(self, f: Poly) -> "DiffForm":
-        return DiffForm(self.n, self.grade, {i: f * p for i, p in self.coeffs.items()})
-
     def __repr__(self) -> str:
         return f"DiffForm({form_to_text(self)!r})"
 

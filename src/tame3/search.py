@@ -527,18 +527,6 @@ def membership_in_single(
     return coeffs
 
 
-def cancellation_coefficient(ws: WeightSystem, h1: Poly, h2: Poly) -> Optional[Fraction]:
-    """Scalar c with deg(h1 + c*h2) < deg(h1), when the tops are proportional."""
-    if h1.is_zero or h2.is_zero:
-        raise ValueError("requires nonzero polynomials")
-    if ws.deg(h1) != ws.deg(h2):
-        return None
-    t = proportionality(ws.leading_form(h1), ws.leading_form(h2))
-    if t is None:
-        return None
-    return -t
-
-
 def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPair]:
     """Coprime (p, q) with gw^p a scalar multiple of fw^q, from the degree
     relation q*deg(fw) = p*deg(gw), verified by exact comparison."""
@@ -657,7 +645,7 @@ class SUWitness:
     """Data reproducing the reduced triple from the original one.
 
     With (f1, f2, f3) the sigma-permuted components: g1 = f1 + a*f3^2 + c*f3,
-    g2 = f2 + b*f3, g3 = f3 + phi3(g1, g2).
+    g2 = f2 + b*f3 (b = 0 in a searched witness), g3 = f3 + phi3(g1, g2).
     """
 
     sigma: tuple
@@ -742,54 +730,46 @@ def find_su_reduction(
         if delta is None:
             reasons.append({"sigma": list(sigma), "skip": "second degree not halvable"})
             continue
-        b_cands: list[Fraction] = [Fraction(0)]
-        if d3 == d2:
-            cb = cancellation_coefficient(ws, f2, f3)
-            if cb is not None:
-                b_cands.append(cb)
-        for b in b_cands:
-            g2 = f2 + f3.scale(b)
-            if g2.is_zero or ws.deg(g2) != d2:
+        # SU2 needs deg(f2 + b*f3) = d2: the b cancelling the tops of f2 and f3
+        # breaks it, and no other b is searched, so absences stay limits-exhausted.
+        g2 = f2
+        sq = sqrt_up_to_scalar(ws.leading_form(g2))
+        if sq is None:
+            reasons.append({"sigma": list(sigma), "b": "0",
+                            "skip": "leading form of new second component is not a square"})
+            continue
+        _, u = sq
+        upper = max(d1, 2 * d3)
+        lower = max(d1, d3)
+        for s in _odd_s_values(delta, lower, upper, limits.max_candidates):
+            result = _assemble_first_component(ws, f1, f3, u, s, delta)
+            if result is None:
                 continue
-            sq = sqrt_up_to_scalar(ws.leading_form(g2))
-            if sq is None:
-                reasons.append({"sigma": list(sigma), "b": str(b),
-                                "skip": "leading form of new second component is not a square"})
+            a, c, g1 = result
+            g1w, g2w = ws.leading_form(g1), ws.leading_form(g2)
+            f3w = ws.leading_form(f3)
+            if homogeneous_membership(ws, f3w, g1w, g2w) is not None:
+                reasons.append({"sigma": list(sigma), "s": s,
+                                "skip": "third leading form lies in the new graded pair"})
                 continue
-            _, u = sq
-            upper = max(d1, 2 * d3)
-            lower = max(d1, d3)
-            for s in _odd_s_values(delta, lower, upper, limits.max_candidates):
-                result = _assemble_first_component(ws, f1, f3, u, s, delta)
-                if result is None:
-                    continue
-                a, c, g1 = result
-                g1w, g2w = ws.leading_form(g1), ws.leading_form(g2)
-                if proportionality(g1w**2, g2w**s) is None:
-                    continue
-                f3w = ws.leading_form(f3)
-                if homogeneous_membership(ws, f3w, g1w, g2w) is not None:
-                    reasons.append({"sigma": list(sigma), "s": s,
-                                    "skip": "third leading form lies in the new graded pair"})
-                    continue
-                bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+            bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
 
-                def below_bounds(res: Poly, _) -> bool:
-                    d = ws.deg(res)
-                    return d < d3 and d < bound
+            def below_bounds(res: Poly, _) -> bool:
+                d = ws.deg(res)
+                return d < d3 and d < bound
 
-                phi3, g3 = peel(ws, f3, (g1, g2), limits, below_bounds, 64)
-                if phi3 is None:
-                    reasons.append({"sigma": list(sigma), "s": s,
-                                    "skip": "no admissible third-component correction"})
-                    continue
-                phi3 = phi3.negate()
-                if not algebraically_independent([g1, g2, g3]):
-                    continue
-                witness = SUWitness(sigma=sigma, a=a, b=b, c=c, phi3=phi3, s=s,
-                                    delta=delta)
-                reduced = unpermute_triple((g1, g2, g3), sigma)
-                return SUOutcome(witness, reduced, reasons)
+            phi3, g3 = peel(ws, f3, (g1, g2), limits, below_bounds, 64)
+            if phi3 is None:
+                reasons.append({"sigma": list(sigma), "s": s,
+                                "skip": "no admissible third-component correction"})
+                continue
+            phi3 = phi3.negate()
+            if not algebraically_independent([g1, g2, g3]):
+                continue
+            witness = SUWitness(sigma=sigma, a=a, b=Fraction(0), c=c, phi3=phi3, s=s,
+                                delta=delta)
+            reduced = unpermute_triple((g1, g2, g3), sigma)
+            return SUOutcome(witness, reduced, reasons)
     if not reasons:
         reasons.append({"skip": "no permutation produced a candidate"})
     return SUOutcome(None, None, [Absence("limits-exhausted", reasons).to_json()])
@@ -802,11 +782,16 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
     f1 + a f3^2 + c f3 - gamma u^s must vanish, with gamma != 0 so the new
     top is exactly gamma*u^s.  A tail psi(f2) cannot enter: every atom f2^m
     with 2m <= s - 1 lies wholly below s*delta, so its column would be zero.
+
+    A returned g1 has degree s*delta and leading form gamma*u^s, gamma != 0:
+    u is homogeneous of degree delta, as a square root of a homogeneous form,
+    so u^s is a nonzero form of degree s*delta; every term of g1 - gamma*u^s
+    at or above s*delta is solved to zero; and gamma is the pivot or is set
+    to 1.  So with g2^w = lambda*u^2, (g1^w)^2 is proportional to (g2^w)^s.
     """
-    target_deg = s * delta
 
     def above(p: Poly) -> tuple:
-        return _above(ws, p, target_deg)
+        return _above(ws, p, s * delta)
 
     f3sq, us = f3**2, u**s
     columns = [above(f3sq), above(f3)]
@@ -821,7 +806,4 @@ def _assemble_first_component(ws, f1, f3, u, s, delta):
         if sol is None:
             return None
     a, c = sol[0], sol[1]
-    g1 = f1 + f3sq.scale(a) + f3.scale(c)
-    if g1.is_zero or ws.deg(g1) != target_deg:
-        return None
-    return a, c, g1
+    return a, c, f1 + f3sq.scale(a) + f3.scale(c)

@@ -321,7 +321,7 @@ def test_leading_form_idempotent(f):
 
 
 def _reference_deg(ws, f):
-    return max((ws.monomial_degree(m) for m in f.nums), default=DegreeValue.bottom())
+    return max((DegreeValue(ws.monomial_vec(m)) for m in f.nums), default=DegreeValue.bottom())
 
 
 def test_deg_memo_across_weight_systems():

@@ -73,6 +73,8 @@ def test_properties_requires_quasi(wt, xyz):
     x1, x2, x3 = xyz
     with pytest.raises(ValueError):
         verify_properties(wt, (x1, x2, x3), (x1, x2, x3))
+    with pytest.raises(ValueError, match="weakened condition block"):
+        normalize_to_su(wt, (x1, x2, x3), (x1, x2, x3))
 
 
 def test_p12_wedge_relations(su_pair_family):

@@ -16,7 +16,6 @@ from tame3.engine import (
     ReductionVerdict,
     TameFactor,
     TraceStep,
-    apply_scaling,
     certificate_json,
     certify_nagata,
     compose_endo,
@@ -62,11 +61,13 @@ def test_apply_permutation_and_scaling(nagata):
     F = nagata.components
     assert permute_triple(F, (1, 2, 3)) == F
     assert permute_triple(permute_triple(F, (2, 1, 3)), (2, 1, 3)) == F
-    scaled = apply_scaling(F, [Fraction(2), Fraction(-1), Fraction(3)])
-    back = apply_scaling(scaled, [Fraction(1, 2), Fraction(-1), Fraction(1, 3)])
-    assert back == F
+    # scaling the components is a diagonal affine factor applied on the left
+    scaling = TameFactor.affine([[2, 0, 0], [0, -1, 0], [0, 0, 3]], [0, 0, 0])
+    scaled = scaling.apply(F)
+    assert scaled == (F[0].scale(2), -F[1], F[2].scale(3))
+    assert scaling.inverted().apply(scaled) == F
     with pytest.raises(ValueError):
-        apply_scaling(F, [Fraction(0), Fraction(1), Fraction(1)])
+        TameFactor.affine([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
 
 
 def test_endo3_validation(nagata, nagata_ws):

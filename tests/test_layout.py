@@ -1,7 +1,8 @@
 """Module boundaries inside the package: a private name stays in its module,
 every module-level import is used, only the algebra module writes the
-fields of a Poly, only the algebra module calls the sparse solver, and only
-the engine module states a non-tameness verdict.
+fields of a Poly, only the algebra module calls the sparse solver, only
+the engine module states a non-tameness verdict, and every public function
+or method is referenced inside the package or kept for a stated reason.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
@@ -187,3 +188,68 @@ def test_poly_field_write_detector(tmp_path):
 def test_one_module_states_the_verdict():
     stating = [p.name for p in sorted(PKG.glob("*.py")) if "not tame" in p.read_text()]
     assert stating == ["engine.py"]
+
+
+# Public functions and methods that no code in the package references, each
+# kept for its own reason; anything else unreferenced is dead code.
+_KEPT_UNREFERENCED = {
+    "solve_sparse_int": "the benchmark's tracer wraps it by name to count solves",
+    "normalize_to_su": "the paper's constructive normalization, run by criterion 10",
+    "su_pair_uniqueness": "the paper's uniqueness of the strict pair, a checker",
+    "check_not_er": "the paper's not-elementarily-reducible checker",
+    "TameFactor.as_endo": "a factor as a triple, the reference that apply equals",
+    "ReductionTrace.ledger": "the degree after each step, read by criterion 4",
+    "ReductionTrace.recompose_origin": "undoes a trace's steps back to its input",
+    "certificate_json": "the byte-stable certificate of criterion 3",
+    "jacobian_det": "the Jacobian determinant, checked against sympy",
+    "max_complement_attained_twice": "the paper's max-attained-twice predicate, criterion 7",
+    "multiplicity_by_roots": "the independent multiplicity oracle of criterion 6",
+    "degS": "the representation degree that the inequality report is checked against",
+    "coprime_claims": "the integer facts of criterion 13",
+}
+
+
+def _unreferenced_public(paths: list[Path]) -> list[str]:
+    """Qualified names of the public module-level functions and methods of
+    public classes in paths whose name is never referenced, as a Name or an
+    Attribute, in any of paths other than an __init__.py.  References match
+    by bare name, so a member sharing its name with a used one counts as
+    used."""
+    defined, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined.extend((f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                               if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and not sub.name.startswith("_"))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_")):
+                defined.append((node.name, node.name))
+    return sorted(qualname for qualname, name in defined if name not in referenced)
+
+
+def test_every_public_member_is_referenced_or_kept():
+    assert _unreferenced_public(sorted(PKG.glob("*.py"))) == sorted(_KEPT_UNREFERENCED)
+
+
+def test_unreferenced_public_detector(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported_only\n")
+    a = tmp_path / "a.py"
+    a.write_text("def called():\n    return 1\n"
+                 "def exported_only():\n    return called()\n"
+                 "def _private():\n    pass\n"
+                 "class Box:\n    def read(self):\n        pass\n"
+                 "    def unread(self):\n        pass\n"
+                 "    def _hidden(self):\n        pass\n"
+                 "class _Inner:\n    def lost(self):\n        pass\n")
+    b = tmp_path / "b.py"
+    b.write_text("from .a import Box\nvalue = Box().read\n")
+    assert _unreferenced_public([tmp_path / "__init__.py", a, b]) == [
+        "Box.unread", "exported_only"]

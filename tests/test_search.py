@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import cli, search
 from tame3.algebra import (DegreeValue, Poly, WeightSystem, cancellation_window,
-                           lex_weight, parse_poly, poly_to_text, total_weight)
-from tame3.engine import random_tame
+                           lex_weight, parse_poly, poly_to_text, proportionality,
+                           total_weight)
+from tame3.engine import random_tame, reduce_step, stuck_rigorous
 from tame3.search import (
     DEFAULT_LIMITS,
     SearchLimits,
-    cancellation_coefficient,
     exact_membership,
     find_elementary_reduction,
     find_scaled_pair,
@@ -174,14 +174,6 @@ def test_leading_membership_rigorous_absences(weight, target, gens, expected):
 
 
 # --- scalar helpers ----------------------------------------------------------
-
-
-def test_cancellation_coefficient(wt, xyz):
-    x1, x2, _ = xyz
-    assert cancellation_coefficient(wt, x1, x1.scale(2)) == Fraction(-1, 2)
-    assert cancellation_coefficient(wt, x1, x2) is None
-    f = (x1 + x2).scale(3)
-    assert cancellation_coefficient(wt, f, x1 + x2) == -3
 
 
 def test_find_scaled_pair(wt, xyz):
@@ -481,6 +473,44 @@ def _nonconstant_polys(draw):
 _TAIL_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (1, 1), (0, 2))))
 
 
+def _below(ws, p, d):
+    """The terms of p of degree below d."""
+    return Poly(3, {m: c for m, c in p.terms.items() if ws.monomial_vec(m) < d.vec})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((total_weight(3), lex_weight(3))), _nonconstant_polys(),
+       _nonconstant_polys(), _nonconstant_polys(), st.sampled_from((3, 5)),
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.booleans(),
+       st.booleans())
+def test_assembled_first_component_tops_at_a_power_of_u(ws, top, f3, h, s, k, a0, c0,
+                                                        aligned, cut):
+    # u is any homogeneous form; f1 is k*u^s - a0*f3^2 - c0*f3 plus h, and h
+    # lies wholly below s*delta when cut.  An aligned f3 tops at u^s, so
+    # gamma is a free unknown of the system.
+    u = ws.leading_form(top)
+    delta = ws.deg(u)
+    us = u**s
+    if aligned:
+        f3 = us + _below(ws, f3, s * delta)
+    if cut:
+        h = _below(ws, h, s * delta)
+    f1 = us.scale(k) - (f3**2).scale(a0) - f3.scale(c0) + h
+    result = search._assemble_first_component(ws, f1, f3, u, s, delta)
+    if k and cut:
+        # (a0, c0, k) solves the system with gamma = k != 0
+        assert result is not None
+    if result is None:
+        return
+    a, c, g1 = result
+    assert g1 == f1 + (f3**2).scale(a) + f3.scale(c)
+    assert ws.deg(g1) == s * delta
+    gamma = proportionality(ws.leading_form(g1), us)
+    assert gamma is not None and gamma != 0
+    # so (g1^w)^2 is proportional to (g2^w)^s for any g2 with g2^w ~ u^2
+    assert proportionality(ws.leading_form(g1)**2, (u**2)**s) is not None
+
+
 @settings(max_examples=60, deadline=None)
 @given(_nonconstant_polys(), _nonconstant_polys(), st.integers(0, 3), st.integers(0, 3),
        st.sampled_from(_TAIL_WEIGHTS))
@@ -489,16 +519,16 @@ def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
     d = ws.deg(full)
     cache = search._ProductCache(f, g, ws)
     den, contents = cache.tail(i, j, d)
-    top = {m: c for m, c in full.terms.items() if ws.monomial_degree(m) == d}
+    top = {m: c for m, c in full.terms.items() if ws.monomial_vec(m) == d.vec}
     assert Poly.from_contents(3, dict(contents), den) == Poly(3, top)
     # below its own degree (a widened pair) the tail is the full product cut
     # at the threshold: each term pair reaching it counted once, none dropped
-    degrees = sorted({ws.monomial_degree(m) for m in full.nums}, key=lambda t: t.vec)
+    degrees = [DegreeValue(v) for v in sorted({ws.monomial_vec(m) for m in full.nums})]
     below_all = DegreeValue((-1,) + (0,) * (ws.r - 1))
     for threshold in [below_all] + degrees[:-1]:
         den, contents = cache.tail(i, j, threshold)
         assert len({m for m, _ in contents}) == len(contents)
-        cut = {m: c for m, c in full.terms.items() if ws.monomial_degree(m) >= threshold}
+        cut = {m: c for m, c in full.terms.items() if ws.monomial_vec(m) >= threshold.vec}
         assert Poly.from_contents(3, dict(contents), den) == Poly(3, cut)
 
 
@@ -564,6 +594,21 @@ def test_su_reduction_nagata_absent_rigorously(nagata, nagata_ws):
         r.get("absent", {}).get("reason") == "degree-shape" for r in out.reasons
     )
     assert all(r.get("absent", {}).get("rigorous") for r in out.reasons if "absent" in r)
+
+
+def test_su_reduction_archimedean_exit(wlex, xyz):
+    # at lex, no multiple of deg x2^2 = (0, 2, 0) exceeds deg x1 = (1, 0, 0),
+    # so no weak SU reduction exists and the absence is rigorous
+    x1, x2, x3 = xyz
+    F = (x1, x2**2, x3)
+    out = find_su_reduction(wlex, F)
+    assert out.witness is None and out.reduced is None
+    assert out.reasons == [{"absent": {"reason": "degree-shape", "rigorous": True,
+                                       "detail": {"archimedean-obstruction": [1, 2]}}}]
+    step = reduce_step(wlex, F)
+    assert step.kind == "stuck"
+    assert step.reasons["su"] == out.reasons
+    assert stuck_rigorous(step.reasons)
 
 
 def test_su_reduction_roundtrip(su_pair_family):
