@@ -183,18 +183,21 @@ class Poly:
     fields; the zero polynomial is ``{}`` over 1.  ``terms`` is a read-only
     monomial -> Fraction view.
 
-    A Poly is never mutated after it is built, so it remembers two values,
-    neither part of ``==`` or ``hash``: its weighted degree under the weight
-    system it was last asked about (the ``_deg`` slot, set by
-    ``WeightSystem.deg``), and the powers ``**`` has built of it (the
-    ``_powers`` slot, a dict from exponent k >= 2 to self**k).
+    A Poly is never mutated after it is built, so it remembers three
+    values, none part of ``==`` or ``hash``: its weighted degree under the
+    weight system it was last asked about (the ``_deg`` slot, set by
+    ``WeightSystem.deg``), its leading form under the weight system it was
+    last asked about (the ``_lead`` slot, set by ``WeightSystem.leading_form``)
+    and the powers ``**`` has built of it (the ``_powers`` slot, a dict from
+    exponent k >= 2 to self**k).
     """
 
-    __slots__ = ("n", "nums", "den", "_deg", "_powers")
+    __slots__ = ("n", "nums", "den", "_deg", "_lead", "_powers")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         self.n = n
         self._deg = None
+        self._lead = None
         self._powers = None
         clean: dict = {}
         if terms:
@@ -400,8 +403,20 @@ def _poly(n: int, nums: dict, den: int) -> Poly:
     out.nums = nums
     out.den = den
     out._deg = None
+    out._lead = None
     out._powers = None
     return out
+
+
+# Small integer points off the coordinate hyperplanes, at which a polynomial
+# identity is tried on integer contents before anything is expanded: a
+# mismatch at any of them refutes the identity exactly.
+_PROBE_COORDS = ((1, 1, 1), (1, -1, 2), (2, 3, -1), (-3, 1, 4), (5, -2, 3), (-1, 4, -5))
+
+
+def probe_points(n: int) -> list[tuple]:
+    """The probe points in n variables, each cycled to the arity."""
+    return [tuple(c[i % len(c)] for i in range(n)) for c in _PROBE_COORDS]
 
 
 def power_sum(p: Poly, coeffs: dict) -> Poly:
@@ -512,7 +527,16 @@ class WeightSystem:
         return d
 
     def leading_form(self, f: Poly) -> Poly:
-        """Sum of the terms of top weighted degree; rejects f = 0."""
+        """Sum of the terms of top weighted degree; rejects f = 0.
+
+        The form is remembered on f under this system's weights, as ``deg``
+        remembers the degree, so asking again returns the same Poly, with
+        every power already built of it.  A form that is all of f is f
+        itself, remembered as None so that f never refers to itself."""
+        w = self.weights
+        memo = f._lead
+        if memo is not None and (memo[0] is w or memo[0] == w):
+            return f if memo[1] is None else memo[1]
         if f.is_zero:
             raise ValueError("the zero polynomial has no leading form")
         d = self.deg(f)
@@ -523,8 +547,13 @@ class WeightSystem:
             top = d.vec
             nums = {m: c for (m, c), v in zip(f.nums.items(), self.term_vecs(f.nums))
                     if v == top}
+        if len(nums) == len(f.nums):
+            f._lead = (w, None)
+            return f
         out = _poly(f.n, nums, f.den)
-        out._deg = (self.weights, d)
+        out._deg = (w, d)
+        out._lead = (w, None)
+        f._lead = (w, out)
         return out
 
     def is_homogeneous(self, f: Poly) -> bool:

@@ -19,7 +19,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .algebra import DegreeValue, Poly, WeightSystem, poly_to_text
+from .algebra import DegreeValue, Poly, WeightSystem, poly_to_text, probe_points
 
 
 class DiffForm:
@@ -177,13 +177,6 @@ def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
     return wedge_all([differential(f) for f in fs])
 
 
-# Integer points at which the Jacobian is tried before any full expansion:
-# the origin first (a map with constant nonzero Jacobian, such as any
-# automorphism, is decided there), then small points off the coordinate
-# hyperplanes, cycled to the arity.
-_PROBE_COORDS = ((1, 1, 1), (1, -1, 2), (2, 3, -1), (-3, 1, 4), (5, -2, 3), (-1, 4, -5))
-
-
 def _jacobian_at(f: Poly, point: Sequence[int]) -> list[int]:
     """The gradient of f's integer contents at an integer point: den * grad f."""
     grad = [0] * f.n
@@ -210,8 +203,9 @@ def algebraically_independent(fs: Sequence[Poly]) -> bool:
     independent.
 
     The wedge's coefficients are the k x k minors of the Jacobian, so one
-    nonzero minor at one integer point proves independence; the points of
-    ``_PROBE_COORDS`` (and the origin) are tried on the integer contents
+    nonzero minor at one integer point proves independence; the origin (a
+    map with constant nonzero Jacobian, such as any automorphism, is decided
+    there) and then ``probe_points`` are tried on the integer contents
     first, and the full wedge is expanded only when every minor vanishes at
     all of them.  Either way the verdict is exact.
     """
@@ -220,7 +214,7 @@ def algebraically_independent(fs: Sequence[Poly]) -> bool:
     if any(f.is_zero for f in fs):
         return False
     n, k = fs[0].n, len(fs)
-    points = [(0,) * n] + [tuple(c[i % len(c)] for i in range(n)) for c in _PROBE_COORDS]
+    points = [(0,) * n] + probe_points(n)
     minors = list(combinations(range(n), k))
     for point in points:
         jac = [_jacobian_at(f, point) for f in fs]

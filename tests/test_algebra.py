@@ -339,6 +339,44 @@ def test_deg_memo_across_weight_systems():
     assert systems[2].deg(copy) == refs[2]
 
 
+def test_leading_form_memo_across_weight_systems():
+    f = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5 + x1^2*x2^2*x3^2", 3)
+    systems = [total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))),
+               total_weight(3)]
+    refs = []
+    for ws in systems:
+        top = max(ws.monomial_vec(m) for m in f.nums)
+        refs.append(Poly(3, {m: c for m, c in f.terms.items() if ws.monomial_vec(m) == top}))
+    assert len(set(refs)) == 3 and refs[0] == refs[3]
+    copy = Poly(3, f.terms)
+    for order in ([0, 1, 2, 3], [3, 0, 0, 2, 1, 1, 3], [1, 0, 3, 2, 2, 0]):
+        last = None
+        for k in order:
+            lf = systems[k].leading_form(f)
+            assert lf == refs[k] and lf is not f
+            if last is not None and systems[last[0]].weights == systems[k].weights:
+                assert lf is last[1]
+            last = (k, lf)
+    # a repeat keeps the powers built of the form, and a form's own form is itself
+    ws = systems[0]
+    cube = ws.leading_form(f) ** 3
+    assert systems[3].leading_form(f) ** 3 is cube
+    lf = ws.leading_form(f)
+    assert ws.leading_form(lf) is lf and lf._lead == (ws.weights, None)
+    # the remembered form is not part of equality or hashing
+    assert f == copy and hash(f) == hash(copy) and copy._lead is None
+    assert systems[2].leading_form(copy) == refs[2]
+
+
+def test_leading_form_of_a_homogeneous_polynomial_is_itself():
+    h = parse_poly("x1^2*x3 - 4*x2^3", 3)
+    ws = total_weight(3)
+    assert ws.leading_form(h) is h and h._lead == (ws.weights, None)
+    assert lex_weight(3).leading_form(h) == parse_poly("x1^2*x3", 3)
+    with pytest.raises(ValueError):
+        ws.leading_form(Poly.zero(3))
+
+
 @st.composite
 def lex_positive_weights(draw):
     r = draw(st.integers(1, 3))
@@ -359,6 +397,7 @@ def test_deg_memo_matches_reference(f, ws, other):
     if not f.is_zero:
         lf = ws.leading_form(f)
         assert ws.deg(lf) == ws.deg(f) and other.deg(lf) == _reference_deg(other, lf)
+        assert WeightSystem(ws.weights).leading_form(f) is lf
 
 
 def test_deg_zero_is_bottom_under_every_weight():

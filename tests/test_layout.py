@@ -115,7 +115,7 @@ def test_unused_import_detector(tmp_path):
     assert _unused_imports(probe) == ["3: json", "4: Iterator"]
 
 
-_POLY_FIELDS = ("nums", "den", "_deg", "_powers")
+_POLY_FIELDS = ("nums", "den", "_deg", "_lead", "_powers")
 _POLY_DICTS = ("nums", "_powers")
 _DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem__",
                   "__delitem__")
@@ -123,8 +123,8 @@ _DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem_
 
 def _poly_field_writes(path: Path) -> list[str]:
     """'line: target' for every assignment or deletion of an attribute named
-    like a Poly field (nums, den, the degree memo _deg, the power memo
-    _powers), every store into .nums[...] or ._powers[...], and every
+    like a Poly field (nums, den, the degree memo _deg, the leading-form
+    memo _lead, the power memo _powers), every store into .nums[...] or ._powers[...], and every
     setattr or dict-mutating call on those names."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
@@ -177,10 +177,11 @@ def test_poly_field_write_detector(tmp_path):
                      "    p._powers = {}\n"
                      "    q._powers[2] = p\n"
                      "    q._powers.clear()\n"
+                     "    p._lead = (m, q)\n"
                      "    return nums, den\n")
     assert _poly_field_writes(probe) == [
         "4: p.nums", "5: q.nums[m]", "6: p.den", "7: q._deg", "8: p.nums[m]",
-        "11: p._powers", "12: q._powers[2]",
+        "11: p._powers", "12: q._powers[2]", "14: p._lead",
         "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})",
         "13: q._powers.clear()"]
 

@@ -1,13 +1,15 @@
 import hashlib
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import cli, search
-from tame3.algebra import (DegreeValue, Poly, WeightSystem, cancellation_window,
-                           lex_weight, parse_poly, poly_to_text, proportionality,
-                           total_weight)
+from tame3.algebra import (DegreeValue, Poly, ScaledPair, WeightSystem, cancellation_window,
+                           lex_weight, parallel_multipliers, parse_poly, poly_to_text,
+                           probe_points, proportionality, total_weight)
 from tame3.engine import random_tame, reduce_step, stuck_rigorous
 from tame3.search import (
     DEFAULT_LIMITS,
@@ -185,6 +187,104 @@ def test_find_scaled_pair(wt, xyz):
     assert (sp.p, sp.q) == (2, 3)
     # degree-compatible but polynomially unrelated forms
     assert find_scaled_pair(wt, x1**2, x2**3) is None
+
+
+def _scaled_pair_by_expansion(ws, fw, gw):
+    """find_scaled_pair's answer from the degree relation and a comparison
+    of powers built by repeated multiplication on fresh copies."""
+    df, dg = ws.deg(fw), ws.deg(gw)
+    if not (df.is_positive() and dg.is_positive()):
+        return None
+    a, b = parallel_multipliers(df.vec, dg.vec)
+    if b is None or a <= 0 or b <= 0:
+        return None
+    p, q = a // math.gcd(a, b), b // math.gcd(a, b)
+    fq, gp = Poly(3, fw.terms), Poly(3, gw.terms)
+    for _ in range(q - 1):
+        fq = fq * Poly(3, fw.terms)
+    for _ in range(p - 1):
+        gp = gp * Poly(3, gw.terms)
+    return None if proportionality(gp, fq) is None else ScaledPair(p, q)
+
+
+_PAIR_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))))
+
+
+@st.composite
+def _pair_cases(draw):
+    """(ws, fw, gw, kind): two random leading forms, a true power pair
+    (c*u^p, u^q) for coprime p, q, or a near miss (u^p plus one monomial of
+    the same degree that u^p lacks, where the weight has one)."""
+    ws = draw(st.sampled_from(_PAIR_WEIGHTS))
+
+    def form():
+        terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)): draw(st.integers(-3, 3))
+                 for _ in range(draw(st.integers(1, 3)))}
+        f = Poly(3, terms)
+        assume(not f.is_zero and ws.deg(f).is_positive())
+        return ws.leading_form(f)
+
+    kind = draw(st.sampled_from(["random", "power", "near-miss"]))
+    if kind == "random":
+        return ws, form(), form(), kind
+    u = form()
+    p, q = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)]))
+    up = u**p
+    if kind == "power":
+        return ws, up.scale(draw(st.sampled_from([1, -2, Fraction(3, 5)]))), u**q, kind
+    top = ws.deg(up).vec
+    bound = 2 * up.total_degree() + 2
+    others = [m for m in product(range(bound + 1), repeat=3)
+              if ws.monomial_vec(m) == top and m not in up.nums]
+    assume(others)
+    extra = Poly(3, {draw(st.sampled_from(others)): draw(st.sampled_from([1, -1, 2]))})
+    return ws, up + extra, u**q, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_cases())
+def test_find_scaled_pair_matches_the_exact_comparison(case):
+    ws, fw, gw, kind = case
+    got = find_scaled_pair(ws, fw, gw)
+    assert got == _scaled_pair_by_expansion(ws, fw, gw)
+    if kind == "power":
+        assert got is not None
+
+
+def test_refuted_pair_builds_no_power():
+    wt = total_weight(3)
+    fw, gw = parse_poly("x1^2 + x2^2", 3), parse_poly("x1^3", 3)
+    assert find_scaled_pair(wt, fw, gw) is None
+    assert fw._powers is None and gw._powers is None
+    # a "yes" is proved on the full powers: gw^2 and fw^3 are built
+    fw, gw = parse_poly("x1^2 + 2*x1*x2 + x2^2", 3), parse_poly("3*x1^3 + 9*x1^2*x2 + "
+                                                            "9*x1*x2^2 + 3*x2^3", 3)
+    assert find_scaled_pair(wt, fw, gw) == ScaledPair(2, 3)
+    assert 3 in fw._powers and 2 in gw._powers
+
+
+def test_scaled_pair_vanishing_at_every_probe_point_is_decided_exactly():
+    # two cubics, each a product of three lines through pairs of the probe
+    # points, vanish at all of them: the point test cannot refute, and the
+    # exact comparison says no
+    pts = probe_points(3)
+
+    def line(a, b):
+        return Poly(3, {(1, 0, 0): a[1] * b[2] - a[2] * b[1],
+                        (0, 1, 0): a[2] * b[0] - a[0] * b[2],
+                        (0, 0, 1): a[0] * b[1] - a[1] * b[0]})
+
+    def cubic(pairs):
+        out = Poly.constant(1, 3)
+        for i, j in pairs:
+            out = out * line(pts[i], pts[j])
+        return out
+
+    f, g = cubic([(0, 1), (2, 3), (4, 5)]), cubic([(0, 2), (1, 3), (4, 5)])
+    wt = total_weight(3)
+    assert all(search._contents_at(h, v) == 0 for h in (f, g) for v in pts)
+    assert find_scaled_pair(wt, f, g) is None
+    assert find_scaled_pair(wt, f, f.scale(-2)) == ScaledPair(1, 1)
 
 
 # --- elementary reduction -----------------------------------------------------
