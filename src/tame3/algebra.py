@@ -5,9 +5,9 @@ common denominator; degrees live in a lexicographically ordered ``Z^r``
 extended by a bottom element for the zero polynomial.  Everything here is
 immutable by convention: operations return fresh values and never mutate
 their inputs, so all types are safe to share across threads.  The only
-writes after construction are a Poly's two remembered values, its weighted
-degree and its powers: every store puts a correct value in one slot or
-under one exponent, so a store that two threads repeat does no harm.
+writes after construction are a Poly's three remembered values, its weighted
+degree, its powers and its leading form: every store puts a correct value in
+one slot or under one exponent, so a store that two threads repeat does no harm.
 """
 
 from __future__ import annotations
@@ -1022,48 +1022,30 @@ def solve_contents(target, columns) -> Optional[list[Fraction]]:
     return system.solution()
 
 
-def poly_sqrt(p: Poly) -> Optional[Poly]:
-    """Exact square root of p, or None.  Leading coefficient must be a
-    rational square; works term-by-term from the lex-leading monomial."""
+def sqrt_up_to_scalar(p: Poly) -> Optional[tuple[Fraction, Poly]]:
+    """(c, u) with p = c * u^2 and u having leading coefficient 1, or None;
+    u is peeled term by term from the lex-leading monomial of p / c."""
     if p.is_zero:
-        return Poly.zero(p.n)
+        return (ZERO, Poly.zero(p.n))
     lead = max(p.nums)
     if any(e % 2 for e in lead):
         return None
     c = p.coeff(lead)
-    if c < 0:
-        return None
-    num, den = c.numerator, c.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    root, root_c = tuple(e // 2 for e in lead), Fraction(rn, rd)
-    u = Poly(p.n, {root: root_c})
+    p = p.scale(1 / c)
+    root = tuple(e // 2 for e in lead)
+    u = Poly(p.n, {root: 1})
     # Peel: each step determines the next-highest term of the root.
     for _ in range(2 * len(p.nums) + 2):
         r = p - u * u
         if r.is_zero:
-            return u
+            return (c, u)
         mr = max(r.nums)
         # the next term t satisfies 2 * (leading term of u) * t = leading of r
         half_mono = tuple(a - b for a, b in zip(mr, root))
-        if any(e < 0 for e in half_mono):
+        if any(e < 0 for e in half_mono) or half_mono >= root:
             return None
-        if half_mono >= max(u.nums):
-            return None
-        u = u + Poly(p.n, {half_mono: r.coeff(mr) / (2 * root_c)})
+        u = u + Poly(p.n, {half_mono: r.coeff(mr) / 2})
     return None
-
-
-def sqrt_up_to_scalar(p: Poly) -> Optional[tuple[Fraction, Poly]]:
-    """(c, u) with p = c * u^2 and u having leading coefficient 1, or None."""
-    if p.is_zero:
-        return (ZERO, Poly.zero(p.n))
-    c = p.coeff(max(p.nums))
-    u = poly_sqrt(p.scale(1 / c))
-    if u is None:
-        return None
-    return (c, u)
 
 
 def proportionality(h1: Poly, h2: Poly) -> Optional[Fraction]:

@@ -8,6 +8,7 @@ JSON mode emits canonical, byte-stable documents.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,35 +66,30 @@ def _parse_weight(spec: str) -> WeightSystem:
     return ws
 
 
-def _parse_limits(args) -> SearchLimits:
-    values = {
-        "bidegree": DEFAULT_LIMITS.max_bidegree,
-        "rounds": DEFAULT_LIMITS.max_cancellation_rounds,
-        "candidates": DEFAULT_LIMITS.max_candidates,
-        "product-terms": DEFAULT_LIMITS.max_product_terms,
-    }
+_LIMIT_KEYS = {
+    "bidegree": "max_bidegree",
+    "rounds": "max_cancellation_rounds",
+    "candidates": "max_candidates",
+    "product-terms": "max_product_terms",
+}
+
+
+def _parse_limits() -> SearchLimits:
+    """DEFAULT_LIMITS with the fields that the ``TAME3_LIMITS`` keys set."""
+    values = {}
     env = os.environ.get("TAME3_LIMITS", "")
     for chunk in filter(None, (c.strip() for c in env.split(","))):
         if "=" not in chunk:
             raise InputError(f"bad TAME3_LIMITS entry {chunk!r}")
         key, _, val = chunk.partition("=")
-        if key.strip() not in values:
+        if key.strip() not in _LIMIT_KEYS:
             raise InputError(f"unknown TAME3_LIMITS key {key!r}")
         try:
-            values[key.strip()] = int(val)
+            values[_LIMIT_KEYS[key.strip()]] = int(val)
         except ValueError as exc:
             raise InputError(f"bad TAME3_LIMITS entry {chunk!r}") from exc
-    if getattr(args, "limits_bidegree", None) is not None:
-        values["bidegree"] = args.limits_bidegree
-    if getattr(args, "limits_rounds", None) is not None:
-        values["rounds"] = args.limits_rounds
     try:
-        return SearchLimits(
-            max_bidegree=values["bidegree"],
-            max_cancellation_rounds=values["rounds"],
-            max_candidates=values["candidates"],
-            max_product_terms=values["product-terms"],
-        )
+        return dataclasses.replace(DEFAULT_LIMITS, **values)
     except ValueError as exc:
         raise InputError(f"bad search limits: {exc}") from exc
 
@@ -197,7 +193,7 @@ def _emit_verdict(args, verdict: ReductionVerdict) -> None:
 
 def cmd_reduce(args) -> int:
     ws = _parse_weight(args.weight)
-    limits = _parse_limits(args)
+    limits = _parse_limits()
     endo = _load_endo(args)
     trace = reduce_to_floor(ws, endo.components, limits, prefer=args.prefer)
     verified = _inverse_checked(args, ws, endo, trace)
@@ -207,7 +203,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_factor(args) -> int:
     ws = _parse_weight(args.weight)
-    limits = _parse_limits(args)
+    limits = _parse_limits()
     endo = _load_endo(args)
     factors, trace = factor_tame(ws, endo, limits)
     _inverse_checked(args, ws, endo, trace)
@@ -233,7 +229,7 @@ def cmd_certify_nagata(args) -> int:
 
 def cmd_check(args) -> int:
     ws = _parse_weight(args.weight)
-    limits = _parse_limits(args)
+    limits = _parse_limits()
     F, G = _parse_pair(_read_lines(args.file), args.file)
     which = args.which
     checkers = {
@@ -345,22 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_limits=True, with_weight=True):
+    def common(p, with_weight=True):
         p.add_argument("--json", action="store_true", help="canonical JSON output")
         if with_weight:
             p.add_argument("--weight", default="total",
                            help="total | nagata-lex | 'a,b,c;d,e,f;g,h,i'")
-        if with_limits:
-            p.add_argument("--limits-bidegree", type=int, default=None,
-                           help="widened exponent cap, used only when no "
-                                "cancellation window bounds the search")
-            p.add_argument("--limits-rounds", type=int, default=None,
-                           help="widening rounds cap, used only when no "
-                                "cancellation window bounds the search")
 
     p = sub.add_parser("deg", help="weighted degree table of a triple")
     p.add_argument("file")
-    common(p, with_limits=False)
+    common(p)
     p.set_defaults(func=cmd_deg)
 
     p = sub.add_parser("reduce", help="iterate reductions to the degree floor")
@@ -378,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("certify-nagata", help="rigorous non-tameness certificate")
-    common(p, with_limits=False, with_weight=False)
+    common(p, with_weight=False)
     p.set_defaults(func=cmd_certify_nagata)
 
     p = sub.add_parser("check", help="condition checkers on a pair of triples")
@@ -389,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-inequality", help="degree inequality oracle")
     p.add_argument("file")
-    common(p, with_limits=False)
+    common(p)
     p.set_defaults(func=cmd_check_inequality)
 
     p = sub.add_parser("gen", help="deterministic tame corpus")
@@ -398,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", type=int, default=4)
     p.add_argument("--coeff-bound", type=int, default=3)
     p.add_argument("--degree-bound", type=int, default=3)
-    common(p, with_limits=False, with_weight=False)
+    common(p, with_weight=False)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("nagata", help="print the classical triple (fixture)")

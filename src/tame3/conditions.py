@@ -40,6 +40,7 @@ from .search import (
     peel,
     permute_triple,
     PERMUTATIONS_3,
+    su6_bound,
 )
 
 Triple = tuple[Poly, Poly, Poly]
@@ -62,7 +63,10 @@ class ConditionReport:
 
 
 def _decompose(target: Poly, atoms: Sequence[Poly]):
-    """Exact coefficients c with target == sum c_k atom_k, or None."""
+    """Exact coefficients c with target == sum c_k atom_k, or None; all
+    zeros for a zero target."""
+    if target.is_zero:
+        return [Fraction(0)] * len(atoms)
     return solve_contents((target.den, target.nums.items()),
                           [(a.den, a.nums.items()) for a in atoms])
 
@@ -70,9 +74,7 @@ def _decompose(target: Poly, atoms: Sequence[Poly]):
 def _odd_power_relation(
     ws: WeightSystem, g1: Poly, g2: Poly
 ) -> Optional[int]:
-    """Odd s >= 3 with (g1^w)^2 proportional to (g2^w)^s."""
-    if g1.is_zero or g2.is_zero:
-        return None
+    """Odd s >= 3 with (g1^w)^2 proportional to (g2^w)^s; g1, g2 nonzero."""
     pair = find_scaled_pair(ws, ws.leading_form(g2), ws.leading_form(g1))
     if pair is None or pair.p != 2 or pair.q < 3:
         return None
@@ -112,7 +114,7 @@ def _set_su4_to_su6(ws: WeightSystem, rep: ConditionReport, F: Triple, G: Triple
 
     rep.set("SU5", ws.deg(g3) < ws.deg(f3), **su5_payload)
 
-    bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+    bound = su6_bound(ws, g1, g2)
     rep.set("SU6", ws.deg(g3) < bound, bound=bound.to_json())
 
 
@@ -129,14 +131,8 @@ def check_su_conditions(
     rep = ConditionReport()
 
     # SU1: g1 = f1 + a f3^2 + c f3; g2 = f2 + b f3; g3 - f3 in k[g1, g2].
-    shift1 = g1 - f1
-    sol1 = (
-        [Fraction(0), Fraction(0)]
-        if shift1.is_zero
-        else _decompose(shift1, [f3**2, f3])
-    )
-    shift2 = g2 - f2
-    sol2 = [Fraction(0)] if shift2.is_zero else _decompose(shift2, [f3])
+    sol1 = _decompose(g1 - f1, [f3**2, f3])
+    sol2 = _decompose(g2 - f2, [f3])
     member3, payload3 = _membership_flag(exact_membership(ws, g3 - f3, (g1, g2), limits))
     rep.set(
         "SU1",
@@ -174,8 +170,7 @@ def check_quasi_su(
     m1, p1 = (True, {"zero_shift": True}) if (g1 - f1).is_zero else _membership_flag(
         exact_membership(ws, g1 - f1, (f2, f3), limits)
     )
-    shift2 = g2 - f2
-    m2 = shift2.is_zero or membership_in_single(ws, shift2, f3) is not None
+    m2 = membership_in_single(ws, g2 - f2, f3) is not None
     m3, p3 = (True, {"zero_shift": True}) if (g3 - f3).is_zero else _membership_flag(
         exact_membership(ws, g3 - f3, (g1, g2), limits)
     )
@@ -207,20 +202,11 @@ def _p11_decomposition(F: Triple, G: Triple, s: int):
     """(a, b, c, d, psi-coeffs) for the canonical shift shapes, or None."""
     f1, f2, f3 = F
     g1, g2, _ = G
-    atoms = _shift_atoms(f2, f3, s)
-    shift1 = g1 - f1
-    sol1 = (
-        [Fraction(0)] * len(atoms) if shift1.is_zero else _decompose(shift1, atoms)
-    )
+    sol1 = _decompose(g1 - f1, _shift_atoms(f2, f3, s))
     if sol1 is None:
         return None
     psi_coeffs = {m: e for m, e in enumerate(sol1[2:]) if e}
-    shift2 = g2 - f2
-    sol2 = (
-        [Fraction(0), Fraction(0)]
-        if shift2.is_zero
-        else _decompose(shift2, [f3, Poly.constant(1, f3.n)])
-    )
+    sol2 = _decompose(g2 - f2, [f3, Poly.constant(1, f3.n)])
     if sol2 is None:
         return None
     return sol1[0], sol2[0], sol1[1], sol2[1], psi_coeffs
@@ -724,11 +710,7 @@ def su_pair_uniqueness(
             raise ValueError("both pairs must satisfy the strict condition block")
     first_equal = G1[0] == G2[0]
     second_equal = G1[1] == G2[1]
-    diff = G1[2] - G2[2]
-    if diff.is_zero:
-        member = True
-    else:
-        member = membership_in_single(ws, diff, G1[1]) is not None
+    member = membership_in_single(ws, G1[2] - G2[2], G1[1]) is not None
     return {
         "first_equal": first_equal,
         "second_equal": second_equal,

@@ -70,26 +70,6 @@ class DiffForm:
         return ((self.n, self.grade, self.denom, self.contents)
                 == (other.n, other.grade, other.denom, other.contents))
 
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        if self.grade != other.grade or self.n != other.n:
-            raise ValueError("grade/arity mismatch in form addition")
-        g = math.gcd(self.denom, other.denom)
-        sa, sb = other.denom // g, self.denom // g
-        contents = {k: c * sa for k, c in self.contents.items()}
-        for k, c in other.contents.items():
-            s = contents.get(k, 0) + c * sb
-            if s:
-                contents[k] = s
-            else:
-                del contents[k]
-        return _form(self.n, self.grade, contents, self.denom * sa)
-
-    def __neg__(self) -> "DiffForm":
-        return _form(self.n, self.grade, {k: -c for k, c in self.contents.items()}, self.denom)
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
-
     def __repr__(self) -> str:
         return f"DiffForm({form_to_text(self)!r})"
 

@@ -495,7 +495,8 @@ def exact_membership(
 def membership_in_single(
     ws: WeightSystem, target: Poly, gen: Poly
 ) -> Optional[dict[int, Fraction]]:
-    """Exact membership of target in k[gen]; complete greedy decision.
+    """Exact membership of target in k[gen] ({} for a zero target); a
+    complete greedy decision.
 
     Powers of a fixed nonconstant polynomial have pairwise distinct degrees,
     so the top coefficient is forced at every step.
@@ -713,6 +714,11 @@ def _odd_s_values(
     return out
 
 
+def su6_bound(ws: WeightSystem, g1: Poly, g2: Poly) -> DegreeValue:
+    """deg g1 - deg g2 + deg(dg1 ^ dg2): the SU6 bound on deg g3."""
+    return ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+
+
 def find_su_reduction(
     ws: WeightSystem,
     triple: Sequence[Poly],
@@ -768,7 +774,7 @@ def find_su_reduction(
                 reasons.append({"sigma": list(sigma), "s": s,
                                 "skip": "third leading form lies in the new graded pair"})
                 continue
-            bound = ws.deg(g1) - ws.deg(g2) + wedge_degree(ws, g1, g2)
+            bound = su6_bound(ws, g1, g2)
 
             def below_bounds(res: Poly, _) -> bool:
                 d = ws.deg(res)

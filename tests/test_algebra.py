@@ -15,7 +15,6 @@ from tame3.algebra import (
     half,
     lex_weight,
     parse_poly,
-    poly_sqrt,
     poly_to_text,
     power_sum,
     proportionality,
@@ -665,13 +664,29 @@ def test_solve_contents_rescales_and_rejects_untouched_monomials():
     assert solve_contents((1, []), [(5, [(x, 2)])]) == [0]
 
 
-def test_poly_sqrt(xyz):
+def test_sqrt_up_to_scalar_examples(xyz):
     x1, x2, _ = xyz
     u = x1**2 + (x1 * x2).scale(3) + Poly.constant(1, 3)
-    assert poly_sqrt(u * u) == u
-    assert poly_sqrt(x1 * x2) is None
-    c, root = sqrt_up_to_scalar((u * u).scale(Fraction(9, 4)))
-    assert root is not None and (root * root).scale(c) == (u * u).scale(Fraction(9, 4))
+    assert sqrt_up_to_scalar(u * u) == (1, u)
+    assert sqrt_up_to_scalar(x1 * x2) is None
+    assert sqrt_up_to_scalar((u * u).scale(Fraction(9, 4))) == (Fraction(9, 4), u)
+    assert sqrt_up_to_scalar(Poly.zero(3)) == (0, Poly.zero(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((total_weight(3), lex_weight(3))), small_polys(nonzero=True),
+       st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+       st.tuples(*[st.integers(0, 6)] * 3), st.integers(-4, 4).filter(bool))
+def test_sqrt_up_to_scalar_of_a_scaled_square(ws, f, c, mono, k):
+    # u is a leading form scaled to lex-leading coefficient 1
+    u = ws.leading_form(f)
+    u = u.scale(1 / u.coeff(max(u.nums)))
+    square = (u * u).scale(c)
+    assert sqrt_up_to_scalar(square) == (c, u)
+    # one more term breaks the square, unless it happens to make another one
+    broken = square + Poly(3, {mono: k})
+    out = sqrt_up_to_scalar(broken)
+    assert out is None or (out[1] * out[1]).scale(out[0]) == broken
 
 
 def test_proportionality(xyz):

@@ -8,6 +8,7 @@ import pytest
 from tame3 import cli, engine
 from tame3.algebra import Poly, poly_to_text
 from tame3.engine import nagata_endo, random_tame, reduce_step
+from tame3.search import SearchLimits
 
 PKG_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -225,19 +226,27 @@ def test_gen_deterministic():
     assert payload["corpus"][0]["factors"]
 
 
-def test_limits_env_and_flag_precedence(tmp_path, nagata_file):
-    # env applies, flag overrides; bogus env is an input error
+def test_limits_env_and_flag_precedence(monkeypatch, capsys, nagata_file):
+    # TAME3_LIMITS sets each of the four fields; there is no limits flag
+    monkeypatch.setenv("TAME3_LIMITS", "bidegree=4, rounds=2,candidates=5,product-terms=7")
+    assert cli._parse_limits() == SearchLimits(4, 2, 5, 7)
+    monkeypatch.setenv("TAME3_LIMITS", "rounds=3")
+    assert cli._parse_limits() == SearchLimits(max_cancellation_rounds=3)
     out = run_cli(["reduce", nagata_file, "--weight", "nagata-lex", "--json"],
                   env_extra={"TAME3_LIMITS": "bidegree=4,rounds=2"})
     assert out.returncode == 2
-    out = run_cli(["reduce", nagata_file, "--weight", "nagata-lex",
-                   "--limits-bidegree", "6", "--json"],
-                  env_extra={"TAME3_LIMITS": "bidegree=4"})
-    assert out.returncode == 2
-    out = run_cli(["deg", nagata_file])
-    assert out.returncode == 0  # deg ignores limits entirely
-    out = run_cli(["reduce", nagata_file], env_extra={"TAME3_LIMITS": "bogus=1"})
+    # a bogus key or value is an input error; deg ignores limits entirely
+    for env, message in (("bogus=1", "unknown TAME3_LIMITS key 'bogus'"),
+                         ("bidegree=abc", "bad TAME3_LIMITS entry 'bidegree=abc'")):
+        monkeypatch.setenv("TAME3_LIMITS", env)
+        assert cli.main(["reduce", nagata_file]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert cli.main(["deg", nagata_file]) == 0
+    out = run_cli(["reduce", nagata_file, "--limits-bidegree", "6"])
     assert out.returncode == 3
+    assert out.stderr.startswith("usage: tame3")
+    assert "unrecognized arguments: --limits-bidegree 6" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_custom_weight_vector(tmp_path):
@@ -324,7 +333,7 @@ def test_gen_without_a_clamped_draw_exit_3(monkeypatch, capsys):
     ["reduce", "{f}", "--prefer", "foo"],
     ["frobnicate"],
     ["reduce"],
-], ids=["limits-not-int", "gen-count-not-int", "unknown-choice", "unknown-subcommand",
+], ids=["limits-flag-unknown", "gen-count-not-int", "unknown-choice", "unknown-subcommand",
         "missing-file"])
 def test_usage_error_exit_3_without_traceback(tmp_path, argv):
     # argparse's own exit code 2 would read as "stuck"

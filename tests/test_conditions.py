@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from tame3 import conditions
 from tame3.algebra import DegreeValue, Poly, parse_poly
 from tame3.conditions import (
     check_not_er,
@@ -39,6 +41,48 @@ def test_su_implies_quasi(su_pair_family):
 def test_family_passes_quasi(su_pair_family):
     for ws, F, G in su_pair_family:
         assert check_quasi_su(ws, F, G).overall
+
+
+def test_decompose_of_a_zero_target_solves_nothing(monkeypatch, xyz):
+    x1, _, x3 = xyz
+
+    def refuse(*args):
+        raise AssertionError("a zero target needs no solve")
+
+    monkeypatch.setattr(conditions, "solve_contents", refuse)
+    assert conditions._decompose(Poly.zero(3), [x3**2, x3, x1]) == [0, 0, 0]
+
+
+# The three reports, byte for byte, on su_pair_family[0], whose first two
+# shifts g1 - f1 and g2 - f2 are zero.
+_ZERO_SHIFT_REPORTS = (
+    '{"SU1": {"holds": true, "a": "0", "c": "0", "b": "0", "third_component": '
+    '{"witness_pairs": [[0, 3], [2, 0]]}}, "SU2": {"holds": true, "deg_f": [[6], [4]], '
+    '"deg_g": [[6], [4]]}, "SU3": {"holds": true, "s": 3}, "SU4": {"holds": true, '
+    '"degree_ok": true, "leading_in_pair": false}, "SU5": {"holds": true, "deg_g3": [1], '
+    '"deg_f3": [6]}, "SU6": {"holds": true, "bound": [6]}, "overall": true}',
+    '{"SU1\'": {"holds": true, "first": {"zero_shift": true}, "second_in_third_gen": true, '
+    '"third": {"witness_pairs": [[0, 3], [2, 0]]}}, "SU2\'": {"holds": true}, '
+    '"SU3\'": {"holds": true}, "SU4": {"holds": true, "degree_ok": true, '
+    '"leading_in_pair": false}, "SU5": {"holds": true}, "SU6": {"holds": true, '
+    '"bound": [6]}, "overall": true}',
+    '{"P1": {"holds": true, "s": 3, "delta": [2]}, "P2": {"holds": true}, "P3": '
+    '{"holds": true}, "P4": {"holds": true, "quantifier": "sampled", "family_size": 2}, '
+    '"P5": {"holds": true, "active": false}, "P6": {"holds": true}, "P7": {"holds": true}, '
+    '"P8": {"holds": true}, "P9": {"holds": true, "quantifier": "sampled", "family_size": 0}, '
+    '"P10": {"holds": true, "active": false, "note": "generating pairs coincide; '
+    'hypothesis void"}, "P11": {"holds": true, "a": "0", "b": "0", "c": "0", "d": "0", '
+    '"psi": {}, "uniqueness": "checked only against supplied pairs"}, "P12": {"holds": '
+    'true, "first": true}, "overall": true}',
+)
+
+
+def test_zero_shift_reports(su_pair_family):
+    ws, F, G = su_pair_family[0]
+    assert (F[0], F[1]) == (G[0], G[1])
+    for check, expected in zip((check_su_conditions, check_quasi_su, verify_properties),
+                               _ZERO_SHIFT_REPORTS):
+        assert json.dumps(check(ws, F, G).to_json()) == expected
 
 
 def test_su1_rejects_tail_shift(su_pair_family):

@@ -247,8 +247,8 @@ _rational_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _rational
 
 
 @st.composite
-def _forms(draw, grade=None):
-    grade = grade or draw(st.integers(1, 3))
+def _forms(draw):
+    grade = draw(st.integers(1, 3))
     if draw(st.booleans()):
         idxs = draw(st.lists(st.sampled_from(list(combinations(range(3), grade))),
                              max_size=3))
@@ -279,13 +279,9 @@ def test_deg_form_is_the_max_over_coefficients(w):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda l: st.tuples(_forms(l), _forms(l), _forms(l))),
-       _rational_polys, _rationals)
-def test_routes_agree_on_fields(forms3, f, c):
-    a, b, w = forms3
+@given(_forms(), _rational_polys, _rationals)
+def test_routes_agree_on_fields(a, f, c):
     pairs = [
-        ((a + b) + w, a + (b + w)),
-        ((a - b) + b, _canonical(a)),
         (DiffForm(3, 1, {i: p.scale(c) for i, p in differential(f).coeffs.items()}),
          differential(f.scale(c))),
         (DiffForm(3, a.grade, a.coeffs), a),
@@ -293,9 +289,6 @@ def test_routes_agree_on_fields(forms3, f, c):
     for x, y in pairs:
         assert _canonical(x) == _canonical(y)
         assert (x.contents, x.denom) == (y.contents, y.denom)
-    assert dict((a + b).coeffs) == {
-        i: s for i in set(a.coeffs) | set(b.coeffs)
-        if not (s := a.coeffs.get(i, Poly.zero(3)) + b.coeffs.get(i, Poly.zero(3))).is_zero}
     # zero coefficients are dropped, and the view is read-only
     padded = DiffForm(3, 1, {(0,): f, (1,): Poly.zero(3)})
     assert dict(padded.coeffs) == ({} if f.is_zero else {(0,): f})

@@ -7,9 +7,9 @@ or method is referenced inside the package or kept for a stated reason.
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
-the unused-import check.  A Poly remembers its weighted degree and its
-powers, which is sound only while no other module changes its contents
-after it is built.
+the unused-import check.  A Poly remembers its weighted degree, its
+powers and its leading form, which is sound only while no other module
+changes its contents after it is built.
 A non-tameness claim is read off one rule (a rigorous stuck on a verified
 map), so its wording lives next to that rule and nowhere else.
 """

@@ -138,6 +138,8 @@ def test_membership_in_single_leading_forms(wt, xyz):
     # same degree as a power, but not proportional to it
     assert membership_in_single(wt, x1 * x2, x1) is None
     assert membership_in_single(wt, Poly.constant(4, 3), x1) == {0: Fraction(4)}
+    # a zero target is a member with no coefficients; the condition checkers rely on it
+    assert membership_in_single(wt, Poly.zero(3), x1) == {}
 
 
 def _obstruction(target_degree, note=None):
