@@ -4,7 +4,12 @@
         --seconds 20 --workload compose --workload "compose --heldout-seed 1" \
         --out BENCH_14.json
 
-Each checkout directory runs its own ``bench/run.py`` with ``--trace 0``.
+Each checkout directory runs its own ``bench/run.py`` with ``--trace 0``,
+compiled from source on every run: each run gets a fresh, empty
+``PYTHONPYCACHEPREFIX`` and ``PYTHONDONTWRITEBYTECODE=1``, so neither side
+reads bytecode the other side or an earlier run left.  The output records
+a sha256 of each side's ``src/tame3/*.py`` and ``bench/*.py``, which names
+a side that is a file copy rather than a commit.
 Pair k uses seed ``FIRST_SEED + k`` (11, 12, ...), runs both sides one
 after the other on that seed, and alternates which side runs first (the
 parent in even pairs).  A workload is a name, optionally followed by extra ``bench/run.py``
@@ -24,6 +29,7 @@ neither side), and the two pipeline tests:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -31,10 +37,12 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SEED = 11
+TREE_GLOBS = ("src/tame3/*.py", "bench/*.py")
 
 
 def run_once(checkout: Path, workload: list[str], seed: int, seconds: float,
@@ -44,7 +52,9 @@ def run_once(checkout: Path, workload: list[str], seed: int, seconds: float,
     name, *extra = workload
     cmd = [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", "--scale", str(scale), *extra]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {shlex.join(cmd)} in {checkout} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
@@ -88,6 +98,16 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4))
 
 
+def tree_digest(checkout: Path) -> str:
+    """sha256 over the relative path and bytes of every file that
+    ``TREE_GLOBS`` matches in checkout, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for pattern in TREE_GLOBS for p in checkout.glob(pattern)):
+        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _commit(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -119,6 +139,7 @@ def main(argv=None) -> int:
         "what": "bench/run.py end-to-end metrics, parent commit beside this change",
         "parent_commit": _commit(args.parent),
         "change_commit": _commit(args.change),
+        "tree_sha256": {side: tree_digest(path) for side, path in checkouts.items()},
         "command": (f"python3 bench/run.py --workload <w> --seed <s> --seconds "
                     f"{args.seconds:g} --trace 0 --scale {args.scale:g} [extra args]"),
         "method": "pairs of runs, one per seed, parent and change on the same seed and "

@@ -9,7 +9,6 @@ from .algebra import (
     lex_weight,
     parse_poly,
     poly_to_text,
-    semigroup_member,
     total_weight,
     z_independent,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -207,7 +208,13 @@ class Poly:
                     continue
                 if len(mono) != n:
                     raise ValueError(f"monomial {mono} has arity {len(mono)}, expected {n}")
-                clean[tuple(int(e) for e in mono)] = c
+                try:
+                    mono = tuple(map(operator.index, mono))
+                except TypeError:
+                    raise ValueError(f"monomial {mono} has a non-integral exponent") from None
+                if min(mono, default=0) < 0:
+                    raise ValueError(f"monomial {mono} has a negative exponent")
+                clean[mono] = c
         # Reduced fractions over their least common denominator are primitive.
         den = 1
         for c in clean.values():
@@ -351,13 +358,14 @@ class Poly:
             powers[e] = (powers[e - 1] if e > 2 else self) * self
         return powers[k]
 
-    def compose(self, subs: Sequence["Poly"]) -> "Poly":
-        """Substitute subs[i] for x_{i+1}; exact full expansion.
+    def compose(self, subs: Sequence["Poly"], onto: Optional["Poly"] = None) -> "Poly":
+        """Substitute subs[i] for x_{i+1}; exact full expansion, added onto
+        the polynomial ``onto`` when one is given.
 
         Powers of each substituted polynomial come from ``**``, so they are
         built once for the life of that polynomial, and every term is
         scattered into one integer accumulator over a running common
-        denominator.
+        denominator, which ``onto`` seeds: q + p(subs) is one pass.
         """
         if len(subs) != self.n:
             raise ValueError(f"expected {self.n} substitutions, got {len(subs)}")
@@ -366,8 +374,16 @@ class Poly:
             if s.n != m:
                 raise ValueError("substitution polynomials must share arity")
         one = _poly(m, {(0,) * m: 1}, 1)
+        # the running sum is acc / (self.den * den)
         acc: dict = {}
         den = 1
+        if onto is not None:
+            if onto.n != m:
+                raise ValueError(f"arity mismatch: {onto.n} vs {m}")
+            common = math.lcm(self.den, onto.den)
+            den = common // self.den
+            lift = common // onto.den
+            acc = dict(onto.nums) if lift == 1 else {mm: c * lift for mm, c in onto.nums.items()}
         for mono, coeff in sorted(self.nums.items()):
             prod = one
             for i, e in enumerate(mono):
@@ -562,10 +578,11 @@ class WeightSystem:
         return len(set(map(self.monomial_vec, f.nums))) == 1
 
     def deg_endo(self, components: Sequence[Poly]) -> DegreeValue:
-        acc = DegreeValue((0,) * self.r)
-        for f in components:
-            acc = acc + self.deg(f)
-        return acc
+        """The sum of the components' degrees; Bottom if one is zero."""
+        vecs = [self.deg(f).vec for f in components]
+        if None in vecs:
+            return _BOTTOM
+        return _degree(tuple(map(sum, zip(*vecs))) if vecs else (0,) * self.r)
 
     def describe(self) -> dict:
         return {"r": self.r, "vectors": [list(w) for w in self.weights]}
@@ -625,20 +642,6 @@ def parallel_multipliers(base: Sequence[int], *vecs: Sequence[int]) -> tuple:
         m = vec[k] // e[k]
         out.append(m if all(v == m * d for v, d in zip(vec, e)) else None)
     return tuple(out)
-
-
-def semigroup_member(
-    d: DegreeValue, d1: DegreeValue, d2: DegreeValue
-) -> Optional[tuple[int, int]]:
-    """Some (p, q) >= 0 with p*d1 + q*d2 == d, else None: the first pair of
-    ``all_semigroup_pairs`` (the smallest p), so it shares that function's
-    enumeration guard when d1, d2 are parallel."""
-    if d.is_bottom or d1.is_bottom or d2.is_bottom:
-        raise ValueError("semigroup_member requires vector degrees")
-    if not (d1.is_positive() and d2.is_positive()):
-        raise ValueError("generators must be positive")
-    pairs = all_semigroup_pairs(d, d1, d2)
-    return pairs[0] if pairs else None
 
 
 def all_semigroup_pairs(
@@ -936,9 +939,10 @@ class Elimination:
         bisect.insort(self._keys, lead)
         self._fresh.append(lead)
 
-    def solution(self) -> Optional[list[Fraction]]:
-        """x over the columns added so far, or None when the target is not
-        in their span."""
+    def contents(self) -> Optional[tuple[int, dict]]:
+        """x over the columns added so far as integer contents, (den,
+        {k: int}) with x_k = nums[k] / den (absent k: 0) and den nonzero,
+        or None when the target is not in their span."""
         if self._fresh:
             self._fresh.sort(reverse=True)
             vec, combo = self._reduce(*self._residual, self._fresh)
@@ -949,9 +953,16 @@ class Elimination:
         if vec:
             return None
         # on contents, x_k * column_k / den_k sums to target / den
-        t = -combo[-1] * self._den
-        return [Fraction(combo[k] * den, t) if k in combo else ZERO
-                for k, den in enumerate(self._dens)]
+        dens = self._dens
+        return -combo[-1] * self._den, {k: c * dens[k] for k, c in combo.items() if k >= 0}
+
+    def solution(self) -> Optional[list[Fraction]]:
+        """``contents`` as one Fraction per column."""
+        out = self.contents()
+        if out is None:
+            return None
+        den, nums = out
+        return [Fraction(nums.get(k, 0), den) for k in range(len(self._dens))]
 
     def _reduce(self, vec: dict, combo: dict, keys) -> tuple[dict, dict]:
         """Cancel the pivots `keys` (descending) from vec; combo follows."""

@@ -569,7 +569,7 @@ def _lower_third(ws, h3, top: int):
     def make_accept(_key, g1, _g2, w12):
         bound = DegreeValue.of(top) + w12
 
-        def accept(res: Poly, peeled: dict) -> bool:
+        def accept(res: Poly, peeled: Poly) -> bool:
             if res.is_zero:
                 return False
             if not ws.deg(res) < ws.deg(h3):
@@ -651,7 +651,7 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
                 return None
             deg_bound = DegreeValue.of(l) + w12
 
-            def accept(res: Poly, peeled: dict) -> bool:
+            def accept(res: Poly, peeled: Poly) -> bool:
                 if res.is_zero:
                     return False
                 d = ws.deg(res)
@@ -660,7 +660,7 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
 
             return accept
 
-        def accept(res: Poly, peeled: dict) -> bool:
+        def accept(res: Poly, peeled: Poly) -> bool:
             if res.is_zero or res.is_constant:
                 return False
             d = ws.deg(res)

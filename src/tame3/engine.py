@@ -144,14 +144,15 @@ class TameFactor:
         """``compose_endo(acc, self.as_endo())``, computed directly.
 
         An elementary factor changes only component i, to
-        acc[i] + phi(acc); phi omits x_i, so no power of acc[i] is built.
+        acc[i] + phi(acc), one ``compose`` pass onto acc[i]; phi omits x_i,
+        so no power of acc[i] is built.
         An affine component is one integer combination of acc's contents.
         """
         if self.kind == "affine":
             return tuple(_combine(nums, den, acc) for nums, den in self.rows)
         out = list(acc)
         i = self.index - 1
-        out[i] = acc[i] + self.phi.compose(acc)
+        out[i] = self.phi.compose(acc, acc[i])
         return tuple(out)
 
     def as_endo(self) -> Triple:
@@ -360,15 +361,18 @@ def reduce_step(
     F: Triple,
     limits: SearchLimits = DEFAULT_LIMITS,
     prefer: str = "elementary",
+    deg: Optional[DegreeValue] = None,
 ) -> TraceStep:
     """One reduction attempt: floor test, then the two search families.
 
-    Raises ValueError on a prefer other than "elementary" or "su", and
-    when F is algebraically dependent at the floor or below it.
+    ``deg`` is ``ws.deg_endo(F)`` when the caller has it already.  Raises
+    ValueError on a prefer other than "elementary" or "su", and when F is
+    algebraically dependent at the floor or below it.
     """
     if prefer not in ("elementary", "su"):
         raise ValueError(f"prefer must be 'elementary' or 'su', got {prefer!r}")
-    deg = ws.deg_endo(F)
+    if deg is None:
+        deg = ws.deg_endo(F)
     floor = ws.total
     if deg == floor:
         if not algebraically_independent(F):
@@ -410,8 +414,9 @@ def reduce_to_floor(
     """Iterate reduction steps until the floor, a stuck state, or the budget."""
     trace = ReductionTrace(origin=tuple(F))
     current = tuple(F)
+    deg = ws.deg_endo(current)
     for _ in range(itercap):
-        step = reduce_step(ws, current, limits, prefer)
+        step = reduce_step(ws, current, limits, prefer, deg)
         if step.kind == "at-floor":
             trace.final = current
             trace.result = "floor"
@@ -422,7 +427,7 @@ def reduce_to_floor(
             trace.stuck_reasons = step.reasons
             return trace
         current = step.reduced
-        step.degree_after = ws.deg_endo(current)
+        step.degree_after = deg = ws.deg_endo(current)
         trace.steps.append(step)
     trace.final = current
     trace.result = "budget"

@@ -37,7 +37,6 @@ from .algebra import (
     parallel_multipliers,
     probe_points,
     proportionality,
-    semigroup_member,
     solve_contents,
     sqrt_up_to_scalar,
     z_independent,
@@ -118,7 +117,10 @@ class MembershipOutcome:
     # widened solves behind `found`: 0 on the exact slice, 1 over a
     # cancellation window, else the level rounds that ran
     rounds_used: int = 0
-    residual: Optional[Poly] = None  # target - found.value(), when found
+    # target - found.value(), when found: `negated` (-found) expanded onto
+    # target in one Poly.compose pass
+    residual: Optional[Poly] = None
+    negated: Optional[BiPoly] = None
 
 
 class _ProductCache:
@@ -222,17 +224,19 @@ def _solve_with_pairs(
 ) -> Optional[BiPoly]:
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) <
     threshold, where `system` was made from the target's terms at or above
-    threshold (``_above``).
+    threshold (its leading form, when threshold is its degree), as a
+    representation on integer contents.
 
     The tails of the pairs past ``system.width`` are added as its columns
     first, so a caller that extends `pairs` and solves again reduces only
     the new columns."""
     for i, j in pairs[system.width:]:
         system.add(cache.tail(i, j, threshold))
-    sol = system.solution()
+    sol = system.contents()
     if sol is None:
         return None
-    return BiPoly(gens, {pair: c for pair, c in zip(pairs, sol) if c})
+    den, nums = sol
+    return BiPoly(gens, Poly.from_contents(2, {pairs[k]: c for k, c in nums.items()}, den))
 
 
 def homogeneous_membership(
@@ -253,7 +257,7 @@ def homogeneous_membership(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(h)
     pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
-    found = _solve_with_pairs(Elimination(_above(ws, h, d)), (g1h, g2h), pairs, d,
+    found = _solve_with_pairs(Elimination((h.den, h.nums)), (g1h, g2h), pairs, d,
                               _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
@@ -261,10 +265,12 @@ def homogeneous_membership(
 
 
 def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> MembershipOutcome:
-    """The outcome for a found representation, with its residual."""
-    residual = target - found.value()
+    """The outcome for a found representation, with its residual: the
+    negated representation expanded onto target in one pass."""
+    negated = found.negate()
+    residual = negated.at(found.gens, target)
     assert ws.deg(residual) < ws.deg(target)
-    return MembershipOutcome(found, rounds_used=rounds, residual=residual)
+    return MembershipOutcome(found, rounds_used=rounds, residual=residual, negated=negated)
 
 
 @dataclass
@@ -301,11 +307,15 @@ def _decide_exact(
     target: Poly,
     gens: tuple[Poly, Poly],
     cache: Optional[_ProductCache] = None,
+    component: Optional[int] = None,
 ) -> MembershipOutcome | _Widening:
     """The exact-slice solve and the rigorous exits of the leading search.
 
     Returns a MembershipOutcome when they decide, else the _Widening state
-    from which ``_widen`` resumes.
+    from which ``_widen`` resumes.  A target degree outside the semigroup
+    of Z-independent generator degrees is decided before anything is
+    built; its absence names the 1-based ``component`` when the elementary
+    search gives one, else the target degree.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -314,19 +324,24 @@ def _decide_exact(
     if not (d1.is_positive() and d2.is_positive()):
         raise ValueError("generators must be nonconstant")
     d = ws.deg(target)
-    cache = cache or _ProductCache(f, g, ws)
     try:
         exact_pairs = all_semigroup_pairs(d, d1, d2)
     except ValueError:
         return MembershipOutcome(None, Absence("limits-exhausted",
                                                "degree-slice enumeration guard"))
-    system = Elimination(_above(ws, target, d))
+    # Z-independent degrees: distinct products have distinct degrees, so no
+    # cancellation between them is possible and the exact slice decides.
+    independent = z_independent(d1, d2)
+    if independent and not exact_pairs:
+        detail = {"target_degree": d.to_json()} if component is None else {"component": component}
+        return MembershipOutcome(None, Absence("semigroup-obstruction", detail))
+    cache = cache or _ProductCache(f, g, ws)
+    lead = ws.leading_form(target)
+    system = Elimination((lead.den, lead.nums))
     found = _solve_with_pairs(system, gens, exact_pairs, d, cache)
     if found is not None:
         return _found(ws, target, found, 0)
-    if z_independent(d1, d2):
-        # No cancellation between distinct products is possible, so the
-        # exact slice decides membership outright.
+    if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
     # Cancellation among leading products forces a power proportionality of
     # the generator leading forms; without one, the exact slice already
@@ -445,19 +460,20 @@ def peel(
     target: Poly,
     gens: tuple[Poly, Poly],
     limits: SearchLimits,
-    accept: Callable[[Poly, dict], bool],
+    accept: Callable[[Poly, Poly], bool],
     budget: int,
 ) -> tuple:
     """Subtract leading representations over gens from target until
     ``accept(residual, coeffs)`` holds, at most ``budget`` times.
 
-    Returns (phi, residual) with target == phi.value() + residual, or
-    (None, absence) when a leading form has no representation, the residual
-    is an unaccepted constant, or the budget runs out.
+    ``coeffs`` is the sum of the representations peeled so far, a Poly in
+    two variables.  Returns (phi, residual) with target == phi.value() +
+    residual, or (None, absence) when a leading form has no representation,
+    the residual is an unaccepted constant, or the budget runs out.
     """
     cache = _ProductCache(*gens, ws)
     residual = target
-    acc: dict[tuple[int, int], Fraction] = {}
+    acc = Poly.zero(2)
     for _ in range(budget):
         if accept(residual, acc):
             return BiPoly(gens, acc), residual
@@ -466,12 +482,7 @@ def peel(
         out = leading_membership_search(ws, residual, gens, limits, cache)
         if out.found is None:
             return None, out.absence
-        for key, c in out.found.coeffs.items():
-            s = acc.get(key, Fraction(0)) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+        acc = acc + out.found.poly
         assert ws.deg(out.residual) < ws.deg(residual)
         residual = out.residual
     return None, Absence("limits-exhausted", "peel budget")
@@ -487,9 +498,8 @@ def exact_membership(
     phi, rest = peel(ws, target, gens, limits, lambda res, _: res.is_constant, 200)
     if phi is None:
         return MembershipOutcome(None, rest)
-    coeffs = dict(phi.coeffs)
-    coeffs[(0, 0)] = coeffs.get((0, 0), Fraction(0)) + rest.constant_term()
-    return MembershipOutcome(BiPoly(gens, coeffs), residual=Poly.zero(target.n))
+    phi = BiPoly(gens, phi.poly + Poly.constant(rest.constant_term(), 2))
+    return MembershipOutcome(phi, residual=Poly.zero(target.n))
 
 
 def membership_in_single(
@@ -617,27 +627,20 @@ def find_elementary_reduction(
             return ElementaryOutcome(None, ordered)
         reduced = list(triple)
         reduced[index - 1] = out.residual
-        step = ElementaryStep(index=index, phi=out.found.negate(),
-                              new_degree=ws.deg(out.residual))
+        step = ElementaryStep(index=index, phi=out.negated, new_degree=ws.deg(out.residual))
         return ElementaryOutcome(step, ordered, tuple(reduced))
 
     min_weight = min((DegreeValue(w) for w in ws.weights), key=lambda d: d.vec)
     for i in range(3):
         j, l = [k for k in range(3) if k != i]
         fi, fj, fl = triple[i], triple[j], triple[l]
-        di, dj, dl = ws.deg(fi), ws.deg(fj), ws.deg(fl)
-        if di <= min_weight:
+        if ws.deg(fi) <= min_weight:
             # A strict drop would force a constant component, impossible
             # for an independent triple.
             reasons[i + 1] = Absence("degree-shape",
                                      {"component-at-minimal-degree": i + 1})
             continue
-        if z_independent(dj, dl) and semigroup_member(di, dj, dl) is None:
-            # Distinct products have distinct degrees, so any element of
-            # k[f_j, f_l] has its degree in the semigroup; rigorous skip.
-            reasons[i + 1] = Absence("semigroup-obstruction", {"component": i + 1})
-            continue
-        out = _decide_exact(ws, fi, (fj, fl))
+        out = _decide_exact(ws, fi, (fj, fl), component=i + 1)
         if isinstance(out, _Widening):
             pending[i + 1] = out
         elif out.found is not None:

@@ -7,9 +7,9 @@ between the two is what the inequality oracle quantifies.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import DegreeValue, Poly, WeightSystem
 from .forms import deg_form, differential, differentials_wedge, wedge
@@ -111,27 +111,35 @@ def multiplicity_by_roots(ws: WeightSystem, phi: AuxPoly, g: Poly) -> int:
 
 
 class BiPoly:
-    """Finite Q-combination of products f^i g^j over an ordered generator pair."""
+    """Finite Q-combination of products f^i g^j over an ordered generator pair.
 
-    __slots__ = ("gens", "coeffs")
+    The combination is one ``Poly`` in two variables, the exponent of x1
+    counting f and of x2 counting g, so it is integer contents over one
+    denominator, like every exact layer: substituting the pair is
+    ``Poly.compose``, negating is ``-poly``, and ``coeffs`` is the
+    read-only (i, j) -> Fraction view that JSON and the condition checkers
+    read.
+    """
 
-    def __init__(self, gens: tuple[Poly, Poly], coeffs: dict):
+    __slots__ = ("gens", "poly")
+
+    def __init__(self, gens: tuple[Poly, Poly], poly: Poly):
         self.gens = gens
-        self.coeffs = {
-            (int(i), int(j)): Fraction(c)
-            for (i, j), c in coeffs.items()
-            if c != 0
-        }
-        if any(i < 0 or j < 0 for i, j in self.coeffs):
-            raise ValueError("negative exponent in representation")
+        self.poly = poly
+
+    @property
+    def coeffs(self) -> Mapping:
+        return self.poly.terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero
 
-    def at(self, pair: Sequence[Poly]) -> Poly:
-        """The representation with pair substituted for its generators."""
-        return Poly(2, self.coeffs).compose(pair)
+    def at(self, pair: Sequence[Poly], onto: Optional[Poly] = None) -> Poly:
+        """The representation with pair substituted for its generators,
+        added onto ``onto`` when one is given (one pass, as in
+        ``Poly.compose``)."""
+        return self.poly.compose(pair, onto)
 
     def value(self) -> Poly:
         return self.at(self.gens)
@@ -139,22 +147,19 @@ class BiPoly:
     def on_variables(self, j: int, k: int, n: int) -> Poly:
         """``at`` on (x_{j+1}, x_{k+1}) of n variables, j != k: each pair
         (i, l) becomes the monomial with exponent i at j and l at k."""
-        terms = {}
-        for (a, b), c in self.coeffs.items():
+        nums = {}
+        for (a, b), c in self.poly.nums.items():
             mono = [0] * n
             mono[j], mono[k] = a, b
-            terms[tuple(mono)] = c
-        return Poly(n, terms)
+            nums[tuple(mono)] = c
+        return Poly.from_contents(n, nums, self.poly.den)
 
     def negate(self) -> "BiPoly":
-        return BiPoly(self.gens, {k: -c for k, c in self.coeffs.items()})
+        return BiPoly(self.gens, -self.poly)
 
     def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {"i": i, "j": j, "c": str(c)} for (i, j), c in sorted(self.coeffs.items())
-            ]
-        }
+        coeffs = self.coeffs
+        return {"pairs": [{"i": i, "j": j, "c": str(coeffs[i, j])} for i, j in sorted(coeffs)]}
 
     def __repr__(self) -> str:
         return f"BiPoly({sorted(self.coeffs.items())!r})"

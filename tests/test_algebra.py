@@ -18,7 +18,6 @@ from tame3.algebra import (
     poly_to_text,
     power_sum,
     proportionality,
-    semigroup_member,
     solve_contents,
     solve_sparse_int,
     sqrt_up_to_scalar,
@@ -146,6 +145,22 @@ def test_constant_matches_general_constructor(c, n):
     assert Poly.zero(n) == Poly(n) and Poly.zero(n).den == 1
 
 
+@pytest.mark.parametrize("mono", [(-1, 0, 0), (1.5, 0, 0), (0, 0, 2.0), (0, "1", 0)])
+def test_constructor_rejects_bad_exponents(mono):
+    # a negative exponent would print as 1 and have total degree -1; a float
+    # one used to be truncated by int()
+    with pytest.raises(ValueError):
+        Poly(3, {mono: 1})
+
+
+def test_constructor_reads_a_bool_exponent_as_an_int(xyz):
+    # bool is an int subclass, so operator.index accepts it; the stored key
+    # is a plain int tuple, as every other construction gives
+    p = Poly(3, {(True, 0, False): 2})
+    assert p == xyz[0].scale(2)
+    assert [type(e) for m in p.nums for e in m] == [int, int, int]
+
+
 @pytest.mark.parametrize("c", [0.5, 0.0, "1", None])
 def test_constant_rejects_non_rationals(c):
     with pytest.raises(TypeError):
@@ -212,6 +227,44 @@ def test_power_sum_matches_aux_evaluation(xyz, coeffs):
     p = x1 * x3 + x2.scale(2) - Poly.constant(1, 3)
     expected = AuxPoly(3, {m: Poly.constant(c, 3) for m, c in coeffs.items()}).evaluate(p)
     assert power_sum(p, coeffs) == expected
+
+
+_RATIONALS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def _rational_polys(draw, n):
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(n)): draw(_RATIONALS)
+             for _ in range(draw(st.integers(0, 3)))}
+    return Poly(n, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_polys(2), _rational_polys(3), _rational_polys(3), _rational_polys(3),
+       st.sampled_from(["random", "cancelling", "partly-cancelling"]))
+def test_compose_onto_adds_in_one_pass(p, s1, s2, q, kind):
+    subs = [s1 + Poly.variable(0, 3), s2 + Poly.variable(1, 3)]
+    value = p.compose(subs)
+    if kind == "cancelling":
+        q = -value
+    elif kind == "partly-cancelling":
+        q = q - value
+    out = p.compose(subs, onto=q)
+    assert out == q + value
+    assert (out.nums, out.den) == ((q + value).nums, (q + value).den)
+    if kind == "cancelling":
+        assert out.is_zero and out.den == 1
+
+
+@pytest.mark.parametrize("p_den, q_den", [(1, 1), (6, 1), (1, 10), (4, 6), (3, 3)])
+def test_compose_onto_lifts_either_denominator(xyz, p_den, q_den):
+    x1, x2, x3 = xyz
+    p = Poly(2, {(2, 0): Fraction(1, p_den), (0, 1): Fraction(-5, p_den)})
+    q = (x1 * x3 + x2**2).scale(Fraction(7, q_den))
+    subs = [x1 + x3.scale(Fraction(1, 2)), x2 - x1]
+    assert p.compose(subs, onto=q) == q + p.compose(subs)
+    assert p.compose(subs, onto=-p.compose(subs)).is_zero
+    assert Poly.zero(2).compose(subs, onto=q) == q
 
 
 def test_compose_binomial(xyz):
@@ -428,17 +481,17 @@ def test_z_independent_examples():
 
 
 def test_semigroup_member_examples():
-    assert semigroup_member(D(2, 0, 3), D(1, 0, 2), D(0, 0, 1)) is None
+    assert all_semigroup_pairs(D(2, 0, 3), D(1, 0, 2), D(0, 0, 1)) == []
     d1 = D(2, 0, 3)
-    assert semigroup_member(d1, d1, D(0, 0, 1)) == (1, 0)
-    assert semigroup_member(D(5, 0, 8), D(2, 0, 3), D(1, 0, 2)) == (2, 1)
+    assert all_semigroup_pairs(d1, d1, D(0, 0, 1)) == [(1, 0)]
+    assert all_semigroup_pairs(D(5, 0, 8), D(2, 0, 3), D(1, 0, 2)) == [(2, 1)]
 
 
 def test_semigroup_member_parallel_case():
-    assert semigroup_member(D(7), D(2), D(3)) == (2, 1)
-    assert semigroup_member(D(1), D(2), D(3)) is None
-    # smallest p wins
-    assert semigroup_member(D(12), D(2), D(3)) == (0, 4)
+    assert all_semigroup_pairs(D(7), D(2), D(3)) == [(2, 1)]
+    assert all_semigroup_pairs(D(1), D(2), D(3)) == []
+    # ascending p
+    assert all_semigroup_pairs(D(12), D(2), D(3)) == [(0, 4), (3, 2), (6, 0)]
 
 
 def _brute_pairs(d, d1, d2):
@@ -463,7 +516,6 @@ def _check_lattice(d, d1, d2):
         return None
     pairs = all_semigroup_pairs(d, d1, d2)
     assert pairs == _brute_pairs(d, d1, d2)
-    assert semigroup_member(d, d1, d2) == (pairs[0] if pairs else None)
     return pairs
 
 
@@ -640,6 +692,20 @@ def test_elimination_rounds_agree_with_solve_contents(m, n, rng):
         answers.append(expected)
         assert system.solution() == expected
         assert system.solution() == expected
+        contents = system.contents()
+        assert (contents is None) == (expected is None)
+        if contents is not None:
+            # integer contents that, scaled back, are the solution, and solve
+            # the system on the columns so far
+            den, nums = contents
+            assert type(den) is int and den
+            assert all(type(c) is int and c and 0 <= k < end for k, c in nums.items())
+            x = [Fraction(nums.get(k, 0), den) for k in range(system.width)]
+            assert x == expected
+            for key in keys:
+                lhs = sum(xk * Fraction(col[1].get(key, 0), col[0])
+                          for xk, col in zip(x, columns))
+                assert lhs == Fraction(target[1].get(key, 0), target[0])
     assert answers[-1] is not None
 
 

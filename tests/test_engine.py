@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import engine
-from tame3.algebra import Poly, lex_weight, total_weight
+from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
@@ -360,7 +360,7 @@ _PAIR_COEFFS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), 
 def test_elementary_undo_places_phi_on_the_other_variables(coeffs, index):
     y = identity_endo()
     j, k = [x for x in range(3) if x != index - 1]
-    phi = BiPoly((y[0], y[1]), coeffs)
+    phi = BiPoly((y[0], y[1]), Poly(2, coeffs))
     step = TraceStep("elementary", elementary=ElementaryStep(index, phi, None))
     assert step.undo_factors() == [TameFactor.elementary(index, -phi.at((y[j], y[k])))]
 
@@ -405,20 +405,46 @@ def test_undo_factors_place_without_compose(su_pair_family, small_corpus, wt, mo
 
 
 def test_elementary_step_expands_its_representation_once(wt, xyz, monkeypatch):
-    # the search's residual is the reduced component, so the loop does not
-    # expand the found representation again
+    # the search's residual is the reduced component: the step's phi, the
+    # negated representation, is expanded onto the component in one pass,
+    # and the loop does not expand it again
     x1, x2, x3 = xyz
     calls = []
-    value = BiPoly.value
+    at = BiPoly.at
 
-    def counted(self):
-        calls.append(self)
-        return value(self)
+    def counted(self, pair, onto=None):
+        calls.append((self, onto))
+        return at(self, pair, onto)
 
-    monkeypatch.setattr(BiPoly, "value", counted)
-    trace = reduce_to_floor(wt, (x1 + x2**3, x2, x3))
+    monkeypatch.setattr(BiPoly, "at", counted)
+    F = (x1 + x2**3, x2, x3)
+    trace = reduce_to_floor(wt, F)
     assert trace.result == "floor" and len(trace.steps) == 1
     assert len(calls) == 1
+    phi, onto = calls[0]
+    assert phi is trace.steps[0].elementary.phi and onto is F[0]
+
+
+def test_reduction_loop_takes_each_triple_degree_once(wt, wlex, xyz, small_corpus,
+                                                      monkeypatch):
+    # the degree of a reduced triple is the step's degree_after and the next
+    # step's floor test, taken once
+    x1, _, x3 = xyz
+    assert wt.deg_endo((x1, Poly.zero(3), x3)) == DegreeValue.bottom()
+    assert wlex.deg_endo(xyz) == wlex.total and WeightSystem(((1,),)).deg_endo([]).vec == (0,)
+    calls = []
+    deg_endo = WeightSystem.deg_endo
+
+    def counted(self, components):
+        calls.append(components)
+        return deg_endo(self, components)
+
+    monkeypatch.setattr(WeightSystem, "deg_endo", counted)
+    endo, _ = small_corpus[4]
+    trace = reduce_to_floor(wt, endo.components)
+    assert trace.result == "floor" and len(trace.steps) >= 2
+    assert calls == [trace.origin] + [step.reduced for step in trace.steps]
+    assert trace.ledger == [deg_endo(wt, step.reduced) for step in trace.steps]
 
 
 def test_su_number_zero_for_elementary_traces(wt, small_corpus):

@@ -51,6 +51,9 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
     doc = json.loads(out.read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(doc["workloads"]) == {"compose", "compose --heldout-seed 1"}
+    bench_pairs = _load_script("bench_pairs")
+    assert doc["tree_sha256"] == {"parent": bench_pairs.tree_digest(ROOT),
+                                  "change": bench_pairs.tree_digest(ROOT)}
     for workload in doc["workloads"].values():
         assert workload["seeds"] == [11] and workload["digests_match"]
         assert [r["side"] for r in workload["runs"]] == ["parent", "change"]
@@ -65,7 +68,6 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
             assert type(stats["claim_met"]) is bool and type(stats["within_bound"]) is bool
 
     # the two pipeline tests on made-up pairs: parent median 100, q3 - q1 2.5
-    bench_pairs = _load_script("bench_pairs")
     parent = [90, 95, 100, 100, 100, 100, 100, 100, 105, 110]
 
     def tests(change, better="higher", parent=parent):
@@ -87,3 +89,47 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
     assert tests([74] * 10, parent=flat) == (False, False)
     assert tests([125] * 10, "lower", flat) == (False, True)
     assert tests([126] * 10, "lower", flat) == (False, False)
+
+
+def test_bench_pairs_runs_each_side_from_source(tmp_path, monkeypatch):
+    # every run gets its own empty bytecode cache and writes none, so a side
+    # never reads bytecode left by the other side or an earlier run
+    bench_pairs = _load_script("bench_pairs")
+    envs = []
+
+    def fake_run(cmd, cwd, capture_output, text, env):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        envs.append((dict(env), prefix.is_dir() and not any(prefix.iterdir())))
+        report = {"report": {"digest": "d"}}
+        result = {"attempted": 1, "correct": True, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 1.0}}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(report) + "\n"
+                                           + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        run = bench_pairs.run_once(tmp_path, ["compose"], 11, 0.1, 1.0)
+        assert run["digest"] == "d" and run["metrics"] == {"items_per_s": 1.0}
+    (first, first_empty), (second, second_empty) = envs
+    assert first_empty and second_empty
+    assert first["PYTHONDONTWRITEBYTECODE"] == second["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert first["PYTHONPYCACHEPREFIX"] != second["PYTHONPYCACHEPREFIX"]
+    assert not Path(first["PYTHONPYCACHEPREFIX"]).exists()
+
+
+def test_bench_pairs_tree_digest_sees_one_byte(tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    trees = []
+    for name, body in (("a", b"x = 1\n"), ("b", b"x = 2\n"), ("c", b"x = 1\n")):
+        root = tmp_path / name
+        (root / "src" / "tame3").mkdir(parents=True)
+        (root / "bench").mkdir()
+        (root / "src" / "tame3" / "algebra.py").write_bytes(body)
+        (root / "bench" / "run.py").write_bytes(b"pass\n")
+        (root / "notes.txt").write_bytes(name.encode())  # outside the globs
+        trees.append(bench_pairs.tree_digest(root))
+    assert trees[0] != trees[1] and trees[0] == trees[2]
+    # a file renamed with the same bytes is a different tree
+    moved = tmp_path / "c" / "bench" / "run.py"
+    moved.rename(moved.with_name("run2.py"))
+    assert bench_pairs.tree_digest(tmp_path / "c") != trees[0]

@@ -330,6 +330,28 @@ def test_elementary_exact_slice_before_widening(wt, xyz, monkeypatch):
     assert widened == []
 
 
+def test_elementary_search_decides_each_lattice_question_once(wt, wlex, small_corpus,
+                                                              monkeypatch):
+    # a component that reaches the lattice step takes its semigroup pairs and
+    # the Z-independence of the other two degrees once each, whether the
+    # exact slice decides it, pass 2 widens it, or the semigroup skips it
+    counts = {}
+    for name in ("z_independent", "all_semigroup_pairs"):
+        def counted(*args, _name=name, _original=getattr(search, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    searched = []
+    for ws in (wt, wlex):
+        for endo, _ in small_corpus[:12]:
+            counts.update(z_independent=0, all_semigroup_pairs=0)
+            find_elementary_reduction(ws, endo.components)
+            assert counts["z_independent"] == counts["all_semigroup_pairs"] <= 3
+            searched.append(counts["z_independent"])
+    assert max(searched) == 3
+
+
 def _cancelling_pair(y, z):
     # g1^2 and g2^3 share their degree-12 top and cancel down to degree 6
     return y**6 + (y**2 * z).scale(Fraction(3, 2)), y**4 + z
@@ -387,6 +409,33 @@ def test_widening_builds_only_the_window(xyz, monkeypatch):
     # the exact pair (1, 0) on the target's slice is a leading-form
     # product: the truncated products built are the window's, each once
     assert built == window
+
+
+def test_peel_accumulates_the_fraction_sum_of_its_rounds(wt, xyz, monkeypatch):
+    # two scripted rounds whose (1, 0) coefficients cancel: the peeled sum
+    # the accept sees after each round, and the representation returned,
+    # are the Fraction sums of the rounds so far
+    x1, x2, _ = xyz
+    gens = (x1, x2)
+    residuals = [x1**3, x1**2, x1]
+    rounds = [{(1, 0): 1, (0, 1): 2}, {(1, 0): -1, (2, 0): Fraction(1, 3)}]
+    script = iter(zip(rounds, residuals[1:]))
+
+    def scripted(ws, target, gens_, limits, cache):
+        coeffs, residual = next(script)
+        return search.MembershipOutcome(BiPoly(gens_, Poly(2, coeffs)), residual=residual)
+
+    monkeypatch.setattr(search, "leading_membership_search", scripted)
+    seen = []
+
+    def accept(res, peeled):
+        seen.append(dict(peeled.terms))
+        return res == residuals[-1]
+
+    phi, residual = search.peel(wt, residuals[0], gens, DEFAULT_LIMITS, accept, 5)
+    sums = [{}, {(1, 0): 1, (0, 1): 2}, {(0, 1): 2, (2, 0): Fraction(1, 3)}]
+    assert seen == sums
+    assert residual == x1 and phi.gens == gens and dict(phi.coeffs) == sums[-1]
 
 
 def test_fully_solved_window_names_it(xyz):
@@ -503,7 +552,7 @@ def test_cancellation_window_holds_every_cancelling_pair(case):
     ws = total_weight(3)
     wedge = wedge_degree(ws, f, g)
     assume(not phi2.is_zero and not wedge.is_bottom)
-    phi = BiPoly((f, g), phi2.terms)
+    phi = BiPoly((f, g), phi2)
     d, d1, d2 = ws.deg(phi.value()), ws.deg(f), ws.deg(g)
     assert q * d1 == p * d2
     columns = {}
@@ -778,7 +827,7 @@ def test_fast_path_soundness(wt, wlex):
     # whenever the semigroup fast path would skip, the bounded search agrees
     import random as _random
 
-    from tame3.algebra import semigroup_member, z_independent
+    from tame3.algebra import all_semigroup_pairs, z_independent
 
     rng = _random.Random(31)
     checked = 0
@@ -793,7 +842,7 @@ def test_fast_path_soundness(wt, wlex):
             dj, dl = ws.deg(f), ws.deg(g)
             if not (dj.is_positive() and dl.is_positive()):
                 continue
-            if z_independent(dj, dl) and semigroup_member(ws.deg(target), dj, dl) is None:
+            if z_independent(dj, dl) and not all_semigroup_pairs(ws.deg(target), dj, dl):
                 out = leading_membership_search(ws, target, (f, g))
                 assert out.found is None
                 assert out.absence.rigorous

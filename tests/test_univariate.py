@@ -1,10 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tame3.algebra import DegreeValue, Poly
+from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
 from tame3.univariate import (
     AuxPoly,
     BiPoly,
@@ -135,10 +137,10 @@ def test_degS_reads_representation(xyz, wt):
     x1, x2, x3 = xyz
     f = x2
     g = x3 + x2**3
-    rep = BiPoly((f, g), {(1, 1): Fraction(1)})
+    rep = BiPoly((f, g), Poly(2, {(1, 1): Fraction(1)}))
     assert degS(wt, rep) == wt.deg(f) + wt.deg(g)
     # cancellation in the value does not change the representation degree
-    rep2 = BiPoly((f, g), {(3, 0): Fraction(1), (0, 1): Fraction(-1)})
+    rep2 = BiPoly((f, g), Poly(2, {(3, 0): Fraction(1), (0, 1): Fraction(-1)}))
     assert degS(wt, rep2) == D(3)
     assert wt.deg(rep2.value()) < D(3)
 
@@ -146,13 +148,72 @@ def test_degS_reads_representation(xyz, wt):
 def test_bipoly_at_substitutes_the_generators(xyz):
     x1, x2, x3 = xyz
     f, g = x1 + x3**2, x2 - x1
-    rep = BiPoly((f, g), {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2),
-                          (1, 2): Fraction(5)})
+    rep = BiPoly((f, g), Poly(2, {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2),
+                                  (1, 2): Fraction(5)}))
     assert rep.at((f, g)) == rep.value()
     assert rep.value() == (f**2).scale(3) - g.scale(Fraction(1, 2)) + (f * g**2).scale(5)
     # at (y_j, y_k) the representation reads as a polynomial in those variables
     by_hand = Poly(3, {(0, 2, 0): 3, (0, 0, 1): Fraction(-1, 2), (0, 1, 2): 5})
     assert rep.at((x2, x3)) == by_hand
+
+
+@st.composite
+def _representations(draw):
+    """(ws, f, g, coeffs): a random nonconstant generator pair and random
+    rational coefficients on exponent pairs (i, j) <= 3, zeros included."""
+
+    def poly():
+        terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)): draw(st.integers(-3, 3))
+                 for _ in range(draw(st.integers(1, 3)))}
+        p = Poly(3, terms)
+        return p if not p.is_constant else p + Poly.variable(draw(st.integers(0, 2)), 3)
+
+    ws = draw(st.sampled_from((total_weight(3), lex_weight(3),
+                               WeightSystem(((1, 0), (1, 1), (0, 2))))))
+    coeffs = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.sampled_from([0, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 6)]),
+        max_size=5))
+    return ws, poly(), poly(), coeffs
+
+
+def _fresh(p):
+    """A copy of p with nothing remembered, so no power is shared."""
+    return Poly(p.n, p.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_representations(), st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 1)]))
+def test_bipoly_matches_a_fraction_reference(case, jk):
+    # the reference is the Fraction dict BiPoly used to hold, expanded term
+    # by term as c * f^i * g^j on fresh copies of the generators
+    ws, f, g, coeffs = case
+    ref = {pair: Fraction(c) for pair, c in coeffs.items() if c}
+    phi = BiPoly((f, g), Poly(2, coeffs))
+
+    def expand(reference):
+        acc = Poly.zero(3)
+        for (i, j), c in sorted(reference.items()):
+            acc = acc + (_fresh(f) ** i * _fresh(g) ** j).scale(c)
+        return acc
+
+    assert dict(phi.coeffs) == ref and phi.is_zero == (not ref)
+    assert phi.value() == expand(ref)
+    neg = phi.negate()
+    assert neg.gens == (f, g) and dict(neg.coeffs) == {k: -c for k, c in ref.items()}
+    assert neg.value() == expand({k: -c for k, c in ref.items()}) == -phi.value()
+    j, k = jk
+    by_hand = {}
+    for (a, b), c in ref.items():
+        mono = [0, 0, 0]
+        mono[j], mono[k] = a, b
+        by_hand[tuple(mono)] = c
+    assert phi.on_variables(j, k, 3) == Poly(3, by_hand)
+    pairs = [{"i": i, "j": jj, "c": str(c)} for (i, jj), c in sorted(ref.items())]
+    assert json.dumps(phi.to_json()) == json.dumps({"pairs": pairs})
+    if ref:
+        assert degS(ws, phi) == max(ws.deg(_fresh(f) ** i * _fresh(g) ** jj)
+                                    for i, jj in ref)
 
 
 def test_derivative_degree_drop_when_multiple(wt):
