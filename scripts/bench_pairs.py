@@ -24,6 +24,9 @@ neither side), and the two pipeline tests:
 * ``within_bound``: the change median is worse than the parent's by at
   most the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
   parent median.
+
+After each workload, stderr gets one line per end-to-end metric: both
+medians, their ratio, the pairs the change won and the two tests.
 """
 
 from __future__ import annotations
@@ -90,6 +93,19 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
         out["within_bound"] = gain >= -spec["bound"] * abs(out["parent_median"])
         summary[name] = out
     return summary
+
+
+def summary_lines(workload: str, summary: dict) -> list[str]:
+    """One line per metric of ``summarize``'s output: parent median ->
+    change median, their ratio, the pairs won and the two tests."""
+    lines = []
+    for name, s in summary.items():
+        ratio = s["change_over_parent"]
+        ratio = "n/a" if ratio is None else f"{ratio:.4f}"
+        lines.append(f"{workload} {name}: {s['parent_median']:.6g} -> {s['change_median']:.6g}, "
+                     f"ratio {ratio}, wins {s['change_wins']}, claim_met {s['claim_met']}, "
+                     f"within_bound {s['within_bound']}")
+    return lines
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -159,14 +175,16 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       f"{run['metrics']['items_per_s']:.1f} items/s", file=sys.stderr)
         digests = {(r["seed"], r["side"]): r["digest"] for r in runs}
+        summary = summarize(runs, metrics)
         doc["workloads"][workload] = {
             "extra_args": shlex.join(words[1:]),
             "seeds": seeds,
             "digests_match": all(digests[s, "parent"] == digests[s, "change"]
                                  for s in seeds),
-            "summary": summarize(runs, metrics),
+            "summary": summary,
             "runs": runs,
         }
+        print("\n".join(summary_lines(workload, summary)), file=sys.stderr)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

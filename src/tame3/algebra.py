@@ -19,6 +19,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 
@@ -430,9 +431,10 @@ def _poly(n: int, nums: dict, den: int) -> Poly:
 _PROBE_COORDS = ((1, 1, 1), (1, -1, 2), (2, 3, -1), (-3, 1, 4), (5, -2, 3), (-1, 4, -5))
 
 
-def probe_points(n: int) -> list[tuple]:
+@lru_cache(maxsize=None)  # one entry per arity
+def probe_points(n: int) -> tuple[tuple, ...]:
     """The probe points in n variables, each cycled to the arity."""
-    return [tuple(c[i % len(c)] for i in range(n)) for c in _PROBE_COORDS]
+    return tuple(tuple(c[i % len(c)] for i in range(n)) for c in _PROBE_COORDS)
 
 
 def power_sum(p: Poly, coeffs: dict) -> Poly:
@@ -464,6 +466,11 @@ class WeightSystem:
                 raise ValueError(f"weight {w} is not lex-positive")
         object.__setattr__(self, "_vec_cache", {})
         object.__setattr__(self, "_is_total", all(w == (1,) for w in ws))
+        # the sum of the variable weights, the degree floor for automorphisms,
+        # and the least variable weight, the least degree of a nonconstant
+        # polynomial
+        object.__setattr__(self, "total", DegreeValue(tuple(map(sum, zip(*ws)))))
+        object.__setattr__(self, "min_weight", DegreeValue(min(ws)))
 
     @property
     def n(self) -> int:
@@ -472,15 +479,6 @@ class WeightSystem:
     @property
     def r(self) -> int:
         return len(self.weights[0])
-
-    @property
-    def total(self) -> DegreeValue:
-        """Sum of the variable weights: the degree floor for automorphisms."""
-        acc = [0] * self.r
-        for w in self.weights:
-            for k, c in enumerate(w):
-                acc[k] += c
-        return DegreeValue(acc)
 
     def rank(self) -> int:
         """Rank of the integer lattice spanned by the weight vectors."""

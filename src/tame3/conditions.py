@@ -212,6 +212,20 @@ def _p11_decomposition(F: Triple, G: Triple, s: int):
     return sol1[0], sol2[0], sol1[1], sol2[1], psi_coeffs
 
 
+def _p4_exponents(d2: DegreeValue, d3: DegreeValue, cap: DegreeValue, count: int):
+    """The pairs (i, j) != (0, 0) below count with i*d2 + j*d3 <= cap, by
+    i then j.  Degrees are positive, so i*d2 + j*d3 grows with j and the
+    first pair above cap ends its row."""
+    for i in range(count):
+        if i * d2 > cap:
+            return
+        for j in range(count):
+            if i * d2 + j * d3 > cap:
+                break
+            if i or j:
+                yield i, j
+
+
 def verify_properties(
     ws: WeightSystem,
     F: Triple,
@@ -245,19 +259,7 @@ def verify_properties(
 
     # P4 (sampled): products of the last two components within the degree cap
     # must decompose into the quadratic-linear-tail shape.
-    family4: list[Poly] = []
-    cap = s * delta
-    for i in range(limits.max_candidates):
-        for j in range(limits.max_candidates):
-            if i == j == 0:
-                continue
-            dd = i * d2 + j * d3
-            if dd <= cap:
-                family4.append(f2**i * f3**j)
-            elif j == 0 and i * d2 > cap:
-                break
-        if i * d2 > cap:
-            break
+    family4 = [f2**i * f3**j for i, j in _p4_exponents(d2, d3, s * delta, limits.max_candidates)]
     if not (g1 - f1).is_zero:
         family4.append(g1 - f1)
     atoms4 = _shift_atoms(f2, f3, s)

@@ -161,18 +161,7 @@ class TameFactor:
     def inverted(self) -> "TameFactor":
         if self.kind == "elementary":
             return TameFactor.elementary(self.index, -self.phi)
-        # With A = diag(1/den_i) R for integer R and b_i = t_i / den_i:
-        # A^-1 = adj(R) diag(den) / det R and A^-1 b = adj(R) t / det R, and
-        # y = Ax + b  =>  x = A^-1 y - A^-1 b.
-        r = [nums[1:] for nums, _ in self.rows]
-        d = _det3(r)
-        dens = [den for _, den in self.rows]
-        t = [nums[0] for nums, _ in self.rows]
-        rows = []
-        for row in _adj3(r):
-            nums = (-sum(a * c for a, c in zip(row, t)), *(a * den for a, den in zip(row, dens)))
-            rows.append((nums, d))
-        return TameFactor("affine", tuple(rows))
+        return TameFactor("affine", _inverse_rows(self.rows))
 
     def to_json(self) -> dict:
         if self.kind == "affine":
@@ -193,6 +182,21 @@ def _primitive(nums: Sequence[int], den: int) -> tuple[tuple, int]:
     if den < 0:
         g = -g
     return tuple(c // g for c in nums), den // g
+
+
+def _inverse_rows(rows: Sequence[tuple]) -> tuple:
+    """The integer rows (nums, den) of an invertible affine map's inverse,
+    each over den = det R, which may be negative and is not made primitive.
+
+    With A = diag(1/den_i) R for integer R and b_i = t_i / den_i:
+    A^-1 = adj(R) diag(den) / det R and A^-1 b = adj(R) t / det R, and
+    y = Ax + b  =>  x = A^-1 y - A^-1 b.
+    """
+    r = [nums[1:] for nums, _ in rows]
+    d = _det3(r)
+    t = [nums[0] for nums, _ in rows]
+    return tuple(((-sum(a * c for a, c in zip(row, t)),
+                   *(a * den for a, (_, den) in zip(row, rows))), d) for row in _adj3(r))
 
 
 def _combine(nums: Sequence[int], den: int, acc: Sequence[Poly]) -> Poly:
@@ -490,24 +494,25 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     except ValueError:
         raise ValueError("internal inconsistency: singular linear part") from None
     # the inverse affine map applied to F: A^-1 (F - b), linear part the identity
-    K = affine.inverted().apply(F)
+    K = [_combine(nums, den, F) for nums, den in _inverse_rows(affine.rows)]
 
     def key(i):
         return (ws.weights[i], i)
 
     tails = []
     for i, k_comp in enumerate(K):
-        tail = k_comp - Poly.variable(i, N)
-        for mono in tail.nums:
-            if sum(mono) <= 1:
-                raise ValueError("internal inconsistency: linear residue after normalization")
+        # the tail K_i - x_i is K_i's contents less den * x_i
+        nums = dict(k_comp.nums)
+        if nums.pop(_AFFINE_MONOS[i + 1], 0) != k_comp.den or any(sum(m) <= 1 for m in nums):
+            raise ValueError("internal inconsistency: linear residue after normalization")
+        for mono in nums:
             for j, e in enumerate(mono):
                 if e and not key(j) < key(i):
                     raise ValueError(
                         "not triangularizable: degree floor violated or tail "
                         "involves a later variable"
                     )
-        tails.append(tail)
+        tails.append(Poly.from_contents(N, nums, k_comp.den))
     factors: list[TameFactor] = [affine]
     for i in sorted(range(N), key=key):
         if not tails[i].is_zero:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -158,15 +158,15 @@ def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
 
 
 def _jacobian_at(f: Poly, point: Sequence[int]) -> list[int]:
-    """The gradient of f's integer contents at an integer point: den * grad f."""
+    """The gradient of f's integer contents, den * grad f, at an integer
+    point with no zero coordinate: a term's value v = c * x^m there adds
+    m_i * v / point[i] to entry i, and point[i] divides v when m_i > 0."""
     grad = [0] * f.n
     for mono, c in f.nums.items():
+        value = c * math.prod(map(pow, point, mono))
         for i, e in enumerate(mono):
             if e:
-                term = c * e
-                for j, (p, ej) in enumerate(zip(point, mono)):
-                    term *= p ** (ej - (j == i))
-                grad[i] += term
+                grad[i] += e * value // point[i]
     return grad
 
 
@@ -183,21 +183,22 @@ def algebraically_independent(fs: Sequence[Poly]) -> bool:
     independent.
 
     The wedge's coefficients are the k x k minors of the Jacobian, so one
-    nonzero minor at one integer point proves independence; the origin (a
-    map with constant nonzero Jacobian, such as any automorphism, is decided
-    there) and then ``probe_points`` are tried on the integer contents
-    first, and the full wedge is expanded only when every minor vanishes at
-    all of them.  Either way the verdict is exact.
+    nonzero minor at one integer point proves independence.  The Jacobian
+    is tried on the integer contents first: at the origin, where it is the
+    contents of the linear terms (so a map with constant nonzero Jacobian,
+    such as any automorphism, is decided by coefficient lookups), then at
+    the ``probe_points``.  The full wedge is expanded only when every minor
+    vanishes at all of them.  Either way the verdict is exact.
     """
     if not 1 <= len(fs) <= fs[0].n:
         return False
     if any(f.is_zero for f in fs):
         return False
     n, k = fs[0].n, len(fs)
-    points = [(0,) * n] + probe_points(n)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    origin = [[f.nums.get(u, 0) for u in units] for f in fs]
     minors = list(combinations(range(n), k))
-    for point in points:
-        jac = [_jacobian_at(f, point) for f in fs]
+    for jac in chain([origin], ([_jacobian_at(f, v) for f in fs] for v in probe_points(n))):
         if any(_det([[row[j] for j in cols] for row in jac]) for cols in minors):
             return True
     return not differentials_wedge(fs).is_zero

@@ -275,18 +275,17 @@ def _found(ws: WeightSystem, target: Poly, found: BiPoly, rounds: int) -> Member
 
 @dataclass
 class _Widening:
-    """A target the exact decision left open: its generator leading forms
-    are power-proportional (g^p a multiple of f^q), so only the cancellation
-    floor and the widened ansatz can settle it.  ``system`` holds the exact
-    pairs' columns, which the widened solve extends."""
+    """A target the exact slice left open: its generator degrees are
+    Z-dependent, so products above its degree may cancel among themselves.
+    ``_widen`` decides the rest, starting with the power proportionality
+    of the generator leading forms.  ``system`` holds the exact pairs'
+    columns, which the widened solve extends."""
 
     target: Poly
     gens: tuple[Poly, Poly]
     degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
-    p: int
-    q: int
     system: Elimination
 
 
@@ -309,13 +308,16 @@ def _decide_exact(
     cache: Optional[_ProductCache] = None,
     component: Optional[int] = None,
 ) -> MembershipOutcome | _Widening:
-    """The exact-slice solve and the rigorous exits of the leading search.
+    """The exact-slice solve and the rigorous exits on Z-independent
+    generator degrees.
 
     Returns a MembershipOutcome when they decide, else the _Widening state
-    from which ``_widen`` resumes.  A target degree outside the semigroup
-    of Z-independent generator degrees is decided before anything is
-    built; its absence names the 1-based ``component`` when the elementary
-    search gives one, else the target degree.
+    from which ``_widen`` resumes; the power-proportionality test is left
+    to ``_widen``, so a target that a caller never widens does not pay for
+    it.  A target degree outside the semigroup of Z-independent generator
+    degrees is decided before anything is built; its absence names the
+    1-based ``component`` when the elementary search gives one, else the
+    target degree.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -343,20 +345,18 @@ def _decide_exact(
         return _found(ws, target, found, 0)
     if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
-    # Cancellation among leading products forces a power proportionality of
-    # the generator leading forms; without one, the exact slice already
-    # decided membership rigorously.
-    scaled = find_scaled_pair(ws, cache.lf, cache.lg)
-    if scaled is None:
-        return _decided_absent(exact_pairs, d,
-                               "homogeneous-slice-mismatch (independent leading forms)",
-                               "independent leading forms")
-    return _Widening(target, gens, d, exact_pairs, cache, scaled.p, scaled.q, system)
+    return _Widening(target, gens, d, exact_pairs, cache, system)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
-    """Check the cancellation floor, then solve over the pairs above the
-    target degree whose products may cancel among themselves.
+    """Test the generator leading forms for power proportionality, check
+    the cancellation floor, then solve over the pairs above the target
+    degree whose products may cancel among themselves.
+
+    Cancellation among leading products forces g^p to be a multiple of f^q
+    on the leading forms; without that, the exact slice already decided
+    membership, and the absence is the rigorous "independent leading forms"
+    one.
 
     When the generalized SU inequality bounds them
     (``algebra.cancellation_window``), one solve extends the exact slice's
@@ -369,19 +369,24 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     """
     f, g = state.gens
     d = state.degree
+    cache = state.cache
+    scaled = find_scaled_pair(ws, cache.lf, cache.lg)
+    if scaled is None:
+        return _decided_absent(state.exact_pairs, d,
+                               "homogeneous-slice-mismatch (independent leading forms)",
+                               "independent leading forms")
     d1, d2 = ws.deg(f), ws.deg(g)
     wedge = wedge_degree(ws, f, g)
     # Any element whose representation degree exceeds its value degree obeys
     # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
     # below it cannot be reached by the widened ansatz at all.
-    floor = state.q * d1 + wedge - d1 - d2
+    floor = scaled.q * d1 + wedge - d1 - d2
     if d < floor:
         return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
                                "below the cancellation floor")
-    window = cancellation_window(d, d1, d2, wedge, state.p, state.q)
+    window = cancellation_window(d, d1, d2, wedge, scaled.p, scaled.q)
     if window is None:
         return _widen_by_levels(ws, state, limits)
-    cache = state.cache
     kept = [pair for pair in window if cache.product_within(*pair, limits.max_product_terms)]
     found = _solve_with_pairs(state.system, state.gens, state.exact_pairs + kept, d, cache)
     if found is not None:
@@ -611,10 +616,12 @@ def find_elementary_reduction(
     other two, in two passes over the indices.
 
     Pass 1 decides each component exactly: the minimal-degree and semigroup
-    skips, then the exact slice and the rigorous exits of the leading
-    search.  Pass 2 widens, in index order, only the components pass 1 left
-    open.  The first success of either pass is the step; ``reasons`` lists
-    the decided absences in index order.
+    skips, then the exact slice and its exits on Z-independent degrees.
+    Pass 2 widens, in index order, only the components pass 1 left open,
+    each starting with the power-proportionality test.  The first success
+    of either pass is the step.  ``reasons`` lists, in index order, the
+    absences decided before it: all three when there is no step, and on a
+    step only those its search had decided (``reduce_step`` records none).
     """
     if check_independent and not algebraically_independent(triple):
         raise ValueError("components are algebraically dependent")
@@ -630,11 +637,10 @@ def find_elementary_reduction(
         step = ElementaryStep(index=index, phi=out.negated, new_degree=ws.deg(out.residual))
         return ElementaryOutcome(step, ordered, tuple(reduced))
 
-    min_weight = min((DegreeValue(w) for w in ws.weights), key=lambda d: d.vec)
     for i in range(3):
         j, l = [k for k in range(3) if k != i]
         fi, fj, fl = triple[i], triple[j], triple[l]
-        if ws.deg(fi) <= min_weight:
+        if ws.deg(fi) <= ws.min_weight:
             # A strict drop would force a constant component, impossible
             # for an independent triple.
             reasons[i + 1] = Absence("degree-shape",

@@ -72,17 +72,20 @@ def aux_leading(ws: WeightSystem, phi: AuxPoly, g: Poly) -> AuxPoly:
     )
 
 
-def aux_multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly) -> int:
+def aux_multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly,
+                     deg: Optional[DegreeValue] = None) -> int:
     """Minimal i with aux_degree(Phi^(i)) == deg(Phi^(i)(g)).
 
-    Terminates at i <= y-degree of Phi: the top derivative is y-free.
+    ``deg`` is deg(Phi(g)) when the caller has it already.  Terminates at
+    i <= y-degree of Phi: the top derivative is y-free.
     """
     if phi.is_zero or g.is_zero:
         raise ValueError("aux_multiplicity requires nonzero inputs")
     current = phi
     i = 0
     while True:
-        if aux_degree(ws, current, g) == ws.deg(current.evaluate(g)):
+        value_deg = deg if i == 0 and deg is not None else ws.deg(current.evaluate(g))
+        if aux_degree(ws, current, g) == value_deg:
             return i
         current = current.derivative()
         i += 1
@@ -216,11 +219,11 @@ def su_inequality_report(
     omega = differentials_wedge(fs)
     if omega.is_zero:
         raise ValueError("generators are algebraically dependent")
-    m = aux_multiplicity(ws, phi, g)
+    lhs = ws.deg(phi.evaluate(g))
+    m = aux_multiplicity(ws, phi, g, lhs)
     dphi = aux_degree(ws, phi, g)
     w_dg = deg_form(ws, wedge(omega, differential(g)))
     w_deg = deg_form(ws, omega)
-    lhs = ws.deg(phi.evaluate(g))
     if m == 0:
         rhs = dphi
         correction = DegreeValue.of(*([0] * ws.r))

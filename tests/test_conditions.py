@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tame3 import conditions
 from tame3.algebra import DegreeValue, Poly, parse_poly
@@ -15,7 +16,8 @@ from tame3.conditions import (
     verify_properties,
 )
 from tame3.forms import wedge_degree
-from tame3.search import find_elementary_reduction, find_su_reduction, permute_triple
+from tame3.search import (DEFAULT_LIMITS, find_elementary_reduction, find_su_reduction,
+                          permute_triple)
 
 D = DegreeValue.of
 
@@ -106,6 +108,48 @@ def test_properties_hold_on_family(su_pair_family):
         assert rep.overall, rep.to_json()
         assert rep["P1"]["s"] == 3
         assert rep["P4"]["quantifier"] == "sampled"
+
+
+def _p4_double_loop(d2, d3, cap, count):
+    """The P4 exponents as verify_properties enumerated them before it ended
+    a row at its first product above cap: every j for every i."""
+    out = []
+    for i in range(count):
+        for j in range(count):
+            if i == j == 0:
+                continue
+            dd = i * d2 + j * d3
+            if dd <= cap:
+                out.append((i, j))
+            elif j == 0 and i * d2 > cap:
+                break
+        if i * d2 > cap:
+            break
+    return out
+
+
+def test_p4_family_is_the_full_double_loop_on_the_pairs(su_pair_family):
+    count = DEFAULT_LIMITS.max_candidates
+    for ws, F, G in su_pair_family:
+        rep = verify_properties(ws, F, G)
+        cap = rep["P1"]["s"] * DegreeValue(rep["P1"]["delta"])
+        d2, d3 = ws.deg(F[1]), ws.deg(F[2])
+        pairs = list(conditions._p4_exponents(d2, d3, cap, count))
+        assert pairs == _p4_double_loop(d2, d3, cap, count) != []
+        assert rep["P4"]["family_size"] == len(pairs) + (G[0] != F[0])
+
+
+_lex_positive = st.integers(1, 3).flatmap(lambda r: st.tuples(
+    *[st.lists(st.integers(-4, 6), min_size=r, max_size=r).filter(
+        lambda v: tuple(v) > (0,) * len(v)).map(DegreeValue)] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lex_positive, st.integers(1, 24))
+def test_p4_exponents_match_the_full_double_loop(degrees, count):
+    d2, d3, cap = degrees
+    assert list(conditions._p4_exponents(d2, d3, cap, count)) == _p4_double_loop(
+        d2, d3, cap, count)
 
 
 def test_properties_p6_strict_decrease(su_pair_family):

@@ -531,6 +531,45 @@ def test_triangularize_rejects_above_floor(wt, xyz):
         triangularize_at_floor(wt, (x1 + x2**2, x2, x3))
 
 
+_SINGULAR = "internal inconsistency: singular linear part"
+_RESIDUE = "internal inconsistency: linear residue after normalization"
+_LATER = "not triangularizable: degree floor violated or tail involves a later variable"
+
+
+def test_floor_raises_each_of_its_messages(wt, wlex, xyz, monkeypatch):
+    x1, x2, x3 = xyz
+    with pytest.raises(ValueError) as singular:
+        triangularize_at_floor(wt, (x1 + x2, x1 + x2 + x3**2, x3))
+    # x2^2 in the first component: x2 comes after x1 in the total-weight
+    # order, and x1 is the last variable at lex
+    with pytest.raises(ValueError) as later:
+        triangularize_at_floor(wt, (x1 + x2**2, x2, x3))
+    with pytest.raises(ValueError) as later_lex:
+        triangularize_at_floor(wlex, (x1, x2 + x1, x3 + x1 * x2))
+    # an exact inverse leaves the identity as K's linear part, so a residue
+    # needs inverse rows that are wrong: here the identity's, for 2*x1
+    identity = (((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1))
+    monkeypatch.setattr(engine, "_inverse_rows", lambda rows: identity)
+    with pytest.raises(ValueError) as residue:
+        triangularize_at_floor(wt, (x1.scale(2), x2 + x1**2, x3))
+    assert [str(e.value) for e in (singular, later, later_lex, residue)] == [
+        _SINGULAR, _LATER, _LATER, _RESIDUE]
+
+
+def test_floor_reads_its_tails_off_the_inverse_rows(xyz):
+    # the inverse rows, over det R and not made primitive, undo the affine
+    # factor when combined on its components
+    x1, x2, x3 = xyz
+    affine = TameFactor.affine([[Fraction(2, 3), 1, 0], [0, -2, 4], [1, 0, 5]], [1, 0, -3])
+    tails = [TameFactor.elementary(2, x1**2), TameFactor.elementary(3, (x1 * x2).scale(-7))]
+    F = recompose([affine, *tails])
+    assert triangularize_at_floor(total_weight(3), F) == [affine, *tails]
+    inverse = engine._inverse_rows(affine.rows)
+    assert any(den < 0 for _, den in inverse)
+    assert tuple(engine._combine(nums, den, affine.as_endo())
+                 for nums, den in inverse) == identity_endo()
+
+
 def test_factor_tame_roundtrip(wt, wlex, small_corpus):
     for endo, _ in small_corpus[:10]:
         for ws in (wt, wlex):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tame3 import forms
-from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
+from tame3.algebra import (DegreeValue, Poly, WeightSystem, lex_weight, probe_points,
+                           total_weight)
 from tame3.forms import (
     DiffForm,
     algebraically_independent,
@@ -121,6 +122,41 @@ def test_independence_of_a_map_is_decided_at_a_point(small_corpus, xyz, monkeypa
     f = x1 + x2**2
     assert not algebraically_independent([f, x3, f * x3])
     assert calls == [1]
+
+
+def test_independence_of_an_automorphism_reads_its_linear_terms(small_corpus, xyz,
+                                                                 monkeypatch):
+    # a map's Jacobian at the origin is its linear coefficients, so the
+    # corpus is decided without evaluating a gradient at any point
+    points = []
+    gradient = forms._jacobian_at
+
+    def counted(f, point):
+        points.append(point)
+        return gradient(f, point)
+
+    monkeypatch.setattr(forms, "_jacobian_at", counted)
+    for endo, _ in small_corpus:
+        assert algebraically_independent(list(endo.components))
+    assert points == []
+    x1, x2, x3 = xyz
+    assert algebraically_independent([x1 * x2, x2 * x3, x3])
+    assert points == [probe_points(3)[0]] * 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_probe_point_gradient_matches_a_fraction_reference(n, data):
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    f = Poly(n, data.draw(st.dictionaries(monos, _rationals, max_size=5)))
+    for point in probe_points(n):
+        # e * value // point[i] is exact only off the coordinate hyperplanes
+        assert len(point) == n and all(point)
+        expected = [sum((c * m[i] * math.prod(Fraction(v) ** (e - (j == i))
+                                              for j, (v, e) in enumerate(zip(point, m)))
+                         for m, c in f.terms.items() if m[i]), Fraction(0))
+                    for i in range(n)]
+        assert forms._jacobian_at(f, point) == [g * f.den for g in expected]
 
 
 def _random_poly(rng, max_deg=3, terms=3):

@@ -63,6 +63,10 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
             assert stats["parent_q1"] <= stats["parent_median"] <= stats["parent_q3"]
             assert stats["change_wins"] in ("0/1", "1/1")
     assert doc["workloads"]["compose --heldout-seed 1"]["extra_args"] == "--heldout-seed 1"
+    # after each workload, one stderr line per metric, from its summary
+    for workload, result in doc["workloads"].items():
+        for line in bench_pairs.summary_lines(workload, result["summary"]):
+            assert line in proc.stderr.splitlines()
     for workload in doc["workloads"].values():
         for stats in workload["summary"].values():
             assert type(stats["claim_met"]) is bool and type(stats["within_bound"]) is bool
@@ -89,6 +93,22 @@ def test_bench_pairs_summarizes_each_metric(tmp_path):
     assert tests([74] * 10, parent=flat) == (False, False)
     assert tests([125] * 10, "lower", flat) == (False, True)
     assert tests([126] * 10, "lower", flat) == (False, False)
+
+
+def test_bench_pairs_prints_one_line_per_metric():
+    bench_pairs = _load_script("bench_pairs")
+    # a zero parent median has no ratio
+    runs = [{"side": side, "seed": k, "metrics": {"items_per_s": v, "item_p50_ms": 0.0}}
+            for side, values in (("parent", [100, 110]), ("change", [120, 130]))
+            for k, v in enumerate(values)]
+    spec = {"items_per_s": {"better": "higher", "bound": 0.25},
+            "item_p50_ms": {"better": "lower", "bound": 0.25}}
+    assert bench_pairs.summary_lines("compose", bench_pairs.summarize(runs, spec)) == [
+        "compose items_per_s: 105 -> 125, ratio 1.1905, wins 2/2, claim_met True, "
+        "within_bound True",
+        "compose item_p50_ms: 0 -> 0, ratio n/a, wins 0/2, claim_met False, "
+        "within_bound True",
+    ]
 
 
 def test_bench_pairs_runs_each_side_from_source(tmp_path, monkeypatch):

@@ -352,6 +352,29 @@ def test_elementary_search_decides_each_lattice_question_once(wt, wlex, small_co
     assert max(searched) == 3
 
 
+def test_power_pairs_are_tested_only_where_pass_2_widens(wt, wlex, xyz, small_corpus,
+                                                         monkeypatch):
+    # pass 1 never tests power proportionality; each widened component tests
+    # it once, first, whatever its verdict
+    counts = {}
+    for name in ("find_scaled_pair", "_widen"):
+        def counted(*args, _name=name, _original=getattr(search, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    x, y, z = xyz
+    g1, g2 = _cancelling_pair(y, z)
+    searches = [(ws, endo.components) for ws in (wt, wlex) for endo, _ in small_corpus]
+    widened = 0
+    for ws, F in searches + [(wt, (x + g1**2 - g2**3, g1, g2))]:
+        counts.update(find_scaled_pair=0, _widen=0)
+        find_elementary_reduction(ws, F)
+        assert counts["find_scaled_pair"] == counts["_widen"]
+        widened += counts["_widen"]
+    assert widened >= 1
+
+
 def _cancelling_pair(y, z):
     # g1^2 and g2^3 share their degree-12 top and cancel down to degree 6
     return y**6 + (y**2 * z).scale(Fraction(3, 2)), y**4 + z

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tame3 import univariate
 from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
 from tame3.univariate import (
     AuxPoly,
@@ -271,3 +272,32 @@ def test_integer_claims_exhaustive():
                 assert p == 2 and q % 2 == 1
             if v <= p:
                 assert (p, q) == (2, 3)
+
+
+def test_inequality_report_evaluates_phi_at_g_once(xyz, wt, wlex, monkeypatch):
+    # the report's deg Phi(g) is the multiplicity's i = 0 value degree, so a
+    # report evaluates exactly what the multiplicity alone evaluates, and it
+    # still reaches the multiplicity through the module's name
+    x1, x2, x3 = xyz
+    g = x1 + x2**2
+    root = _aux({0: -g, 1: Poly.constant(1, 3)})
+    cases = [(wt, _aux({0: x1, 1: Poly.constant(1, 3)}), x2),
+             (wt, root, g), (wlex, _mul_aux(root, root), g),
+             (wlex, _add_aux(_mul_aux(root, root), _aux({1: x3})), g)]
+    evaluated, multiplicities = [], []
+    evaluate, multiplicity = AuxPoly.evaluate, univariate.aux_multiplicity
+    monkeypatch.setattr(AuxPoly, "evaluate",
+                        lambda self, at: evaluated.append(1) or evaluate(self, at))
+    monkeypatch.setattr(univariate, "aux_multiplicity",
+                        lambda *args: multiplicities.append(1) or multiplicity(*args))
+    for ws, phi, at in cases:
+        evaluated.clear()
+        m = multiplicity(ws, phi, at)
+        alone = len(evaluated)
+        assert alone == m + 1
+        evaluated.clear()
+        multiplicities.clear()
+        report = su_inequality_report(ws, [x3], phi, at)
+        assert len(evaluated) == alone and multiplicities == [1]
+        assert report.multiplicity == m and report.lhs == ws.deg(phi.evaluate(at))
+    assert [multiplicity(ws, phi, at) for ws, phi, at in cases] == [0, 1, 2, 2]
