@@ -712,6 +712,32 @@ def cancellation_window(
     return sorted(pairs, key=lambda pair: (pair[0] + pair[1], pair[0]))
 
 
+def level_box(
+    d: DegreeValue, d1: DegreeValue, d2: DegreeValue, top: int, levels: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The pairs (i, j) with i, j <= top and i*d1 + j*d2 > d, with first
+    component at most d.first + 4*max(d1.first, d2.first), from the first
+    `levels` nonempty levels i + j; and the number of levels they fill.
+
+    The box a widened search solves over where ``cancellation_window``
+    bounds nothing; its pairs are listed as the window's, by level, then
+    by i.
+    """
+    first_cap = d.first + 4 * max(d1.first, d2.first)
+    pairs: list[tuple[int, int]] = []
+    filled = 0
+    for level in range(2 * top + 1):
+        if filled == levels:
+            break
+        width = len(pairs)
+        for i in range(max(0, level - top), min(level, top) + 1):
+            dd = tuple(i * a + (level - i) * b for a, b in zip(d1.vec, d2.vec))
+            if dd > d.vec and dd[0] <= first_cap:
+                pairs.append((i, level - i))
+        filled += len(pairs) > width
+    return pairs, filled
+
+
 def half(d: DegreeValue) -> Optional[DegreeValue]:
     """d/2 when every component is even, else None; no rational degrees."""
     if d.is_bottom:
@@ -886,8 +912,6 @@ class Elimination:
     and each column are ``(den, contents)``, as for ``solve_contents``:
     ``contents`` maps (or lists pairs from) a row key, any hashable and
     totally ordered key, to a nonzero int, over a positive int ``den``.
-    Columns may be added in rounds, and ``solution`` asked for after any of
-    them.
 
     Each added column is reduced against the pivots so far.  When something
     is left, the column is independent of the columns before it, and the
@@ -898,61 +922,53 @@ class Elimination:
     them all.  The pivot columns are the columns independent of the columns
     before them, and ``solution`` is the target's unique representation on
     them, with 0 for every other column; row elimination with free unknowns
-    set to 0 gives the same answer.  The target's residual is kept across
-    rounds, so a later ``solution`` reduces it only against the new pivots.
+    set to 0 gives the same answer.  Each ``contents`` reduces the target
+    against every pivot, so it answers for the columns added so far.
     """
 
-    __slots__ = ("_den", "_dens", "_pivots", "_keys", "_fresh", "_residual")
+    __slots__ = ("_target", "_dens", "_pivots", "_keys")
 
     def __init__(self, target=(1, ())):
-        self._den, contents = target
+        den, contents = target
+        self._target = (den, dict(contents))
         self._dens: list[int] = []
         self._pivots: dict = {}  # key -> (vec, combo)
         self._keys: list = []  # pivot keys, ascending
-        self._fresh: list = []  # pivot keys the residual has not met
-        # residual == combo[-1] * target + sum_k combo[k] * column_k, on contents
-        self._residual = (dict(contents), {-1: 1})
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    @property
-    def width(self) -> int:
-        """The number of columns added."""
-        return len(self._dens)
 
     def add(self, column) -> None:
         """Append the next column."""
         den, contents = column
         k = len(self._dens)
         self._dens.append(den)
-        vec, combo = dict(contents), {k: 1}
-        if self._keys:
-            vec, combo = self._reduce(vec, combo, reversed(self._keys))
+        vec, combo = self._reduce(dict(contents), {k: 1})
         if not vec:
             return
         lead = max(vec)
-        self._pivots[lead] = _primitive(vec, combo, vec[lead] < 0)
+        g = math.gcd(*vec.values(), *combo.values())
+        if vec[lead] < 0:
+            g = -g
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+            combo = {k: v // g for k, v in combo.items()}
+        self._pivots[lead] = (vec, combo)
         bisect.insort(self._keys, lead)
-        self._fresh.append(lead)
 
     def contents(self) -> Optional[tuple[int, dict]]:
         """x over the columns added so far as integer contents, (den,
         {k: int}) with x_k = nums[k] / den (absent k: 0) and den nonzero,
         or None when the target is not in their span."""
-        if self._fresh:
-            self._fresh.sort(reverse=True)
-            vec, combo = self._reduce(*self._residual, self._fresh)
-            self._fresh = []
-            # a residual kept for later rounds is kept over its content
-            self._residual = _primitive(vec, combo) if vec else (vec, combo)
-        vec, combo = self._residual
+        den, contents = self._target
+        # vec == combo[-1] * target + sum_k combo[k] * column_k, on contents
+        vec, combo = self._reduce(dict(contents), {-1: 1})  # a copy: _reduce edits it
         if vec:
             return None
         # on contents, x_k * column_k / den_k sums to target / den
         dens = self._dens
-        return -combo[-1] * self._den, {k: c * dens[k] for k, c in combo.items() if k >= 0}
+        return -combo[-1] * den, {k: c * dens[k] for k, c in combo.items() if k >= 0}
 
     def solution(self) -> Optional[list[Fraction]]:
         """``contents`` as one Fraction per column."""
@@ -962,10 +978,10 @@ class Elimination:
         den, nums = out
         return [Fraction(nums.get(k, 0), den) for k in range(len(self._dens))]
 
-    def _reduce(self, vec: dict, combo: dict, keys) -> tuple[dict, dict]:
-        """Cancel the pivots `keys` (descending) from vec; combo follows."""
+    def _reduce(self, vec: dict, combo: dict) -> tuple[dict, dict]:
+        """Cancel every pivot from vec, in descending key order; combo follows."""
         pivots = self._pivots
-        for key in keys:
+        for key in reversed(self._keys):
             factor = vec.get(key)
             if factor is None:
                 continue
@@ -985,16 +1001,6 @@ class Elimination:
                     else:
                         del part[k]
         return vec, combo
-
-
-def _primitive(vec: dict, combo: dict, negate: bool = False) -> tuple[dict, dict]:
-    """vec and combo divided by their common content, negated too if asked."""
-    g = math.gcd(*vec.values(), *combo.values())
-    if negate:
-        g = -g
-    if g == 1:
-        return vec, combo
-    return {k: v // g for k, v in vec.items()}, {k: v // g for k, v in combo.items()}
 
 
 def solve_sparse_int(rows, ncols: int) -> Optional[list[Fraction]]:
@@ -1022,8 +1028,8 @@ def solve_contents(target, columns) -> Optional[list[Fraction]]:
     get 0.
 
     Each argument is ``(den, contents)`` with ``contents`` an iterable of
-    ``(monomial, int)`` pairs, standing for the sum of c * x^m / den: one
-    round of an ``Elimination``, with one row per monomial.
+    ``(monomial, int)`` pairs, standing for the sum of c * x^m / den,
+    solved by one ``Elimination`` with one row per monomial.
     """
     system = Elimination(target)
     for column in columns:

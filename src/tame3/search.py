@@ -34,6 +34,7 @@ from .algebra import (
     cancellation_window,
     exists_multiple_exceeding,
     half,
+    level_box,
     parallel_multipliers,
     probe_points,
     proportionality,
@@ -72,13 +73,13 @@ class SearchLimits:
     """Bounds for the cancellation ansatz; all positive.
 
     ``max_bidegree`` caps each generator exponent explored beyond the
-    exact-degree pairs and ``max_cancellation_rounds`` caps how many times
-    the ansatz is widened; both apply only when the generalized SU
-    inequality leaves the widened pairs unbounded (no
-    ``algebra.cancellation_window``).  ``max_product_terms`` drops a
-    widened pair whose product may exceed that many terms;
-    ``max_candidates`` caps scalar/exponent branching in the structured
-    searches.
+    exact-degree pairs and ``max_cancellation_rounds`` is how many nonempty
+    levels i + j the widened pairs span; both apply only when the
+    generalized SU inequality leaves the widened pairs unbounded (no
+    ``algebra.cancellation_window``, so ``algebra.level_box`` lists
+    them).  ``max_product_terms`` drops a widened pair whose product may
+    exceed that many terms; ``max_candidates`` caps scalar/exponent
+    branching in the structured searches.
     """
 
     max_bidegree: int = 14
@@ -114,8 +115,8 @@ class Absence:
 class MembershipOutcome:
     found: Optional[BiPoly]
     absence: Optional[Absence] = None
-    # widened solves behind `found`: 0 on the exact slice, 1 over a
-    # cancellation window, else the level rounds that ran
+    # widened solves behind `found`: 0 on the exact slice, 1 for the one
+    # solve over a cancellation window or a level box
     rounds_used: int = 0
     # target - found.value(), when found: `negated` (-found) expanded onto
     # target in one Poly.compose pass
@@ -216,21 +217,19 @@ def _above(ws: WeightSystem, p: Poly, threshold: DegreeValue) -> tuple[int, list
 
 
 def _solve_with_pairs(
-    system: Elimination,
+    lead: Poly,
     gens: tuple[Poly, Poly],
     pairs: list[tuple[int, int]],
     threshold: DegreeValue,
     cache: _ProductCache,
 ) -> Optional[BiPoly]:
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) <
-    threshold, where `system` was made from the target's terms at or above
-    threshold (its leading form, when threshold is its degree), as a
-    representation on integer contents.
-
-    The tails of the pairs past ``system.width`` are added as its columns
-    first, so a caller that extends `pairs` and solves again reduces only
-    the new columns."""
-    for i, j in pairs[system.width:]:
+    threshold, where `lead` is the target's terms at or above threshold (its
+    leading form, when threshold is its degree), as a representation on
+    integer contents: one ``Elimination`` of `lead` over the tails of the
+    pairs, filled and solved once."""
+    system = Elimination((lead.den, lead.nums))
+    for i, j in pairs:
         system.add(cache.tail(i, j, threshold))
     sol = system.contents()
     if sol is None:
@@ -257,8 +256,7 @@ def homogeneous_membership(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(h)
     pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
-    found = _solve_with_pairs(Elimination((h.den, h.nums)), (g1h, g2h), pairs, d,
-                              _ProductCache(g1h, g2h, ws))
+    found = _solve_with_pairs(h, (g1h, g2h), pairs, d, _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
     return found
@@ -278,15 +276,13 @@ class _Widening:
     """A target the exact slice left open: its generator degrees are
     Z-dependent, so products above its degree may cancel among themselves.
     ``_widen`` decides the rest, starting with the power proportionality
-    of the generator leading forms.  ``system`` holds the exact pairs'
-    columns, which the widened solve extends."""
+    of the generator leading forms."""
 
     target: Poly
     gens: tuple[Poly, Poly]
     degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
     cache: _ProductCache
-    system: Elimination
 
 
 def _decided_absent(exact_pairs: list, d: DegreeValue, shape_detail,
@@ -338,14 +334,12 @@ def _decide_exact(
         detail = {"target_degree": d.to_json()} if component is None else {"component": component}
         return MembershipOutcome(None, Absence("semigroup-obstruction", detail))
     cache = cache or _ProductCache(f, g, ws)
-    lead = ws.leading_form(target)
-    system = Elimination((lead.den, lead.nums))
-    found = _solve_with_pairs(system, gens, exact_pairs, d, cache)
+    found = _solve_with_pairs(ws.leading_form(target), gens, exact_pairs, d, cache)
     if found is not None:
         return _found(ws, target, found, 0)
     if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
-    return _Widening(target, gens, d, exact_pairs, cache, system)
+    return _Widening(target, gens, d, exact_pairs, cache)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -358,14 +352,14 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     membership, and the absence is the rigorous "independent leading forms"
     one.
 
-    When the generalized SU inequality bounds them
-    (``algebra.cancellation_window``), one solve extends the exact slice's
-    elimination by the window's pairs, less those ``max_product_terms``
-    drops.  The window lists its pairs in the level rounds' order: by level
-    i + j, then by i.  Only an unbounded window runs the rounds
-    (``_widen_by_levels``).  An absence
-    stays ``limits-exhausted`` either way; its detail names the window and
-    any pairs the term cap dropped.
+    The pairs are the generalized SU inequality's window
+    (``algebra.cancellation_window``), or, where it bounds nothing, the
+    level box (``algebra.level_box``: ``max_cancellation_rounds`` nonempty
+    levels i + j with i, j <= ``max_bidegree``).  Less the pairs that
+    ``max_product_terms`` drops, they join the exact pairs in one solve.
+    An absence stays ``limits-exhausted`` either way; its detail names the
+    window, or the box's bidegree and levels, and any pairs the term cap
+    dropped.
     """
     f, g = state.gens
     d = state.degree
@@ -384,59 +378,22 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     if d < floor:
         return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
                                "below the cancellation floor")
-    window = cancellation_window(d, d1, d2, wedge, scaled.p, scaled.q)
-    if window is None:
-        return _widen_by_levels(ws, state, limits)
-    kept = [pair for pair in window if cache.product_within(*pair, limits.max_product_terms)]
-    found = _solve_with_pairs(state.system, state.gens, state.exact_pairs + kept, d, cache)
+    pairs = cancellation_window(d, d1, d2, wedge, scaled.p, scaled.q)
+    if pairs is None:
+        top = limits.max_bidegree
+        pairs, levels = level_box(d, d1, d2, top, limits.max_cancellation_rounds)
+        detail = {"max_bidegree": top, "rounds": levels}
+    else:
+        detail = {"cancellation_window": [list(pair) for pair in pairs]}
+    kept = [pair for pair in pairs if cache.product_within(*pair, limits.max_product_terms)]
+    found = _solve_with_pairs(ws.leading_form(state.target), state.gens,
+                              state.exact_pairs + kept, d, cache)
     if found is not None:
         return _found(ws, state.target, found, 1)
-    detail = {"cancellation_window": [list(pair) for pair in window]}
-    if len(kept) < len(window):
+    if len(kept) < len(pairs):
         detail["max_product_terms"] = limits.max_product_terms
-        detail["dropped"] = [list(pair) for pair in window if pair not in kept]
+        detail["dropped"] = [list(pair) for pair in pairs if pair not in kept]
     return MembershipOutcome(None, Absence("limits-exhausted", detail))
-
-
-def _widen_by_levels(ws: WeightSystem, state: _Widening,
-                     limits: SearchLimits) -> MembershipOutcome:
-    """The widened ansatz where no cancellation window bounds it.
-
-    Round k adds the k-th level i + j (i, j <= max_bidegree, first degree
-    component at most d.first + 4*max(d1.first, d2.first)) with a product
-    worth searching over; a level's truncated products are built only when
-    its round runs, and the exact pairs stay in every round.  The rounds
-    extend the exact slice's elimination, so round k reduces only its own
-    columns and the target's residual, and its answer is the one-round
-    solve's on every pair so far.
-    """
-    d = state.degree
-    d1, d2 = (ws.deg(gen) for gen in state.gens)
-    cache = state.cache
-    first_cap = d.first + 4 * max(d1.first, d2.first)
-    top = limits.max_bidegree
-    pairs = list(state.exact_pairs)
-    rounds = 0
-    for level in range(2 * top + 1):
-        if rounds == limits.max_cancellation_rounds:
-            break
-        width = len(pairs)
-        for i in range(max(0, level - top), min(level, top) + 1):
-            j = level - i
-            dd = tuple(i * a + j * b for a, b in zip(d1.vec, d2.vec))
-            if (dd > d.vec and dd[0] <= first_cap
-                    and cache.product_within(i, j, limits.max_product_terms)):
-                pairs.append((i, j))
-        if len(pairs) == width:
-            continue
-        rounds += 1
-        found = _solve_with_pairs(state.system, state.gens, pairs, d, cache)
-        if found is not None:
-            return _found(ws, state.target, found, rounds)
-    return MembershipOutcome(
-        None,
-        Absence("limits-exhausted", {"max_bidegree": top, "rounds": rounds}),
-    )
 
 
 def leading_membership_search(
@@ -448,9 +405,9 @@ def leading_membership_search(
 ) -> MembershipOutcome:
     """Find phi over gens with deg(target - phi.value()) < deg(target).
 
-    Iterative widening: first the exact-degree exponent pairs, then (only
-    when the generator degrees are Z-dependent, i.e. cancellation is
-    possible at all) progressively larger products whose tops cancel among
+    First the exact-degree exponent pairs, then (only when the generator
+    degrees are Z-dependent, i.e. cancellation is possible at all) one
+    widened solve that adds larger products whose tops may cancel among
     themselves.  Absence is NOT a proof of non-membership unless tagged
     rigorous.
     """

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import cli, search
-from tame3.algebra import (DegreeValue, Poly, ScaledPair, WeightSystem, cancellation_window,
-                           lex_weight, parallel_multipliers, parse_poly, poly_to_text,
-                           probe_points, proportionality, total_weight)
+from tame3.algebra import (DegreeValue, Poly, ScaledPair, WeightSystem, all_semigroup_pairs,
+                           cancellation_window, level_box, lex_weight, parallel_multipliers,
+                           parse_poly, poly_to_text, probe_points, proportionality,
+                           solve_contents, total_weight)
 from tame3.engine import random_tame, reduce_step, stuck_rigorous
 from tame3.search import (
     DEFAULT_LIMITS,
@@ -473,27 +475,132 @@ def test_fully_solved_window_names_it(xyz):
         "detail": {"cancellation_window": [[0, 2], [1, 1], [2, 0], [0, 3]]}}}
 
 
-def test_unbounded_window_runs_the_level_rounds(xyz, monkeypatch):
+def test_unbounded_window_solves_the_level_box_once(xyz, monkeypatch):
     # at lex weight no degree here has an x component, so floor.first = 0
-    # and the inequality bounds nothing: the level rounds find g1^2 - g2^3
+    # and the inequality bounds nothing: one solve over the level box finds
+    # g1^2 - g2^3, after the exact slice's own solve
     x, y, z = xyz
     g1, g2 = _cancelling_pair(y, z)
     ws, target = lex_weight(3), z**5 + g1**2 - g2**3
     d1, d2 = ws.deg(g1), ws.deg(g2)
     assert cancellation_window(ws.deg(target), d1, d2, wedge_degree(ws, g1, g2), 3, 2) is None
-    rounds = []
-    by_levels = search._widen_by_levels
+    calls = []
+    widen, elimination = search._widen, search.Elimination
 
-    def counted(*args):
-        out = by_levels(*args)
-        rounds.append(out.rounds_used)
-        return out
+    def widening(*args):
+        calls.append("widen")
+        return widen(*args)
 
-    monkeypatch.setattr(search, "_widen_by_levels", counted)
+    def built(target):
+        calls.append("elimination")
+        return elimination(target)
+
+    monkeypatch.setattr(search, "_widen", widening)
+    monkeypatch.setattr(search, "Elimination", built)
     out = leading_membership_search(ws, target, (g1, g2))
     assert out.found is not None and out.found.coeffs == {(2, 0): 1, (0, 3): -1}
-    assert out.rounds_used == 3 and rounds == [3]
+    assert out.rounds_used == 1 and calls == ["elimination", "widen", "elimination"]
     assert ws.deg(out.residual) < ws.deg(target)
+
+
+def test_level_box_by_hand(xyz):
+    # at lex, deg g1 = (0, 6, 0), deg g2 = (0, 4, 0) and the target above has
+    # degree (0, 4, 2): a pair is in the box when 6i + 4j > 4, i.e. every
+    # pair but (0, 0) and (0, 1), and the first-component cap is 0 + 4*0
+    x, y, z = xyz
+    ws = lex_weight(3)
+    g1, g2 = _cancelling_pair(y, z)
+    d, d1, d2 = ws.deg(z**5 + g1**2 - g2**3), ws.deg(g1), ws.deg(g2)
+    assert (d, d1, d2) == (D(0, 4, 2), D(0, 6, 0), D(0, 4, 0))
+    levels = [[(1, 0)], [(0, 2), (1, 1), (2, 0)], [(0, 3), (1, 2), (2, 1), (3, 0)]]
+    # the levels cap: three nonempty levels, listed by level, then by i
+    assert level_box(d, d1, d2, 14, 3) == (sum(levels, []), 3)
+    assert level_box(d, d1, d2, 14, 1) == ([(1, 0)], 1)
+    # the top cap: with i, j <= 1 only (1, 0) and (1, 1) are left, on two
+    # levels, though eight may be filled
+    assert level_box(d, d1, d2, 1, 8) == ([(1, 0), (1, 1)], 2)
+    # the first-component cap: the same pair over x, deg g1 = (6, 0, 0) and
+    # deg g2 = (4, 0, 0), for a target of degree (4, 0, 2).  A pair is in
+    # when 4 < 6i + 4j <= 4 + 4*6, so level L keeps 4L + 2i <= 28: level 7
+    # keeps only (0, 7), and levels 8 to 28 are empty, so 7 of 8 are filled
+    g1, g2 = _cancelling_pair(x, z)
+    d, d1, d2 = ws.deg(z**5 + g1**2 - g2**3), ws.deg(g1), ws.deg(g2)
+    assert (d, d1, d2) == (D(4, 0, 2), D(6, 0, 0), D(4, 0, 0))
+    pairs, filled = level_box(d, d1, d2, 14, 8)
+    assert filled == 7
+    assert pairs == [(i, level - i) for level in range(1, 8) for i in range(level + 1)
+                     if 4 < 4 * level + 2 * i <= 28]
+    assert pairs[-1] == (0, 7) and (5, 0) not in pairs
+    # a box with nothing above d fills no level: 6i + 4j <= 50 for i, j <= 5
+    assert level_box(D(50, 0, 1), d1, d2, 5, 8) == ([], 0)
+
+
+def _terms_from(ws, p, d):
+    """(den, [(mono, int)]) of the terms of p at weighted degree >= d."""
+    return p.den, [(m, c) for (m, c), v in zip(p.nums.items(), ws.term_vecs(p.nums))
+                   if v >= d.vec]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3).filter(bool), st.integers(0, 1), st.integers(0, 1),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(-4, 4)),
+                max_size=3),
+       st.integers(1, 6), st.integers(1, 6))
+def test_box_solve_matches_level_prefixes(c, a, b, low, top, levels):
+    # targets whose window is None (at lex the floor has first component 0):
+    # the one widened solve answers what solve_contents answers on the
+    # first level prefix of the box that solves, with the exact pairs'
+    # columns first, and an absence when no prefix does (an odd y exponent
+    # is out of reach: every term of g1 and g2 has an even one)
+    _, y, z = (Poly.variable(i, 3) for i in range(3))
+    g1, g2 = _cancelling_pair(y, z)
+    ws = lex_weight(3)
+    target = (g1**2 - g2**3).scale(c) * g1**a * g2**b
+    for u, v, k in low:
+        target = target + (y**u * z**v).scale(k)
+    assume(not target.is_zero)
+    d, d1, d2 = ws.deg(target), ws.deg(g1), ws.deg(g2)
+    wedge = wedge_degree(ws, g1, g2)
+    # the floor 2*d1 + wedge - d1 - d2 is (0, 4, 2), as dg1 ^ dg2 = 3yz dy^dz
+    assert wedge == D(0, 2, 2)
+    assume(d >= D(0, 4, 2))
+    assert cancellation_window(d, d1, d2, wedge, 3, 2) is None
+    lead = _terms_from(ws, target, d)
+    exact_pairs = all_semigroup_pairs(d, d1, d2)
+    exact = [_terms_from(ws, g1**i * g2**j, d) for i, j in exact_pairs]
+    assume(solve_contents(lead, exact) is None)
+    limits = SearchLimits(max_bidegree=top, max_cancellation_rounds=levels)
+    out = leading_membership_search(ws, target, (g1, g2), limits)
+    pairs, filled = level_box(d, d1, d2, top, levels)
+    by_level = {}
+    for i, j in pairs:
+        by_level.setdefault(i + j, []).append((i, j))
+    prefix = []
+    for level in sorted(by_level):
+        prefix += by_level[level]
+        columns = exact + [_terms_from(ws, g1**i * g2**j, d) for i, j in prefix]
+        sol = solve_contents(lead, columns)
+        if sol is not None:
+            expected = {pair: x for pair, x in zip(exact_pairs + prefix, sol) if x}
+            assert out.rounds_used == 1 and out.found.coeffs == expected
+            assert ws.deg(out.residual) < d
+            return
+    assert out.found is None
+    assert out.absence.to_json() == {"absent": {
+        "reason": "limits-exhausted", "rigorous": False,
+        "detail": {"max_bidegree": top, "rounds": filled}}}
+
+
+def test_box_absence_json_is_pinned(xyz):
+    # every term of g1 and g2 has an even y exponent, so y^5 z^2 is out of
+    # reach of the whole box; the absence prints the bytes the level rounds
+    # printed for it
+    x, y, z = xyz
+    g1, g2 = _cancelling_pair(y, z)
+    out = leading_membership_search(lex_weight(3), y**5 * z**2 + z**3, (g1, g2))
+    assert json.dumps(out.absence.to_json()) == (
+        '{"absent": {"reason": "limits-exhausted", "rigorous": false, '
+        '"detail": {"max_bidegree": 14, "rounds": 8}}}')
 
 
 def test_widened_corpus_map_is_pinned(tmp_path, monkeypatch, capsys):
