@@ -6,8 +6,10 @@ extended by a bottom element for the zero polynomial.  Everything here is
 immutable by convention: operations return fresh values and never mutate
 their inputs, so all types are safe to share across threads.  The only
 writes after construction are a Poly's three remembered values, its weighted
-degree, its powers and its leading form: every store puts a correct value in
-one slot or under one exponent, so a store that two threads repeat does no harm.
+degree, its powers and its leading form, and a weight system's degree-vector
+cache, which the named systems share per arity: every store puts a correct
+value in one slot or under one exponent or monomial, so a store that two
+threads repeat does no harm.
 """
 
 from __future__ import annotations
@@ -58,36 +60,16 @@ class DegreeValue:
         return self.vec == other.vec
 
     def __lt__(self, other: "DegreeValue") -> bool:
-        a, b = self.vec, other.vec
-        if a is None or b is None:
-            return a is None and b is not None
-        if len(a) != len(b):
-            raise ValueError(_RANK_MISMATCH)
-        return a < b
+        return _lt(self.vec, other.vec)
 
     def __le__(self, other: "DegreeValue") -> bool:
-        a, b = self.vec, other.vec
-        if a is None or b is None:
-            return a is None
-        if len(a) != len(b):
-            raise ValueError(_RANK_MISMATCH)
-        return a <= b
+        return not _lt(other.vec, self.vec)
 
     def __gt__(self, other: "DegreeValue") -> bool:
-        a, b = self.vec, other.vec
-        if a is None or b is None:
-            return b is None and a is not None
-        if len(a) != len(b):
-            raise ValueError(_RANK_MISMATCH)
-        return a > b
+        return _lt(other.vec, self.vec)
 
     def __ge__(self, other: "DegreeValue") -> bool:
-        a, b = self.vec, other.vec
-        if a is None or b is None:
-            return b is None
-        if len(a) != len(b):
-            raise ValueError(_RANK_MISMATCH)
-        return a >= b
+        return not _lt(self.vec, other.vec)
 
     def __hash__(self) -> int:
         return hash(self.vec)
@@ -127,7 +109,15 @@ class DegreeValue:
 
 
 _BOTTOM = DegreeValue(None)
-_RANK_MISMATCH = "comparing degree vectors of different rank"
+
+
+def _lt(a: Optional[tuple], b: Optional[tuple]) -> bool:
+    """a < b on degree vectors, with None (Bottom) below every vector."""
+    if a is None or b is None:
+        return a is None and b is not None
+    if len(a) != len(b):
+        raise ValueError("comparing degree vectors of different rank")
+    return a < b
 
 
 def _degree(vec: tuple) -> DegreeValue:
@@ -465,7 +455,6 @@ class WeightSystem:
             if not w > (0,) * r:
                 raise ValueError(f"weight {w} is not lex-positive")
         object.__setattr__(self, "_vec_cache", {})
-        object.__setattr__(self, "_is_total", all(w == (1,) for w in ws))
         # the sum of the variable weights, the degree floor for automorphisms,
         # and the least variable weight, the least degree of a nonconstant
         # polynomial
@@ -491,8 +480,6 @@ class WeightSystem:
         """The weighted degree of mono as a plain int tuple (lex-ordered)."""
         if len(mono) != self.n:
             raise ValueError(f"monomial arity {len(mono)} != weight count {self.n}")
-        if self._is_total:
-            return (sum(mono),)
         cache = self._vec_cache
         mono = tuple(mono)
         hit = cache.get(mono)
@@ -512,8 +499,6 @@ class WeightSystem:
         """The degree vectors of the monomials in ``monos`` (the keys of a
         Poly's ``nums``), in order: one cache lookup each when every one is
         cached, else through ``monomial_vec``, which checks arity."""
-        if self._is_total:
-            return [(sum(m),) for m in monos]
         try:
             return list(map(self._vec_cache.__getitem__, monos))
         except KeyError:
@@ -533,8 +518,6 @@ class WeightSystem:
         nums = f.nums
         if not nums:
             d = _BOTTOM
-        elif self._is_total:
-            d = _degree((max(map(sum, nums)),))
         else:
             d = _degree(max(self.term_vecs(nums)))
         f._deg = (w, d)
@@ -554,13 +537,8 @@ class WeightSystem:
         if f.is_zero:
             raise ValueError("the zero polynomial has no leading form")
         d = self.deg(f)
-        if self._is_total:
-            top = d.vec[0]
-            nums = {m: c for m, c in f.nums.items() if sum(m) == top}
-        else:
-            top = d.vec
-            nums = {m: c for (m, c), v in zip(f.nums.items(), self.term_vecs(f.nums))
-                    if v == top}
+        nums = {m: c for (m, c), v in zip(f.nums.items(), self.term_vecs(f.nums))
+                if v == d.vec}
         if len(nums) == len(f.nums):
             f._lead = (w, None)
             return f
@@ -586,13 +564,16 @@ class WeightSystem:
         return {"r": self.r, "vectors": [list(w) for w in self.weights]}
 
 
+@lru_cache(maxsize=None)  # one shared system per arity
 def total_weight(n: int) -> WeightSystem:
-    """w = (1,...,1) on Z: weighted degree equals total degree."""
+    """w = (1,...,1) on Z: weighted degree equals total degree.  Each arity
+    gets one shared instance, so its degree-vector cache stays warm."""
     return WeightSystem(tuple((1,) for _ in range(n)))
 
 
+@lru_cache(maxsize=None)  # one shared system per arity
 def lex_weight(n: int) -> WeightSystem:
-    """w = (e_1,...,e_n) on lex Z^n (maximal rank)."""
+    """w = (e_1,...,e_n) on lex Z^n (maximal rank); one shared instance per arity."""
     return WeightSystem(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
 
 

@@ -95,13 +95,15 @@ def _parse_limits() -> SearchLimits:
 
 
 def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
     try:
+        if path == "-":
+            return sys.stdin.read().splitlines()
         with open(path) as fh:
             return fh.read().splitlines()
     except OSError as exc:
         raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _parse_triple(lines: list[str], where: str) -> tuple:

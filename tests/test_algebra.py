@@ -372,14 +372,28 @@ def test_leading_form_idempotent(f):
     assert ws.leading_form(lf) == lf
 
 
+def test_named_weight_systems_are_shared():
+    assert total_weight(3) is total_weight(3) and lex_weight(3) is lex_weight(3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(nonzero=True))
+def test_total_weight_is_total_degree(f):
+    # the reference reads exponent sums, not the system's degree vectors
+    ws, top = total_weight(3), f.total_degree()
+    assert ws.deg(f) == DegreeValue.of(top)
+    assert ws.leading_form(f) == Poly(3, {m: c for m, c in f.terms.items() if sum(m) == top})
+
+
 def _reference_deg(ws, f):
     return max((DegreeValue(ws.monomial_vec(m)) for m in f.nums), default=DegreeValue.bottom())
 
 
 def test_deg_memo_across_weight_systems():
     f = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5", 3)
+    # the last system equals the first without being it: the named ones are shared
     systems = [total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))),
-               total_weight(3)]
+               WeightSystem(((1,), (1,), (1,)))]
     refs = [_reference_deg(ws, f) for ws in systems]
     assert len(set(refs)) == 3 and refs[0] == refs[3]
     copy = Poly(3, f.terms)
@@ -393,8 +407,9 @@ def test_deg_memo_across_weight_systems():
 
 def test_leading_form_memo_across_weight_systems():
     f = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5 + x1^2*x2^2*x3^2", 3)
+    # the last system equals the first without being it: the named ones are shared
     systems = [total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))),
-               total_weight(3)]
+               WeightSystem(((1,), (1,), (1,)))]
     refs = []
     for ws in systems:
         top = max(ws.monomial_vec(m) for m in f.nums)

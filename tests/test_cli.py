@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,6 @@ PKG_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args, env_extra=None, stdin=None):
-    import os
-
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -299,21 +298,39 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["reduce", "{f}"], "1/0*x1\nx2\nx3\n", None),
     (["reduce", "{f}", "--inverse", "{g}"], ("x1\nx2\nx3\n", "1/0*x1\nx2\nx3\n"), None),
     (["check-inequality", "{f}"], "x1\n\n0: 1/0*x1\n\nx2\n", None),
+    (["deg", "{f}"], b"x1\n\xff\nx3\n", None),
+    (["check", "{f}", "su"], b"x1\nx2\nx3\n\n\xff\nx2\nx3\n", None),
+    (["check-inequality", "{f}"], b"x1\n\n0: \xff\n\nx2\n", None),
+    (["reduce", "{f}", "--inverse", "{g}"], ("x1\nx2\nx3\n", b"x1\n\xff\nx3\n"), None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
         "type-dependent",
         "inequality-zero-g", "inequality-dependent", "inequality-negative-exponent",
         "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
         "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count",
-        "zero-denominator", "inverse-zero-denominator", "inequality-zero-denominator"])
+        "zero-denominator", "inverse-zero-denominator", "inequality-zero-denominator",
+        "deg-not-utf8", "check-not-utf8", "inequality-not-utf8", "inverse-not-utf8"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
-    # a pair of texts fills {f} and {g} (a second input file)
+    # a pair of texts fills {f} and {g} (a second input file); bytes are written as they are
     path, second = tmp_path / "in.txt", tmp_path / "second.txt"
-    path.write_text(text if isinstance(text, str) else text[0])
-    second.write_text("" if isinstance(text, str) else text[1])
+    for p, t in zip((path, second), (text, "") if isinstance(text, (str, bytes)) else text):
+        p.write_bytes(t if isinstance(t, bytes) else t.encode())
     out = run_cli([a.format(f=path, g=second) for a in argv], env_extra=env)
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_undecodable_stdin_exit_3_naming_it(tmp_path):
+    # strict decoding makes the read itself fail, as a file's read does
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"x1\n\xff\nx3\n")
+    env = dict(os.environ, PYTHONPATH=PKG_SRC, PYTHONIOENCODING="utf-8:strict")
+    with path.open("rb") as fh:
+        out = subprocess.run([sys.executable, "-m", "tame3.cli", "deg", "-"], stdin=fh,
+                             capture_output=True, text=True, env=env)
+    assert out.returncode == 3
+    assert out.stderr.startswith("input error: -: ")
     assert len(out.stderr.strip().splitlines()) == 1
 
 
