@@ -5,11 +5,11 @@ common denominator; degrees live in a lexicographically ordered ``Z^r``
 extended by a bottom element for the zero polynomial.  Everything here is
 immutable by convention: operations return fresh values and never mutate
 their inputs, so all types are safe to share across threads.  The only
-writes after construction are a Poly's three remembered values, its weighted
-degree, its powers and its leading form, and a weight system's degree-vector
-cache, which the named systems share per arity: every store puts a correct
-value in one slot or under one exponent or monomial, so a store that two
-threads repeat does no harm.
+writes after construction are a Poly's four remembered values, its weighted
+degree, its powers, its leading form and its values at the probe points, and
+a weight system's degree-vector cache, which the named systems share per
+arity: every store puts a correct value in one slot or under one exponent,
+probe index or monomial, so a store that two threads repeat does no harm.
 """
 
 from __future__ import annotations
@@ -175,22 +175,25 @@ class Poly:
     fields; the zero polynomial is ``{}`` over 1.  ``terms`` is a read-only
     monomial -> Fraction view.
 
-    A Poly is never mutated after it is built, so it remembers three
+    A Poly is never mutated after it is built, so it remembers four
     values, none part of ``==`` or ``hash``: its weighted degree under the
     weight system it was last asked about (the ``_deg`` slot, set by
     ``WeightSystem.deg``), its leading form under the weight system it was
-    last asked about (the ``_lead`` slot, set by ``WeightSystem.leading_form``)
-    and the powers ``**`` has built of it (the ``_powers`` slot, a dict from
-    exponent k >= 2 to self**k).
+    last asked about (the ``_lead`` slot, set by ``WeightSystem.leading_form``),
+    the powers ``**`` has built of it (the ``_powers`` slot, a dict from
+    exponent k >= 2 to self**k) and its values and gradients at the probe
+    points it was read at (the ``_probes`` slot, a dict from k to
+    ``at_probe(k)``).
     """
 
-    __slots__ = ("n", "nums", "den", "_deg", "_lead", "_powers")
+    __slots__ = ("n", "nums", "den", "_deg", "_lead", "_powers", "_probes")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         self.n = n
         self._deg = None
         self._lead = None
         self._powers = None
+        self._probes = None
         clean: dict = {}
         if terms:
             for mono, coeff in terms.items():
@@ -389,6 +392,28 @@ class Poly:
                 acc[mm] = acc.get(mm, 0) + k * c
         return _poly(m, {mm: c for mm, c in acc.items() if c}, self.den * den)
 
+    def at_probe(self, k: int) -> tuple[int, tuple]:
+        """(den * f, den * grad f) at ``probe_points(n)[k]``: the value and
+        gradient of the integer contents, in one pass over the terms and
+        remembered for the life of self.  A term's value v = c * x^m there
+        adds m_i * v / point[i] to entry i, and point[i] divides v when
+        m_i > 0, since no probe coordinate is zero."""
+        probes = self._probes
+        if probes is None:
+            probes = self._probes = {}
+        hit = probes.get(k)
+        if hit is None:
+            point = probe_points(self.n)[k]
+            value, grad = 0, [0] * self.n
+            for mono, c in self.nums.items():
+                v = c * math.prod(map(pow, point, mono))
+                value += v
+                for i, e in enumerate(mono):
+                    if e:
+                        grad[i] += e * v // point[i]
+            hit = probes[k] = (value, tuple(grad))
+        return hit
+
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial."""
         return max(map(sum, self.nums), default=-1)
@@ -412,6 +437,7 @@ def _poly(n: int, nums: dict, den: int) -> Poly:
     out._deg = None
     out._lead = None
     out._powers = None
+    out._probes = None
     return out
 
 

@@ -543,16 +543,15 @@ def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):
     """First candidate pair over which h3 peels to an accepted third component.
 
     ``candidates`` yields (key, g1, g2) lazily; a pair qualifies when
-    deg g1 = 2l, deg g2 = top and the leading forms are dependent.
-    ``make_accept(key, g1, g2, w12)`` gives the peel's accept predicate, or
-    None to skip the pair.  Returns (key, g, (g1, g2, g3)) with
-    h3 + g(g1, g2) = g3, or None.
+    deg g1 = 2l and deg g2 = top.  Its leading forms are then dependent
+    without a test: each detector keeps only the scalars that make two
+    leading forms dependent, and at these degrees the leading forms of g1
+    and g2 are those two forms.  ``make_accept(key, g1, g2, w12)`` gives
+    the peel's accept predicate, or None to skip the pair.  Returns
+    (key, g, (g1, g2, g3)) with h3 + g(g1, g2) = g3, or None.
     """
     for key, g1, g2 in candidates:
         if g1.total_degree() != 2 * l or g2.total_degree() != top:
-            continue
-        if not wedge(differential(ws.leading_form(g1)),
-                     differential(ws.leading_form(g2))).is_zero:
             continue
         w12 = wedge_degree(ws, g1, g2)
         accept = make_accept(key, g1, g2, w12)
@@ -640,11 +639,8 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
         alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
     else:
         # degree of h2 is below 3l, so the quadratic term supplies the top
-        alphas = (
-            [Fraction(-1)]
-            if wedge(differential(h1w), differential(ws.leading_form(h3sq))).is_zero
-            else []
-        )
+        dependent = not algebraically_independent([h1w, ws.leading_form(h3sq)])
+        alphas = [Fraction(-1)] if dependent else []
 
     def make_accept(alpha, g1, g2, w12):
         wedge_bound = DegreeValue.of(3 * l) + w12

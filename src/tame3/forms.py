@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -157,25 +157,36 @@ def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
     return wedge_all([differential(f) for f in fs])
 
 
-def _jacobian_at(f: Poly, point: Sequence[int]) -> list[int]:
-    """The gradient of f's integer contents, den * grad f, at an integer
-    point with no zero coordinate: a term's value v = c * x^m there adds
-    m_i * v / point[i] to entry i, and point[i] divides v when m_i > 0."""
-    grad = [0] * f.n
-    for mono, c in f.nums.items():
-        value = c * math.prod(map(pow, point, mono))
-        for i, e in enumerate(mono):
-            if e:
-                grad[i] += e * value // point[i]
-    return grad
-
-
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small square integer matrix (Laplace)."""
-    if not m:
-        return 1
+    """Exact determinant of a small square integer matrix: closed form up to
+    3 x 3, Laplace along the first row above that."""
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j, a in enumerate(m[0]) if a)
+
+
+def _has_nonzero_minor(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether some k x k minor of the k x n integer matrix ``rows`` is
+    nonzero."""
+    k, n = len(rows), len(rows[0])
+    if k == n:
+        return _det(rows) != 0
+    return any(_det([[row[j] for j in cols] for row in rows])
+               for cols in combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)  # one entry per arity
+def _units(n: int) -> tuple[tuple, ...]:
+    """The exponent tuples of x_1, ..., x_n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def algebraically_independent(fs: Sequence[Poly]) -> bool:
@@ -187,19 +198,18 @@ def algebraically_independent(fs: Sequence[Poly]) -> bool:
     is tried on the integer contents first: at the origin, where it is the
     contents of the linear terms (so a map with constant nonzero Jacobian,
     such as any automorphism, is decided by coefficient lookups), then at
-    the ``probe_points``.  The full wedge is expanded only when every minor
-    vanishes at all of them.  Either way the verdict is exact.
+    each of the ``probe_points``, where each row is the gradient that
+    ``Poly.at_probe`` remembers.  The full wedge is expanded only when every
+    minor vanishes at all of them.  Either way the verdict is exact.
     """
     if not 1 <= len(fs) <= fs[0].n:
         return False
     if any(f.is_zero for f in fs):
         return False
-    n, k = fs[0].n, len(fs)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    origin = [[f.nums.get(u, 0) for u in units] for f in fs]
-    minors = list(combinations(range(n), k))
-    for jac in chain([origin], ([_jacobian_at(f, v) for f in fs] for v in probe_points(n))):
-        if any(_det([[row[j] for j in cols] for row in jac]) for cols in minors):
+    if _has_nonzero_minor([[f.nums.get(u, 0) for u in _units(f.n)] for f in fs]):
+        return True
+    for k in range(len(probe_points(fs[0].n))):
+        if _has_nonzero_minor([f.at_probe(k)[1] for f in fs]):
             return True
     return not differentials_wedge(fs).is_zero
 

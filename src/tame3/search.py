@@ -502,11 +502,6 @@ def membership_in_single(
     return coeffs
 
 
-def _contents_at(f: Poly, point: Sequence[int]) -> int:
-    """den * f(point): the integer contents of f at an integer point."""
-    return sum(c * math.prod(map(pow, point, m)) for m, c in f.nums.items())
-
-
 def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPair]:
     """Coprime (p, q) with gw^p a scalar multiple of fw^q, from the degree
     relation q*deg(fw) = p*deg(gw), verified by exact comparison.
@@ -514,8 +509,9 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
     On integer contents G and F, gw^p = c*fw^q makes G^p a constant multiple
     of F^q, so G(v)^p * F(u)^q = G(u)^p * F(v)^q at any two points u, v.  A
     mismatch at two consecutive ``probe_points`` (Schwartz-Zippel, used only
-    to refute) is an exact "no" that builds no power; a "yes" is always
-    proved on the full powers."""
+    to refute), on the values each polynomial remembers (``Poly.at_probe``),
+    is an exact "no" that builds no power; a "yes" is always proved on the
+    full powers."""
     if fw.is_zero or gw.is_zero:
         raise ValueError("requires nonzero polynomials")
     df, dg = ws.deg(fw), ws.deg(gw)
@@ -527,7 +523,8 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
         return None
     g0 = math.gcd(a, b)
     p, q = a // g0, b // g0
-    values = ((_contents_at(gw, v) ** p, _contents_at(fw, v) ** q) for v in probe_points(fw.n))
+    values = ((gw.at_probe(k)[0] ** p, fw.at_probe(k)[0] ** q)
+              for k in range(len(probe_points(fw.n))))
     if any(g1 * f0 != g0 * f1 for (g0, f0), (g1, f1) in pairwise(values)):
         return None
     if proportionality(gw**p, fw**q) is None:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tame3 import algebra
 from tame3.algebra import (
     DegreeValue,
     Elimination,
@@ -17,6 +18,7 @@ from tame3.algebra import (
     parse_poly,
     poly_to_text,
     power_sum,
+    probe_points,
     proportionality,
     solve_contents,
     solve_sparse_int,
@@ -433,6 +435,22 @@ def test_leading_form_memo_across_weight_systems():
     # the remembered form is not part of equality or hashing
     assert f == copy and hash(f) == hash(copy) and copy._lead is None
     assert systems[2].leading_form(copy) == refs[2]
+
+
+def test_probe_values_are_remembered(monkeypatch):
+    f = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5", 3)
+    ks = range(len(probe_points(3)))
+    first = [f.at_probe(k) for k in ks]
+    # equal but distinct polynomials read equal values
+    for other in (Poly(3, f.terms), -(-f)):
+        assert other == f and other is not f
+        assert [other.at_probe(k) for k in ks] == first
+    # a second read evaluates nothing: it does not even look up the point
+    monkeypatch.setattr(algebra, "probe_points", None)
+    assert all(f.at_probe(k) is first[k] for k in ks)
+    # the remembered values are not part of equality or hashing
+    fresh = parse_poly("x1^3*x3 - 2/3*x2^4 + x1*x2*x3^2 + 5", 3)
+    assert fresh._probes is None and fresh == f and hash(fresh) == hash(f)
 
 
 def test_leading_form_of_a_homogeneous_polynomial_is_itself():

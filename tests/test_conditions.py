@@ -15,7 +15,7 @@ from tame3.conditions import (
     su_pair_uniqueness,
     verify_properties,
 )
-from tame3.forms import wedge_degree
+from tame3.forms import differentials_wedge, wedge_degree
 from tame3.search import (DEFAULT_LIMITS, find_elementary_reduction, find_su_reduction,
                           permute_triple)
 
@@ -366,6 +366,40 @@ def test_type_iii_iv_gate_skips_the_barren_branch(monkeypatch):
     assert detect_type(F, "III") is None
     assert detect_type(F, "IV") is None
     assert calls == []
+
+
+def test_peel_candidates_have_dependent_leading_forms(su_pair_family, small_corpus,
+                                                     monkeypatch):
+    # every detector keeps only the scalars that make two leading forms
+    # dependent, so each candidate whose degrees pass has dependent leading
+    # forms and _peel_candidates checks only the degrees
+    dependent = []
+    peel_candidates = conditions._peel_candidates
+
+    def observed(ws, h3, l, top, candidates, make_accept, limits):
+        def seen():
+            for key, g1, g2 in candidates:
+                if g1.total_degree() == 2 * l and g2.total_degree() == top:
+                    forms = [ws.leading_form(g1), ws.leading_form(g2)]
+                    dependent.append(differentials_wedge(forms).is_zero)
+                yield key, g1, g2
+        return peel_candidates(ws, h3, l, top, seen(), make_accept, limits)
+
+    monkeypatch.setattr(conditions, "_peel_candidates", observed)
+    triples = [T for _, F, _ in su_pair_family for T in (F, permute_triple(F, (2, 1, 3)))]
+    triples += [endo.components for endo, _ in small_corpus]
+    triples += [_triple("x1^4 + x2^4 + x3", "x1^6", "x2^4"),
+                _triple("x1^4 + x3", "x1^6 + x2^6", "x2^3"),
+                _triple("x1^4 + x2", "x1^6 + 2*x1^3*x3 + x3^2", "x1^3 + x3"),
+                # independent leading forms at each detector's lower branch
+                # (type I with deg h3 < s*l, type II with deg h3 < 2l,
+                # types III/IV with deg h2 < 3l)
+                _triple("x1^4", "x2^6", "x3^5"), _triple("x1^8", "x2^12", "x3^7"),
+                _triple("x1^8", "x2^11", "x3^6")]
+    for T in triples:
+        for kind in ("I", "II", "III", "IV"):
+            detect_type(T, kind)
+    assert len(dependent) >= 5 and all(dependent)
 
 
 def test_su_pair_with_moved_generators_gives_type(su_pair_family):

@@ -75,6 +75,11 @@ def test_independence_examples(xyz, nagata):
     f = x1 + x2**2
     assert not algebraically_independent([f, f * f])
     assert algebraically_independent(list(nagata.components))
+    # four variables: the 4 x 4 Jacobian minor goes through Laplace expansion
+    y1, y2, y3, y4 = (Poly.variable(i, 4) for i in range(4))
+    fs = [y1 * y2, y2 * y3, y3 * y4, y4 + y1]
+    assert algebraically_independent(fs)
+    assert not algebraically_independent(fs[:3] + [fs[0] * fs[2]])
 
 
 @st.composite
@@ -100,7 +105,23 @@ def _triples(draw):
 @settings(max_examples=120, deadline=None)
 @given(_triples())
 def test_independence_agrees_with_the_wedge(fs):
-    assert algebraically_independent(fs) == (not differentials_wedge(fs).is_zero)
+    # every prefix, so families of one and two take their own minors
+    for k in (1, 2, 3):
+        assert algebraically_independent(fs[:k]) == (not differentials_wedge(fs[:k]).is_zero)
+
+
+def _count_probe_reads(monkeypatch) -> list:
+    """Patch Poly.at_probe to record the point of every read; returns the
+    record."""
+    points = []
+    read = Poly.at_probe
+
+    def counted(f, k):
+        points.append(probe_points(f.n)[k])
+        return read(f, k)
+
+    monkeypatch.setattr(Poly, "at_probe", counted)
+    return points
 
 
 def test_independence_of_a_map_is_decided_at_a_point(small_corpus, xyz, monkeypatch):
@@ -112,15 +133,41 @@ def test_independence_of_a_map_is_decided_at_a_point(small_corpus, xyz, monkeypa
         return full(fs)
 
     monkeypatch.setattr(forms, "differentials_wedge", counted)
+    points = _count_probe_reads(monkeypatch)
     for endo, _ in small_corpus:
         assert algebraically_independent(list(endo.components))
+    assert points == []
     # Jacobian x2*x3 vanishes at the origin but not at the next point
     x1, x2, x3 = xyz
     assert algebraically_independent([x1 * x2, x2 * x3, x3])
     assert calls == []
+    assert points == [probe_points(3)[0]] * 3
     # a dependent triple vanishes at every point and reaches the full wedge
     f = x1 + x2**2
     assert not algebraically_independent([f, x3, f * x3])
+    assert calls == [1]
+
+
+def test_independence_vanishing_at_every_point_reaches_the_wedge(xyz, monkeypatch):
+    # Q's roots are 0 and every probe point's x2 coordinate, so the one
+    # nonzero minor of the pair (x1, Q^2), 2*Q*Q', vanishes at the origin and
+    # at every probe point: the pair is independent, and only the full wedge
+    # says so
+    calls = []
+    full = forms.differentials_wedge
+
+    def counted(fs):
+        calls.append(1)
+        return full(fs)
+
+    monkeypatch.setattr(forms, "differentials_wedge", counted)
+    x1, x2, _ = xyz
+    roots = (0, 1, -1, 3, -2, 4)
+    assert {v[1] for v in probe_points(3)} <= set(roots)
+    q = Poly.constant(1, 3)
+    for r in roots:
+        q = q * (x2 - Poly.constant(r, 3))
+    assert algebraically_independent([x1, q**2])
     assert calls == [1]
 
 
@@ -128,14 +175,7 @@ def test_independence_of_an_automorphism_reads_its_linear_terms(small_corpus, xy
                                                                  monkeypatch):
     # a map's Jacobian at the origin is its linear coefficients, so the
     # corpus is decided without evaluating a gradient at any point
-    points = []
-    gradient = forms._jacobian_at
-
-    def counted(f, point):
-        points.append(point)
-        return gradient(f, point)
-
-    monkeypatch.setattr(forms, "_jacobian_at", counted)
+    points = _count_probe_reads(monkeypatch)
     for endo, _ in small_corpus:
         assert algebraically_independent(list(endo.components))
     assert points == []
@@ -149,14 +189,16 @@ def test_independence_of_an_automorphism_reads_its_linear_terms(small_corpus, xy
 def test_probe_point_gradient_matches_a_fraction_reference(n, data):
     monos = st.tuples(*[st.integers(0, 3)] * n)
     f = Poly(n, data.draw(st.dictionaries(monos, _rationals, max_size=5)))
-    for point in probe_points(n):
+    for k, point in enumerate(probe_points(n)):
         # e * value // point[i] is exact only off the coordinate hyperplanes
         assert len(point) == n and all(point)
-        expected = [sum((c * m[i] * math.prod(Fraction(v) ** (e - (j == i))
+        value = sum((c * math.prod(Fraction(v) ** e for v, e in zip(point, m))
+                     for m, c in f.terms.items()), Fraction(0))
+        gradient = [sum((c * m[i] * math.prod(Fraction(v) ** (e - (j == i))
                                               for j, (v, e) in enumerate(zip(point, m)))
                          for m, c in f.terms.items() if m[i]), Fraction(0))
                     for i in range(n)]
-        assert forms._jacobian_at(f, point) == [g * f.den for g in expected]
+        assert f.at_probe(k) == (value * f.den, tuple(g * f.den for g in gradient))
 
 
 def _random_poly(rng, max_deg=3, terms=3):

@@ -8,8 +8,9 @@ A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
 the unused-import check.  A Poly remembers its weighted degree, its
-powers and its leading form, which is sound only while no other module
-changes its contents after it is built.
+powers, its leading form and its values and gradients at the probe points,
+which is sound only while no other module changes its contents after it is
+built.
 A non-tameness claim is read off one rule (a rigorous stuck on a verified
 map), so its wording lives next to that rule and nowhere else.
 """
@@ -115,8 +116,8 @@ def test_unused_import_detector(tmp_path):
     assert _unused_imports(probe) == ["3: json", "4: Iterator"]
 
 
-_POLY_FIELDS = ("nums", "den", "_deg", "_lead", "_powers")
-_POLY_DICTS = ("nums", "_powers")
+_POLY_FIELDS = ("nums", "den", "_deg", "_lead", "_powers", "_probes")
+_POLY_DICTS = ("nums", "_powers", "_probes")
 _DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem__",
                   "__delitem__")
 
@@ -124,8 +125,9 @@ _DICT_MUTATORS = ("update", "pop", "popitem", "clear", "setdefault", "__setitem_
 def _poly_field_writes(path: Path) -> list[str]:
     """'line: target' for every assignment or deletion of an attribute named
     like a Poly field (nums, den, the degree memo _deg, the leading-form
-    memo _lead, the power memo _powers), every store into .nums[...] or ._powers[...], and every
-    setattr or dict-mutating call on those names."""
+    memo _lead, the power memo _powers, the probe-point memo _probes), every
+    store into .nums[...], ._powers[...] or ._probes[...], and every setattr
+    or dict-mutating call on those names."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -178,12 +180,16 @@ def test_poly_field_write_detector(tmp_path):
                      "    q._powers[2] = p\n"
                      "    q._powers.clear()\n"
                      "    p._lead = (m, q)\n"
+                     "    q._probes = {}\n"
+                     "    p._probes[0] = (1, (0, 0, 0))\n"
+                     "    q._probes.setdefault(1, None)\n"
                      "    return nums, den\n")
     assert _poly_field_writes(probe) == [
         "4: p.nums", "5: q.nums[m]", "6: p.den", "7: q._deg", "8: p.nums[m]",
-        "11: p._powers", "12: q._powers[2]", "14: p._lead",
+        "11: p._powers", "12: q._powers[2]", "14: p._lead", "15: q._probes",
+        "16: p._probes[0]",
         "9: object.__setattr__(p, 'den', 3)", "10: q.nums.update({m: 1})",
-        "13: q._powers.clear()"]
+        "13: q._powers.clear()", "17: q._probes.setdefault(1, None)"]
 
 
 def test_one_module_states_the_verdict():

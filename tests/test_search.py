@@ -286,7 +286,7 @@ def test_scaled_pair_vanishing_at_every_probe_point_is_decided_exactly():
 
     f, g = cubic([(0, 1), (2, 3), (4, 5)]), cubic([(0, 2), (1, 3), (4, 5)])
     wt = total_weight(3)
-    assert all(search._contents_at(h, v) == 0 for h in (f, g) for v in pts)
+    assert all(h.at_probe(k)[0] == 0 for h in (f, g) for k in range(len(pts)))
     assert find_scaled_pair(wt, f, g) is None
     assert find_scaled_pair(wt, f, f.scale(-2)) == ScaledPair(1, 1)
 
