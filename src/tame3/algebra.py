@@ -336,8 +336,10 @@ class Poly:
         return _poly(self.n, {m: k * v for m, v in self.nums.items()}, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Poly":
-        """self**k; each power is built once, by one multiplication of the
-        power below it, and remembered for the life of self."""
+        """self**k, remembered for the life of self.  A one-term base
+        c*x^m gives c^k*x^(k*m) directly, so it keeps only the powers asked
+        for; any other base builds each power once, by one multiplication
+        of the power below it."""
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
@@ -347,7 +349,13 @@ class Poly:
         powers = self._powers
         if powers is None:
             powers = self._powers = {}
-        # the exponents present are always 2..len(powers) + 1
+        if len(self.nums) == 1:
+            hit = powers.get(k)
+            if hit is None:
+                ((m, c),) = self.nums.items()
+                hit = powers[k] = _poly(self.n, {tuple(e * k for e in m): c**k}, self.den**k)
+            return hit
+        # a base of several terms holds exactly the exponents 2..len(powers) + 1
         for e in range(len(powers) + 2, k + 1):
             powers[e] = (powers[e - 1] if e > 2 else self) * self
         return powers[k]
@@ -784,7 +792,7 @@ class ScaledPair:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[\^*+-]))"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[\^*+-]))"
 )
 
 

@@ -238,6 +238,28 @@ def _solve_with_pairs(
     return BiPoly(gens, Poly.from_contents(2, {pairs[k]: c for k, c in nums.items()}, den))
 
 
+def _one_term_slice(
+    lead: Poly, gens: tuple[Poly, Poly], lf: Poly, lg: Poly, pairs: list[tuple[int, int]]
+) -> Optional[BiPoly]:
+    """The exact slice of one-term `lead` over one-term generator leading
+    forms lf, lg, read off the exponents.
+
+    Each lf^i lg^j is the one term c_f^i c_g^j x^(i*m_f + j*m_g), so the
+    representation is the first of `pairs` whose monomial is lead's, with
+    lead's coefficient over that product's.  The elimination gives the same
+    answer: a one-term column pivots on its only key, so the first matching
+    pair takes the whole coefficient and every later column reduces to zero.
+    """
+    ((mt, ct),) = lead.nums.items()
+    ((mf, cf),) = lf.nums.items()
+    ((mg, cg),) = lg.nums.items()
+    for i, j in pairs:
+        if all(i * a + j * b == t for a, b, t in zip(mf, mg, mt)):
+            return BiPoly(gens, Poly.from_contents(
+                2, {(i, j): ct * lf.den**i * lg.den**j}, lead.den * cf**i * cg**j))
+    return None
+
+
 def homogeneous_membership(
     ws: WeightSystem, h: Poly, g1h: Poly, g2h: Poly
 ) -> Optional[BiPoly]:
@@ -245,7 +267,9 @@ def homogeneous_membership(
 
     Complete: only exponent pairs on the degree slice can contribute, and a
     combination of higher homogeneous products is homogeneous of the wrong
-    degree, so one exact linear system decides membership.
+    degree, so the slice decides membership: on exponents when h, g1h and
+    g2h are one term each (``_one_term_slice``), else by one exact linear
+    system.
     """
     for name, p in (("h", h), ("g1", g1h), ("g2", g2h)):
         if p.is_zero:
@@ -256,6 +280,8 @@ def homogeneous_membership(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(h)
     pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
+    if len(h.nums) == len(g1h.nums) == len(g2h.nums) == 1:
+        return _one_term_slice(h, (g1h, g2h), g1h, g2h, pairs)
     found = _solve_with_pairs(h, (g1h, g2h), pairs, d, _ProductCache(g1h, g2h, ws))
     if found is not None:
         assert found.value() == h
@@ -313,7 +339,11 @@ def _decide_exact(
     it.  A target degree outside the semigroup of Z-independent generator
     degrees is decided before anything is built; its absence names the
     1-based ``component`` when the elementary search gives one, else the
-    target degree.
+    target degree.  When the target's leading form and both generator
+    leading forms are one term each, as every leading form is at a
+    full-rank weight, the slice is read off the exponents
+    (``_one_term_slice``), and a product cache is built only for a state
+    that goes on to ``_widen``; any other slice is one ``Elimination``.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -333,13 +363,17 @@ def _decide_exact(
     if independent and not exact_pairs:
         detail = {"target_degree": d.to_json()} if component is None else {"component": component}
         return MembershipOutcome(None, Absence("semigroup-obstruction", detail))
-    cache = cache or _ProductCache(f, g, ws)
-    found = _solve_with_pairs(ws.leading_form(target), gens, exact_pairs, d, cache)
+    lead, lf, lg = ws.leading_form(target), ws.leading_form(f), ws.leading_form(g)
+    if len(lead.nums) == len(lf.nums) == len(lg.nums) == 1:
+        found = _one_term_slice(lead, gens, lf, lg, exact_pairs)
+    else:
+        cache = cache or _ProductCache(f, g, ws)
+        found = _solve_with_pairs(lead, gens, exact_pairs, d, cache)
     if found is not None:
         return _found(ws, target, found, 0)
     if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
-    return _Widening(target, gens, d, exact_pairs, cache)
+    return _Widening(target, gens, d, exact_pairs, cache or _ProductCache(f, g, ws))
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -506,12 +540,14 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
     """Coprime (p, q) with gw^p a scalar multiple of fw^q, from the degree
     relation q*deg(fw) = p*deg(gw), verified by exact comparison.
 
-    On integer contents G and F, gw^p = c*fw^q makes G^p a constant multiple
-    of F^q, so G(v)^p * F(u)^q = G(u)^p * F(v)^q at any two points u, v.  A
-    mismatch at two consecutive ``probe_points`` (Schwartz-Zippel, used only
-    to refute), on the values each polynomial remembers (``Poly.at_probe``),
-    is an exact "no" that builds no power; a "yes" is always proved on the
-    full powers."""
+    Two one-term forms fw = c*x^m and gw = d*x^n are decided on their
+    exponents: gw^p and fw^q are one term each, proportional iff p*n == q*m.
+    Otherwise, on integer contents G and F, gw^p = c*fw^q makes G^p a
+    constant multiple of F^q, so G(v)^p * F(u)^q = G(u)^p * F(v)^q at any
+    two points u, v.  A mismatch at two consecutive ``probe_points``
+    (Schwartz-Zippel, used only to refute), on the values each polynomial
+    remembers (``Poly.at_probe``), is an exact "no" that builds no power;
+    a "yes" is always proved on the full powers."""
     if fw.is_zero or gw.is_zero:
         raise ValueError("requires nonzero polynomials")
     df, dg = ws.deg(fw), ws.deg(gw)
@@ -523,9 +559,12 @@ def find_scaled_pair(ws: WeightSystem, fw: Poly, gw: Poly) -> Optional[ScaledPai
         return None
     g0 = math.gcd(a, b)
     p, q = a // g0, b // g0
+    if len(fw.nums) == len(gw.nums) == 1:
+        (m,), (n,) = fw.nums, gw.nums
+        return ScaledPair(p, q) if all(p * b == q * a for a, b in zip(m, n)) else None
     values = ((gw.at_probe(k)[0] ** p, fw.at_probe(k)[0] ** q)
               for k in range(len(probe_points(fw.n))))
-    if any(g1 * f0 != g0 * f1 for (g0, f0), (g1, f1) in pairwise(values)):
+    if any(gv * fu != gu * fv for (gu, fu), (gv, fv) in pairwise(values)):
         return None
     if proportionality(gw**p, fw**q) is None:
         return None

@@ -207,6 +207,21 @@ def test_pow_builds_each_power_once(xyz, monkeypatch):
     assert counts == [5, 0, 0]
 
 
+def test_pow_of_one_term_is_built_directly(monkeypatch):
+    t = Poly(3, {(1, 2, 0): Fraction(-3, 4)})
+    expected = [Poly.constant(1, 3)]
+    for _ in range(7):
+        expected.append(expected[-1] * t)
+    calls = _count_muls(monkeypatch)
+    assert [t**k for k in range(8)] == expected
+    # no multiplication, and only the exponents asked for are remembered
+    assert calls == [] and sorted(t._powers) == list(range(2, 8))
+    assert t**5 is t**5
+    big = t**1000
+    assert big.nums == {(1000, 2000, 0): 3**1000} and big.den == 4**1000
+    assert len(t._powers) == 7
+
+
 def test_compose_reuses_the_powers_of_its_substitutions(xyz, monkeypatch):
     x1, x2, x3 = xyz
     q = x1**5 - x2.scale(3) + x3**2  # no monomial mixes two variables

@@ -302,6 +302,8 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["check", "{f}", "su"], b"x1\nx2\nx3\n\n\xff\nx2\nx3\n", None),
     (["check-inequality", "{f}"], b"x1\n\n0: \xff\n\nx2\n", None),
     (["reduce", "{f}", "--inverse", "{g}"], ("x1\nx2\nx3\n", b"x1\n\xff\nx3\n"), None),
+    (["deg", "{f}"], "x\u0661 + \u0663*x2\nx2\nx3\n", None),
+    (["deg", "{f}"], "x1\nx2\n\U0001d7d1/2*x3\n", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
         "type-dependent",
@@ -309,7 +311,8 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
         "inequality-two-line-g", "inequality-repeated-index", "gen-negative-factors",
         "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count",
         "zero-denominator", "inverse-zero-denominator", "inequality-zero-denominator",
-        "deg-not-utf8", "check-not-utf8", "inequality-not-utf8", "inverse-not-utf8"])
+        "deg-not-utf8", "check-not-utf8", "inequality-not-utf8", "inverse-not-utf8",
+        "arabic-indic-digits", "mathematical-bold-digit"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     # a pair of texts fills {f} and {g} (a second input file); bytes are written as they are
     path, second = tmp_path / "in.txt", tmp_path / "second.txt"

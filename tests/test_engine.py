@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import engine
-from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_weight
+from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
@@ -306,6 +306,24 @@ def test_reduce_to_floor_nagata(nagata, nagata_ws):
     assert trace.result == "stuck"
     assert len(trace.steps) == 0
     assert trace.stuck_reasons
+
+
+@pytest.mark.parametrize("e", [7, 2000, 10**6])
+def test_reduce_past_a_one_term_power(e):
+    # (x1, x2, x3 + x2^e) steps once onto x3 at lex; the step's expansion
+    # reads x2^e, which a one-term base builds directly and keeps alone
+    ws = lex_weight(3)
+    F = tuple(parse_poly(text, 3) for text in ("x1", "x2", f"x3 + x2^{e}"))
+    trace = reduce_to_floor(ws, F)
+    assert json.dumps(trace.to_json(ws)) == json.dumps({
+        "origin": ["x1", "x2", f"x2^{e} + x3"],
+        "weight": {"r": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "steps": [{"kind": "elementary",
+                   "payload": {"index": 3, "phi": {"pairs": [{"i": 0, "j": e, "c": "-1"}]},
+                               "degree_after_component": [0, 0, 1]},
+                   "degree_after": [1, 1, 1]}],
+        "final": ["x1", "x2", "x3"], "result": "floor", "stuck": None})
+    assert F[0]._powers is None and list(F[1]._powers) == [e]
 
 
 def test_trace_recompose_origin(wt, wlex, small_corpus):

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -217,8 +218,9 @@ _PAIR_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (
 @st.composite
 def _pair_cases(draw):
     """(ws, fw, gw, kind): two random leading forms, a true power pair
-    (c*u^p, u^q) for coprime p, q, or a near miss (u^p plus one monomial of
-    the same degree that u^p lacks, where the weight has one)."""
+    (c*u^p, u^q) for coprime p, q, a near miss (u^p plus one monomial of
+    the same degree that u^p lacks, where the weight has one), or two
+    one-term forms, random or a power pair of one monomial."""
     ws = draw(st.sampled_from(_PAIR_WEIGHTS))
 
     def form():
@@ -228,11 +230,23 @@ def _pair_cases(draw):
         assume(not f.is_zero and ws.deg(f).is_positive())
         return ws.leading_form(f)
 
-    kind = draw(st.sampled_from(["random", "power", "near-miss"]))
+    kind = draw(st.sampled_from(["random", "power", "near-miss", "one-term",
+                                 "one-term power"]))
     if kind == "random":
         return ws, form(), form(), kind
-    u = form()
     p, q = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)]))
+    if kind.startswith("one-term"):
+        # fresh one-term forms: two random monomials, or c*x^(p*m) and d*x^(q*m)
+        if kind == "one-term":
+            mf, mg = (tuple(draw(st.integers(0, 3)) for _ in range(3)) for _ in range(2))
+        else:
+            m = tuple(draw(st.integers(0, 2)) for _ in range(3))
+            mf, mg = tuple(p * e for e in m), tuple(q * e for e in m)
+        coeff = st.sampled_from([1, -1, 2, Fraction(-3, 5)])
+        fw, gw = Poly(3, {mf: draw(coeff)}), Poly(3, {mg: draw(coeff)})
+        assume(ws.deg(fw).is_positive() and ws.deg(gw).is_positive())
+        return ws, fw, gw, kind
+    u = form()
     up = u**p
     if kind == "power":
         return ws, up.scale(draw(st.sampled_from([1, -2, Fraction(3, 5)]))), u**q, kind
@@ -250,9 +264,71 @@ def _pair_cases(draw):
 def test_find_scaled_pair_matches_the_exact_comparison(case):
     ws, fw, gw, kind = case
     got = find_scaled_pair(ws, fw, gw)
+    if kind.startswith("one-term"):
+        # decided on the exponents: no probe value is read, no power built
+        assert fw._probes is fw._powers is gw._probes is gw._powers is None
     assert got == _scaled_pair_by_expansion(ws, fw, gw)
-    if kind == "power":
+    if kind in ("power", "one-term power"):
         assert got is not None
+
+
+@st.composite
+def _one_term_slices(draw):
+    """(ws, target, f, g): generators f, g with one-term leading forms and a
+    target with a one-term leading form, each with a constant below it.
+    The generator monomials are random, or multiples of one monomial, so
+    that several exponent pairs share the product monomial; the target's
+    monomial is a product monomial i*m_f + j*m_g, or another monomial of
+    the same degree where the weight has one."""
+    ws = draw(st.sampled_from(_PAIR_WEIGHTS))
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    if draw(st.booleans()):
+        u = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        mf, mg = tuple(a * e for e in u), tuple(b * e for e in u)
+    else:
+        mf, mg = (tuple(draw(st.integers(0, 2)) for _ in range(3)) for _ in range(2))
+    f, g = (Poly(3, {m: draw(coeff), (0, 0, 0): draw(coeff)}) for m in (mf, mg))
+    assume(ws.deg(f).is_positive() and ws.deg(g).is_positive())
+    i, j = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (0, 3), (3, 2), (2, 2)]))
+    mt = tuple(i * a + j * b for a, b in zip(mf, mg))
+    top = ws.monomial_vec(mt)
+    others = [m for m in (tuple(map(sum, zip(mt, v))) for v in product(range(-2, 3), repeat=3))
+              if m != mt and min(m) >= 0 and ws.monomial_vec(m) == top]
+    if others and draw(st.booleans()):
+        mt = draw(st.sampled_from(others))
+    return ws, Poly(3, {mt: draw(coeff), (0, 0, 0): 1}), f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_term_slices())
+def test_one_term_slice_matches_the_elimination(case):
+    ws, target, f, g = case
+    lead, lf, lg = (ws.leading_form(p) for p in (target, f, g))
+    d = ws.deg(target)
+    pairs = all_semigroup_pairs(d, ws.deg(f), ws.deg(g))
+    products = [lf**i * lg**j for i, j in pairs]
+    x = solve_contents((lead.den, lead.nums.items()),
+                       [(p.den, p.nums.items()) for p in products])
+    expected = None if x is None else Poly(2, dict(zip(pairs, x)))
+    got = search._one_term_slice(lead, (f, g), lf, lg, pairs)
+    assert (None if got is None else got.poly) == expected
+    # both callers take this path and build no Elimination; a product cache
+    # only for a state left to widen
+    with mock.patch.object(search, "Elimination", side_effect=AssertionError("built")), \
+            mock.patch.object(search, "_ProductCache", side_effect=search._ProductCache) as cache:
+        rep = homogeneous_membership(ws, lead, lf, lg)
+        out = search._decide_exact(ws, target, (f, g))
+    assert (None if rep is None else rep.poly) == expected
+    if isinstance(out, search._Widening):
+        assert expected is None and cache.call_count == 1
+        return
+    assert cache.call_count == 0
+    if expected is None:
+        assert out.found is None and out.absence.rigorous
+    else:
+        assert out.found.gens == (f, g) and out.found.poly == expected
+        assert ws.deg(out.residual) < d
 
 
 def test_refuted_pair_builds_no_power():
@@ -478,7 +554,8 @@ def test_fully_solved_window_names_it(xyz):
 def test_unbounded_window_solves_the_level_box_once(xyz, monkeypatch):
     # at lex weight no degree here has an x component, so floor.first = 0
     # and the inequality bounds nothing: one solve over the level box finds
-    # g1^2 - g2^3, after the exact slice's own solve
+    # g1^2 - g2^3.  Every lex leading form is one term, so the exact slice
+    # before it is read off the exponents and builds no elimination.
     x, y, z = xyz
     g1, g2 = _cancelling_pair(y, z)
     ws, target = lex_weight(3), z**5 + g1**2 - g2**3
@@ -499,7 +576,7 @@ def test_unbounded_window_solves_the_level_box_once(xyz, monkeypatch):
     monkeypatch.setattr(search, "Elimination", built)
     out = leading_membership_search(ws, target, (g1, g2))
     assert out.found is not None and out.found.coeffs == {(2, 0): 1, (0, 3): -1}
-    assert out.rounds_used == 1 and calls == ["elimination", "widen", "elimination"]
+    assert out.rounds_used == 1 and calls == ["widen", "elimination"]
     assert ws.deg(out.residual) < ws.deg(target)
 
 
@@ -822,7 +899,9 @@ def test_product_size_never_exceeds_its_bound(f, g, i, j):
 
 def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
     # only the semigroup enumeration guard is an absence; an error from the
-    # slice solve or a product build is not swallowed into one
+    # slice solve or a product build is not swallowed into one.  The target's
+    # leading form x2^2 + x3^2 has two terms, so its slice is an elimination
+    # over the leading-form products.
     x1, x2, x3 = xyz
 
     def broken(*args):
@@ -830,7 +909,7 @@ def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
 
     monkeypatch.setattr(search._ProductCache, "tail", broken)
     with pytest.raises(ValueError, match="product build failed"):
-        leading_membership_search(wt, x1 + x2**2, (x2, x3))
+        leading_membership_search(wt, x1 + x2**2 + x3**2, (x2, x3))
 
 
 def test_enumeration_guard_is_an_inconclusive_absence(wt, xyz):
