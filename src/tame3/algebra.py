@@ -640,7 +640,10 @@ def z_independent(d1: DegreeValue, d2: DegreeValue) -> bool:
 def parallel_multipliers(base: Sequence[int], *vecs: Sequence[int]) -> tuple:
     """Integers m with v == m * e for v in (base, *vecs), where e is the
     lex-positive primitive direction of the nonzero vector base; None for a
-    vector off that line.  base's own multiplier comes first."""
+    vector off that line.  base's own multiplier comes first.  At rank one
+    e is (1,), so each multiplier is the vector's one entry."""
+    if len(base) == 1 and base[0]:
+        return (base[0], *(v[0] for v in vecs))
     g = 0
     for c in base:
         g = math.gcd(g, abs(c))
@@ -707,22 +710,25 @@ def cancellation_window(
     I*floor <= q*d for the cancellation floor q*d1 + wedge - d1 - d2.  So
     when floor.first > 0, every pair lies in the window: i <= Imax,
     j <= Jmax and d < i*d1 + j*d2 <= d + min(Jmax // p, Imax // q)*K.  The
-    pairs are listed by level i + j, then by i.
+    pairs are listed by level i + j, then by i.  Computed on the degrees'
+    int tuples.
     """
     if wedge.is_bottom:  # dependent f, g: the inequality does not apply
         return None
-    floor = q * d1 + wedge - d1 - d2
-    if floor.first <= 0:
+    a, b, t, w = d1.vec, d2.vec, d.vec, wedge.vec
+    floor = q * a[0] + w[0] - a[0] - b[0]  # the first component of the floor
+    if floor <= 0:
         return None
-    imax, jmax = q * d.first // floor.first, p * d.first // floor.first
-    top = (d + min(jmax // p, imax // q) * (d1 + d2 - wedge)).vec
+    imax, jmax = q * t[0] // floor, p * t[0] // floor
+    m = min(jmax // p, imax // q)
+    top = tuple(x + m * (y + z - u) for x, y, z, u in zip(t, a, b, w))
     pairs = []
     for i in range(imax + 1):
         for j in range(jmax + 1):
-            dd = tuple(i * a + j * b for a, b in zip(d1.vec, d2.vec))
+            dd = tuple(i * x + j * y for x, y in zip(a, b))
             if dd > top:  # i*d1 + j*d2 grows with j
                 break
-            if dd > d.vec:
+            if dd > t:
                 pairs.append((i, j))
     return sorted(pairs, key=lambda pair: (pair[0] + pair[1], pair[0]))
 
@@ -791,8 +797,11 @@ class ScaledPair:
 # Text grammar: parsing and canonical printing
 # ---------------------------------------------------------------------------
 
+# the whitespace of the text grammars: str.strip() and a str pattern's \s
+# without re.ASCII also take the rest of Unicode's
+ASCII_SPACE = " \t\n\r\f\v"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[\^*+-]))"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[\^*+-]))", re.ASCII
 )
 
 
@@ -815,7 +824,7 @@ def parse_poly(text: str, n: int) -> Poly:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            if text[pos:].strip(ASCII_SPACE) == "":
                 break
             raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
         pos = m.end()

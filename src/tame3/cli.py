@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import re
 import sys
 
 from .algebra import (
+    ASCII_SPACE,
     PolyParseError,
     WeightSystem,
     lex_weight,
@@ -49,6 +52,21 @@ class InputError(Exception):
     pass
 
 
+_SIGNED = re.compile(r"-?[0-9]+")
+_UNSIGNED = re.compile(r"[0-9]+")
+
+
+def integer(text: str, number=_SIGNED) -> int:
+    """The int that ``number`` (ASCII digits, with a leading '-' for
+    ``_SIGNED``) matches in text, between ASCII whitespace; ValueError for
+    anything else, such as a digit or a space of another script, which
+    int() reads.  Also the type of the ``gen`` options, so argparse names
+    it in a usage error ("invalid integer value")."""
+    if not number.fullmatch(text.strip(ASCII_SPACE)):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_weight(spec: str) -> WeightSystem:
     if spec == "total":
         return total_weight(N)
@@ -57,7 +75,7 @@ def _parse_weight(spec: str) -> WeightSystem:
     try:
         vectors = []
         for part in spec.split(";"):
-            vectors.append(tuple(int(c) for c in part.split(",")))
+            vectors.append(tuple(integer(c) for c in part.split(",")))
         ws = WeightSystem(tuple(vectors))
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad weight spec {spec!r}: {exc}") from exc
@@ -78,14 +96,14 @@ def _parse_limits() -> SearchLimits:
     """DEFAULT_LIMITS with the fields that the ``TAME3_LIMITS`` keys set."""
     values = {}
     env = os.environ.get("TAME3_LIMITS", "")
-    for chunk in filter(None, (c.strip() for c in env.split(","))):
+    for chunk in filter(None, (c.strip(ASCII_SPACE) for c in env.split(","))):
         if "=" not in chunk:
             raise InputError(f"bad TAME3_LIMITS entry {chunk!r}")
         key, _, val = chunk.partition("=")
-        if key.strip() not in _LIMIT_KEYS:
+        if key.strip(ASCII_SPACE) not in _LIMIT_KEYS:
             raise InputError(f"unknown TAME3_LIMITS key {key!r}")
         try:
-            values[_LIMIT_KEYS[key.strip()]] = int(val)
+            values[_LIMIT_KEYS[key.strip(ASCII_SPACE)]] = integer(val, _UNSIGNED)
         except ValueError as exc:
             raise InputError(f"bad TAME3_LIMITS entry {chunk!r}") from exc
     try:
@@ -95,11 +113,14 @@ def _parse_limits() -> SearchLimits:
 
 
 def _read_lines(path: str) -> list[str]:
+    r"""The lines of a file, or of stdin for "-".  Only "\n" ends a line
+    (text mode reads "\r\n" and "\r" as "\n"): str.splitlines() would also
+    end one at \v, \f and at separators such as U+2028."""
     try:
         if path == "-":
-            return sys.stdin.read().splitlines()
+            return sys.stdin.read().split("\n")
         with open(path) as fh:
-            return fh.read().splitlines()
+            return fh.read().split("\n")
     except OSError as exc:
         raise InputError(str(exc)) from exc
     except UnicodeDecodeError as exc:
@@ -109,7 +130,7 @@ def _read_lines(path: str) -> list[str]:
 def _parse_triple(lines: list[str], where: str) -> tuple:
     polys = []
     for k, line in enumerate(lines):
-        if not line.strip():
+        if not line.strip(ASCII_SPACE):
             continue
         try:
             polys.append(parse_poly(line, N))
@@ -124,7 +145,7 @@ def _split_blocks(lines: list[str]) -> list[list[str]]:
     """Nonempty runs of nonblank lines."""
     blocks: list[list[str]] = [[]]
     for line in lines:
-        if line.strip():
+        if line.strip(ASCII_SPACE):
             blocks[-1].append(line)
         elif blocks[-1]:
             blocks.append([])
@@ -270,7 +291,7 @@ def cmd_check_inequality(args) -> int:
         coeffs = {}
         for line in blocks[1]:
             idx, _, body = line.partition(":")
-            k = int(idx)
+            k = integer(idx, _UNSIGNED)
             if k in coeffs:
                 raise InputError(f"coefficient index {k} given twice")
             coeffs[k] = parse_poly(body, N)
@@ -335,6 +356,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process; each parse_args fills a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tame3",
@@ -384,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_inequality)
 
     p = sub.add_parser("gen", help="deterministic tame corpus")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--factors", type=int, default=4)
-    p.add_argument("--coeff-bound", type=int, default=3)
-    p.add_argument("--degree-bound", type=int, default=3)
+    p.add_argument("--seed", type=integer, default=1)
+    p.add_argument("--count", type=integer, default=1)
+    p.add_argument("--factors", type=integer, default=4)
+    p.add_argument("--coeff-bound", type=integer, default=3)
+    p.add_argument("--degree-bound", type=integer, default=3)
     common(p, with_weight=False)
     p.set_defaults(func=cmd_gen)
 

@@ -496,7 +496,8 @@ def detect_type(
     """Detect one of the four multi-step reduction patterns at total degree.
 
     Only the rank-one all-ones weight is meaningful here; other weights are
-    rejected loudly.
+    rejected loudly.  At that weight the weighted degree is the total
+    degree, so every degree gate reads the degree ``ws.deg`` remembers.
     """
     if which not in TYPE_NAMES:
         raise ValueError(f"unknown type {which!r}")
@@ -504,13 +505,20 @@ def detect_type(
         ws = total_weight(3)
     elif ws.weights != ((1,), (1,), (1,)):
         raise ValueError("type detection is defined for the all-ones weight only")
-    degs = tuple(f.total_degree() for f in F)
+    degs = tuple(_deg(ws, f) for f in F)
     for sigma in PERMUTATIONS_3:
         witness = _detect_on_permuted(ws, permute_triple(F, sigma),
                                       permute_triple(degs, sigma), sigma, which, limits)
         if witness is not None:
             return witness
     return None
+
+
+def _deg(ws, f: Poly) -> int:
+    """The total degree of f, read from its remembered all-ones weight
+    degree; -1 for f = 0."""
+    vec = ws.deg(f).vec
+    return -1 if vec is None else vec[0]
 
 
 def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, limits):
@@ -526,17 +534,17 @@ def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, li
         if s < 3 or s % 2 == 0:
             return None
         if which == "I":
-            return _detect_type_i(ws, H, sigma, l, s, limits)
+            return _detect_type_i(ws, H, v3, sigma, l, s, limits)
         if s != 3:
             return None
-        return _detect_type_ii(ws, H, sigma, l, limits)
+        return _detect_type_ii(ws, H, v3, sigma, l, limits)
     # Types III and IV share one degree gate.  The branch deg h2 = 3l with
     # 2l < 2 deg h3 < 3l gives neither type: its only scalar is 0, which
     # type III refuses, and type IV accepts only a peeled residual of degree
     # 3l/2, above deg h3.  With 2 deg h3 = 3l it lies inside this gate.
     if not (2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l):
         return None
-    return _detect_type_iii_iv(ws, H, sigma, l, which, limits)
+    return _detect_type_iii_iv(ws, H, v2, sigma, l, which, limits)
 
 
 def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):
@@ -551,7 +559,7 @@ def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):
     (key, g, (g1, g2, g3)) with h3 + g(g1, g2) = g3, or None.
     """
     for key, g1, g2 in candidates:
-        if g1.total_degree() != 2 * l or g2.total_degree() != top:
+        if _deg(ws, g1) != 2 * l or _deg(ws, g2) != top:
             continue
         w12 = wedge_degree(ws, g1, g2)
         accept = make_accept(key, g1, g2, w12)
@@ -582,9 +590,8 @@ def _lower_third(ws, h3, top: int):
     return make_accept
 
 
-def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
+def _detect_type_i(ws, H, v3: int, sigma, l: int, s: int, limits):
     h1, h2, h3 = H
-    v3 = h3.total_degree()
     if not 2 * l < v3 <= s * l:
         return None
     if homogeneous_membership(
@@ -605,9 +612,8 @@ def _detect_type_i(ws, H, sigma, l: int, s: int, limits):
     return TypeWitness(type="I", l=l, sigma=sigma, alpha=alpha, g=g, derived=derived)
 
 
-def _detect_type_ii(ws, H, sigma, l: int, limits):
+def _detect_type_ii(ws, H, v3: int, sigma, l: int, limits):
     h1, h2, h3 = H
-    v3 = h3.total_degree()
     if not 3 * l < 2 * v3 <= 4 * l:
         return None
     h1w, h2w, h3w = (ws.leading_form(h) for h in H)
@@ -631,11 +637,11 @@ def _detect_type_ii(ws, H, sigma, l: int, limits):
                        derived=derived)
 
 
-def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
+def _detect_type_iii_iv(ws, H, v2: int, sigma, l: int, which: str, limits):
     h1, h2, h3 = H
     h1w, h2w = ws.leading_form(h1), ws.leading_form(h2)
     h3sq = h3**2
-    if h2.total_degree() == 3 * l:
+    if v2 == 3 * l:
         alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
     else:
         # degree of h2 is below 3l, so the quadratic term supplies the top
@@ -670,7 +676,7 @@ def _detect_type_iii_iv(ws, H, sigma, l: int, which: str, limits):
             t = proportionality(ws.leading_form(g2), ws.leading_form(res**2))
             if t is None:
                 return False
-            return (g2 - (res**2).scale(t)).total_degree() <= 2 * l and bool(peeled)
+            return _deg(ws, g2 - (res**2).scale(t)) <= 2 * l and bool(peeled)
 
         return accept
 

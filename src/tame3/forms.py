@@ -149,8 +149,28 @@ def deg_form(ws: WeightSystem, omega: DiffForm) -> DegreeValue:
 
 
 def wedge_degree(ws: WeightSystem, p: Poly, q: Poly) -> DegreeValue:
-    """deg(dp ^ dq), the wedge term of the SU6 bound and the cancellation floor."""
-    return deg_form(ws, wedge(differential(p), differential(q)))
+    """deg(dp ^ dq), the wedge term of the SU6 bound and the cancellation floor.
+
+    Read off the term pairs without building a form: in logarithmic
+    coordinates, c*x^a and d*x^b give c*d*(a_i*b_j - a_j*b_i) under
+    (a + b, (i, j)) for i < j, as ``wedge`` of their differentials does, and
+    the degree is the max of deg x^(a + b) over the keys left nonzero."""
+    if p.n != q.n:
+        raise ValueError("arity mismatch in wedge")
+    if p.n != ws.n:
+        raise ValueError(f"form arity {p.n} != weight count {ws.n}")
+    minors = tuple(combinations(range(p.n), 2))  # the dx_i ^ dx_j, i < j
+    terms = list(q.nums.items())
+    acc: dict = {}
+    for a, c1 in p.nums.items():
+        for b, c2 in terms:
+            m, c = tuple(map(add, a, b)), c1 * c2
+            for i, j in minors:
+                det = a[i] * b[j] - a[j] * b[i]
+                if det:
+                    acc[m, i, j] = acc.get((m, i, j), 0) + c * det
+    tops = [k[0] for k, v in acc.items() if v]
+    return DegreeValue(max(ws.term_vecs(tops))) if tops else DegreeValue.bottom()
 
 
 def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:

@@ -132,10 +132,12 @@ class _ProductCache:
     Weighted degree is additive, so the terms of f^i g^j at its own degree
     i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg.
     ``tail`` at that degree (every exact-slice pair) reads the leading-form
-    product.  A widened pair lies above the target degree; its ``tail``
-    multiplies the powers f^i and g^j, each sorted by degree once here, and
-    skips every term pair whose degrees sum below the threshold, so no full
-    f^i g^j is built.
+    product.  A widened pair lies above the target degree.  With a zero
+    exponent its product is one remembered power, f^i or g^j, and ``tail``
+    reads that power's terms at or above the threshold (``_above``): nothing
+    is sorted or multiplied.  Otherwise ``tail`` multiplies the powers f^i
+    and g^j, each sorted by degree once here, and skips every term pair
+    whose degrees sum below the threshold, so no full f^i g^j is built.
     """
 
     def __init__(self, f: Poly, g: Poly, ws: WeightSystem):
@@ -186,11 +188,14 @@ class _ProductCache:
         if tuple(i * a + j * b for a, b in zip(*self._degs)) == threshold.vec:
             p = self.lg**j if i == 0 else self.lf**i if j == 0 else self.lf**i * self.lg**j
             return p.den, list(p.nums.items())
+        if i == 0 or j == 0:
+            return _above(self.ws, self.g**j if i == 0 else self.f**i, threshold)
         return self._truncated(i, j, threshold.vec)
 
     def _truncated(self, i: int, j: int, top: tuple) -> tuple[int, list]:
-        """The terms of f^i g^j with degree vector >= top, from the term
-        pairs of f^i and g^j whose degree vectors sum to at least top."""
+        """The terms of f^i g^j with degree vector >= top, for i, j > 0,
+        from the term pairs of f^i and g^j whose degree vectors sum to at
+        least top."""
         fs, gs = self._sorted_power(0, i), self._sorted_power(1, j)
         g_top = gs[0][0]
         acc: dict = {}
@@ -302,13 +307,15 @@ class _Widening:
     """A target the exact slice left open: its generator degrees are
     Z-dependent, so products above its degree may cancel among themselves.
     ``_widen`` decides the rest, starting with the power proportionality
-    of the generator leading forms."""
+    of the generator leading forms.  ``cache`` is the caller's product
+    cache or the exact slice's, if either was built; else ``_widen`` builds
+    one when it reaches the widened solve."""
 
     target: Poly
     gens: tuple[Poly, Poly]
     degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
-    cache: _ProductCache
+    cache: Optional[_ProductCache]
 
 
 def _decided_absent(exact_pairs: list, d: DegreeValue, shape_detail,
@@ -342,8 +349,8 @@ def _decide_exact(
     target degree.  When the target's leading form and both generator
     leading forms are one term each, as every leading form is at a
     full-rank weight, the slice is read off the exponents
-    (``_one_term_slice``), and a product cache is built only for a state
-    that goes on to ``_widen``; any other slice is one ``Elimination``.
+    (``_one_term_slice``) and no product cache is built; any other slice is
+    one ``Elimination``.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -373,7 +380,7 @@ def _decide_exact(
         return _found(ws, target, found, 0)
     if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
-    return _Widening(target, gens, d, exact_pairs, cache or _ProductCache(f, g, ws))
+    return _Widening(target, gens, d, exact_pairs, cache)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -397,8 +404,7 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     """
     f, g = state.gens
     d = state.degree
-    cache = state.cache
-    scaled = find_scaled_pair(ws, cache.lf, cache.lg)
+    scaled = find_scaled_pair(ws, ws.leading_form(f), ws.leading_form(g))
     if scaled is None:
         return _decided_absent(state.exact_pairs, d,
                                "homogeneous-slice-mismatch (independent leading forms)",
@@ -419,6 +425,7 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
         detail = {"max_bidegree": top, "rounds": levels}
     else:
         detail = {"cancellation_window": [list(pair) for pair in pairs]}
+    cache = state.cache or _ProductCache(f, g, ws)
     kept = [pair for pair in pairs if cache.product_within(*pair, limits.max_product_terms)]
     found = _solve_with_pairs(ws.leading_form(state.target), state.gens,
                               state.exact_pairs + kept, d, cache)

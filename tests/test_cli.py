@@ -304,6 +304,11 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
     (["reduce", "{f}", "--inverse", "{g}"], ("x1\nx2\nx3\n", b"x1\n\xff\nx3\n"), None),
     (["deg", "{f}"], "x\u0661 + \u0663*x2\nx2\nx3\n", None),
     (["deg", "{f}"], "x1\nx2\n\U0001d7d1/2*x3\n", None),
+    (["deg", "{f}", "--weight", "\u0661,0;0,1;0,1"], "x1\nx2\nx3\n", None),
+    (["reduce", "{f}"], "x1 + x2^2\nx2\nx3\n", {"TAME3_LIMITS": "bidegree=\u0661\u0664"}),
+    (["check-inequality", "{f}"], "x1\n\n\u0660: x1\n1: 1\n\nx2\n", None),
+    (["deg", "{f}"], "x1 +\u00a0x2\nx2\nx3\n", None),
+    (["deg", "{f}"], "x1\u2028x2\u2028x3\n", None),
 ], ids=["weight-arity", "limits-value", "zero-component", "factor-dependent",
         "check-dependent", "properties-outside-block", "unknown-type", "type-at-lex-weight",
         "type-dependent",
@@ -312,7 +317,9 @@ def test_reduce_dependent_triple_is_input_error(tmp_path):
         "gen-zero-coeff-bound", "gen-zero-degree-bound", "gen-negative-count",
         "zero-denominator", "inverse-zero-denominator", "inequality-zero-denominator",
         "deg-not-utf8", "check-not-utf8", "inequality-not-utf8", "inverse-not-utf8",
-        "arabic-indic-digits", "mathematical-bold-digit"])
+        "arabic-indic-digits", "mathematical-bold-digit", "weight-arabic-indic-digit",
+        "limits-arabic-indic-digits", "inequality-arabic-indic-index", "no-break-space",
+        "line-separator"])
 def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     # a pair of texts fills {f} and {g} (a second input file); bytes are written as they are
     path, second = tmp_path / "in.txt", tmp_path / "second.txt"
@@ -322,6 +329,45 @@ def test_bad_input_exit_3_without_traceback(tmp_path, argv, text, env):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_ascii_cases_of_the_non_ascii_inputs_pass(tmp_path, monkeypatch):
+    # the inputs of the four non-ASCII cases above, written in ASCII: each
+    # is accepted, so it is the digit or the space that is refused
+    path = tmp_path / "in.txt"
+    path.write_text("x1 + x2\nx2\nx3\n")
+    assert cli.main(["deg", str(path), "--weight", " 1, -2;0,1 ;0,1"]) == 0
+    monkeypatch.setenv("TAME3_LIMITS", " bidegree = 14 ")
+    assert cli._parse_limits() == SearchLimits(max_bidegree=14)
+    path.write_text("x1\n\n0: x1\n1: 1\n\nx2\n")
+    assert cli.main(["check-inequality", str(path)]) == 0
+
+
+def test_gen_options_read_ascii_digits():
+    # argparse reads the gen options with cli.integer, and names it on a refusal
+    out = run_cli(["gen", "--seed", "\u0661"])
+    assert out.returncode == 3 and "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1] == (
+        "tame3 gen: error: argument --seed: invalid integer value: '\u0661'")
+    assert run_cli(["gen", "--seed", " -1 "]).returncode == 0
+
+
+def test_parser_is_built_once_and_parses_into_fresh_namespaces(capsys, nagata_file):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    lex = parser.parse_args(["deg", nagata_file, "--weight", "nagata-lex", "--json"])
+    plain = parser.parse_args(["deg", nagata_file])
+    fixture = parser.parse_args(["nagata"])
+    assert lex is not plain and (lex.weight, lex.json) == ("nagata-lex", True)
+    assert (plain.weight, plain.json) == ("total", False)
+    assert fixture.func is cli.cmd_nagata_fixture and vars(fixture).keys() == {
+        "command", "inverse", "func"}
+    # subcommands run back to back in one process print what a fresh process does
+    for argv in (["deg", nagata_file, "--weight", "nagata-lex", "--json"],
+                 ["nagata", "--inverse"], ["deg", nagata_file]):
+        fresh = run_cli(argv)
+        assert cli.main(argv) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
 
 
 def test_undecodable_stdin_exit_3_naming_it(tmp_path):

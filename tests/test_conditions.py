@@ -451,6 +451,26 @@ def test_type_witness_reconstructs(su_pair_family):
     assert ws.deg(g3) < ws.deg(h3)
 
 
+def test_detect_type_does_not_depend_on_remembered_degrees(su_pair_family, wt, wlex):
+    # the degree gates read ws.deg, which remembers one weight's degree on
+    # each polynomial: fresh components, components that remember their
+    # total degree and components that remember their lex degree give the
+    # same witnesses
+    _, F, _ = su_pair_family[1]
+    F_tau = permute_triple(F, (2, 1, 3))
+    scans = []
+    for remembered in (None, wt, wlex):
+        T = tuple(Poly.from_contents(3, f.nums, f.den) for f in F_tau)
+        for f in T:
+            assert f._deg is None
+            if remembered is not None:
+                remembered.deg(f)
+        witnesses = [detect_type(T, kind) for kind in ("I", "II", "III", "IV")]
+        scans.append([w and json.dumps(w.to_json(), sort_keys=True) for w in witnesses])
+    assert scans[0][0] is not None
+    assert scans[1] == scans[0] and scans[2] == scans[0]
+
+
 def test_lemma_first_slot_permutation(su_pair_family):
     # whenever the first component strictly dominates, a matching
     # permutation must keep slot one fixed

@@ -18,6 +18,7 @@ from tame3.forms import (
     form_to_text,
     jacobian_det,
     wedge,
+    wedge_degree,
 )
 
 D = DegreeValue.of
@@ -244,6 +245,39 @@ def test_wedge_degree_subadditive():
         if prod.is_zero or w1.is_zero or w2.is_zero:
             continue
         assert deg_form(ws, prod) <= deg_form(ws, w1) + deg_form(ws, w2)
+
+
+_DEGREE_WEIGHTS = (total_weight(3), lex_weight(3), WeightSystem(((1, 0), (0, 1), (1, -2))))
+
+
+@st.composite
+def _wedge_degree_cases(draw):
+    """(ws, p, q): random polynomials, or p = u^a + lower and q = u^b + lower,
+    whose wedge cancels at the top, or q a multiple of p (a zero wedge)."""
+    ws = draw(st.sampled_from(_DEGREE_WEIGHTS))
+
+    def poly(low, high):
+        return Poly(3, {tuple(draw(st.integers(0, 2)) for _ in range(3)):
+                        draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]))
+                        for _ in range(draw(st.integers(low, high)))})
+
+    kind = draw(st.sampled_from(["random", "powers", "multiple"]))
+    if kind == "random":
+        return ws, poly(0, 5), poly(0, 5)
+    u = poly(1, 3)
+    if kind == "multiple":
+        return ws, u, u.scale(draw(st.sampled_from([1, -2, Fraction(3, 5)])))
+    a, b = draw(st.sampled_from([(1, 2), (2, 3), (3, 2), (1, 3)]))
+    return ws, u**a + poly(0, 3), u**b + poly(0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wedge_degree_cases())
+def test_wedge_degree_matches_the_wedge(case):
+    ws, p, q = case
+    expected = deg_form(ws, wedge(differential(p), differential(q)))
+    assert wedge_degree(ws, p, q) == expected
+    assert wedge_degree(ws, q, p) == expected
 
 
 @pytest.mark.parametrize("ws_name", ["total", "lex"])

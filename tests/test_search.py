@@ -313,17 +313,17 @@ def test_one_term_slice_matches_the_elimination(case):
     expected = None if x is None else Poly(2, dict(zip(pairs, x)))
     got = search._one_term_slice(lead, (f, g), lf, lg, pairs)
     assert (None if got is None else got.poly) == expected
-    # both callers take this path and build no Elimination; a product cache
-    # only for a state left to widen
+    # both callers take this path and build no Elimination and no product
+    # cache; a state left to widen gets its cache in _widen
     with mock.patch.object(search, "Elimination", side_effect=AssertionError("built")), \
             mock.patch.object(search, "_ProductCache", side_effect=search._ProductCache) as cache:
         rep = homogeneous_membership(ws, lead, lf, lg)
         out = search._decide_exact(ws, target, (f, g))
     assert (None if rep is None else rep.poly) == expected
-    if isinstance(out, search._Widening):
-        assert expected is None and cache.call_count == 1
-        return
     assert cache.call_count == 0
+    if isinstance(out, search._Widening):
+        assert expected is None and out.cache is None
+        return
     if expected is None:
         assert out.found is None and out.absence.rigorous
     else:
@@ -496,20 +496,29 @@ def test_widening_builds_only_the_window(xyz, monkeypatch):
     window = cancellation_window(d, ws.deg(g1), ws.deg(g2), wedge_degree(ws, g1, g2), 3, 2)
     assert window == [(0, 2), (1, 1), (2, 0), (0, 3)]
     assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 1
-    built = []
-    truncated = search._ProductCache._truncated
+    tails, built = [], []
+    tail, truncated = search._ProductCache.tail, search._ProductCache._truncated
+
+    def counted_tail(cache, i, j, threshold):
+        tails.append((i, j))
+        return tail(cache, i, j, threshold)
 
     def counted(cache, i, j, top):
         built.append((i, j))
         return truncated(cache, i, j, top)
 
+    monkeypatch.setattr(search._ProductCache, "tail", counted_tail)
     monkeypatch.setattr(search._ProductCache, "_truncated", counted)
     phi, residual = search.peel(ws, target, (g1, g2), DEFAULT_LIMITS,
                                 lambda res, _: ws.deg(res) < d, 2)
     assert phi is not None and residual == x
-    # the exact pair (1, 0) on the target's slice is a leading-form
-    # product: the truncated products built are the window's, each once
-    assert built == window
+    # the exact slice's three leading forms are one term each, so it is read
+    # off the exponents; the widened solve asks for the exact pair (1, 0),
+    # a leading-form product, and for each window pair once
+    assert tails == [(1, 0)] + window
+    # (2, 0) and (0, 3) read the remembered powers g1^2 and g2^3: only the
+    # pair whose exponents are both nonzero multiplies
+    assert built == [pair for pair in window if 0 not in pair] == [(1, 1)]
 
 
 def test_peel_accumulates_the_fraction_sum_of_its_rounds(wt, xyz, monkeypatch):
@@ -715,6 +724,83 @@ def test_cancellation_window_of_the_corpus_map():
     assert cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), DegreeValue.bottom(),
                                2, 5) is None
     assert cancellation_window(D(0, 4, 2), D(0, 6, 0), D(0, 4, 0), D(0, 2, 2), 3, 2) is None
+
+
+def _window_reference(d, d1, d2, wedge, p, q):
+    """cancellation_window as written on DegreeValue arithmetic."""
+    if wedge.is_bottom:
+        return None
+    floor = q * d1 + wedge - d1 - d2
+    if floor.first <= 0:
+        return None
+    imax, jmax = q * d.first // floor.first, p * d.first // floor.first
+    top = (d + min(jmax // p, imax // q) * (d1 + d2 - wedge)).vec
+    pairs = []
+    for i in range(imax + 1):
+        for j in range(jmax + 1):
+            dd = tuple(i * a + j * b for a, b in zip(d1.vec, d2.vec))
+            if dd > top:
+                break
+            if dd > d.vec:
+                pairs.append((i, j))
+    return sorted(pairs, key=lambda pair: (pair[0] + pair[1], pair[0]))
+
+
+@st.composite
+def _window_cases(draw):
+    """(d, d1, d2, wedge, p, q) with d1 = p*u and d2 = q*u for a
+    lex-positive u, so q*d1 == p*d2; wedge is Bottom or a vector whose
+    floor may be positive or not."""
+    r = draw(st.integers(1, 3))
+    u = (draw(st.integers(0, 3)),) + tuple(draw(st.integers(-3, 3)) for _ in range(r - 1))
+    assume(u > (0,) * r)
+    p, q = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 4)]))
+    vec = st.tuples(*[st.integers(-4, 30)] + [st.integers(-6, 6)] * (r - 1))
+    d = D(*draw(vec))
+    assume(d.first >= 0)
+    wedge = DegreeValue.bottom() if draw(st.integers(0, 5)) == 0 else D(*draw(vec))
+    return d, D(*(p * c for c in u)), D(*(q * c for c in u)), wedge, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_cases())
+def test_cancellation_window_matches_the_degree_reference(case):
+    assert cancellation_window(*case) == _window_reference(*case)
+
+
+def _cache_poly(draw, ws):
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)):
+             draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+             for _ in range(draw(st.integers(1, 4)))}
+    f = Poly(3, terms)
+    assume(ws.deg(f).is_positive())
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_cache_tail_matches_the_full_product(data):
+    # every branch of tail against the terms of the full f^i g^j at or
+    # above the threshold: the product's own degree (the leading-form
+    # product), the degree of one of its terms, or any vector; compared as
+    # rationals, since a tail's contents need not be primitive
+    ws = data.draw(st.sampled_from(_PAIR_WEIGHTS))
+    f, g = _cache_poly(data.draw, ws), _cache_poly(data.draw, ws)
+    cache = search._ProductCache(f, g, ws)
+    for i, j in product(range(4), repeat=2):
+        full = f**i * g**j
+        vecs = sorted({ws.monomial_vec(m) for m in full.nums})
+        kind = data.draw(st.sampled_from(["top", "term", "any"]))
+        if kind == "top":
+            threshold = ws.deg(full)
+        elif kind == "term":
+            threshold = DegreeValue(data.draw(st.sampled_from(vecs)))
+        else:
+            threshold = DegreeValue(tuple(data.draw(st.integers(-2, 8)) for _ in range(ws.r)))
+        den, terms = cache.tail(i, j, threshold)
+        expected = {m: full.coeff(m) for m in full.nums if ws.monomial_vec(m) >= threshold.vec}
+        assert {m: Fraction(c, den) for m, c in terms if c} == expected
+        assert len(terms) == len({m for m, _ in terms})
 
 
 _UNITS = ("x1", "x1 + x2", "x1*x2", "x2 - 2*x3")
