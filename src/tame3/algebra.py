@@ -692,36 +692,36 @@ def all_semigroup_pairs(
 
 
 def cancellation_window(
-    d: DegreeValue, d1: DegreeValue, d2: DegreeValue, wedge: DegreeValue, p: int, q: int
+    d: DegreeValue, d1: DegreeValue, d2: DegreeValue, floor: DegreeValue, p: int, q: int
 ) -> Optional[list[tuple[int, int]]]:
     """The pairs (i, j) with i*d1 + j*d2 > d that a representation phi over
     f, g with deg phi(f, g) == d can use, by the generalized SU inequality;
-    None when it bounds nothing: floor.first <= 0, or f, g dependent.
+    None when it bounds nothing: floor.first <= 0, or f, g dependent (a
+    Bottom floor).
 
     Here deg f = d1 and deg g = d2 are positive with q*d1 == p*d2 for
-    coprime p, q (the leading forms are power-proportional), and wedge =
+    coprime p, q (the leading forms are power-proportional), and floor is
+    the cancellation floor q*d1 + wedge - d1 - d2, with wedge =
     deg(df ^ dg).  Let I and J be phi's largest f- and g-exponents.  On
     Phi = sum_j (sum_i c_ij f^i) y^j at g, Kuroda's inequality (arXiv
-    0801.0117) gives degS phi <= d + m*K, with K = d1 + d2 - wedge and m
-    the multiplicity of g^w in Phi's leading part.  That part is a
-    polynomial in y^p and (f^w)^q times a monomial, and g^w is a simple
-    root of y^p - a*(f^w)^q, so the integer m is at most J/p and at most
-    I/q.  With J*d2 and I*d1 at most degS phi, this gives J*floor <= p*d and
-    I*floor <= q*d for the cancellation floor q*d1 + wedge - d1 - d2.  So
-    when floor.first > 0, every pair lies in the window: i <= Imax,
-    j <= Jmax and d < i*d1 + j*d2 <= d + min(Jmax // p, Imax // q)*K.  The
-    pairs are listed by level i + j, then by i.  Computed on the degrees'
-    int tuples.
+    0801.0117) gives degS phi <= d + m*K, with K = d1 + d2 - wedge =
+    q*d1 - floor and m the multiplicity of g^w in Phi's leading part.  That
+    part is a polynomial in y^p and (f^w)^q times a monomial, and g^w is a
+    simple root of y^p - a*(f^w)^q, so the integer m is at most J/p and at
+    most I/q.  With J*d2 and I*d1 at most degS phi, this gives J*floor <=
+    p*d and I*floor <= q*d.  So when floor.first > 0, every pair lies in
+    the window: i <= Imax, j <= Jmax and d < i*d1 + j*d2 <= d +
+    min(Jmax // p, Imax // q)*K.  The pairs are listed by level i + j, then
+    by i.  Computed on the degrees' int tuples.
     """
-    if wedge.is_bottom:  # dependent f, g: the inequality does not apply
+    if floor.is_bottom:  # dependent f, g: the inequality does not apply
         return None
-    a, b, t, w = d1.vec, d2.vec, d.vec, wedge.vec
-    floor = q * a[0] + w[0] - a[0] - b[0]  # the first component of the floor
-    if floor <= 0:
+    a, b, t, low = d1.vec, d2.vec, d.vec, floor.first
+    if low <= 0:
         return None
-    imax, jmax = q * t[0] // floor, p * t[0] // floor
+    imax, jmax = q * t[0] // low, p * t[0] // low
     m = min(jmax // p, imax // q)
-    top = tuple(x + m * (y + z - u) for x, y, z, u in zip(t, a, b, w))
+    top = tuple(x + m * (q * y - z) for x, y, z in zip(t, a, floor.vec))
     pairs = []
     for i in range(imax + 1):
         for j in range(jmax + 1):
@@ -927,6 +927,22 @@ def poly_to_text(f: Poly) -> str:
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q (used by the membership searches)
 # ---------------------------------------------------------------------------
+
+
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a small square integer matrix: closed form up to
+    3 x 3, Laplace along the first row above that."""
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum((-1) ** j * a * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 class Elimination:

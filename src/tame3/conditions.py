@@ -465,13 +465,14 @@ class TypeWitness:
         }
 
 
-def _leading_dependence_scalars(ws, fixed_form: Poly, base_form: Poly,
+def _leading_dependence_scalars(fixed_form: Poly, base_form: Poly,
                                 shift_form: Optional[Poly]) -> list[Fraction]:
     """Scalars t making fixed_form and (base_form - t*shift_form)
-    algebraically dependent; the wedge condition is linear in t."""
-    w0 = wedge(differential(fixed_form), differential(base_form))
+    algebraically dependent; the wedge condition is linear in t.  With no
+    shift_form, [0] iff the two are dependent (``algebraically_independent``)."""
     if shift_form is None:
-        return [Fraction(0)] if w0.is_zero else []
+        return [] if algebraically_independent([fixed_form, base_form]) else [Fraction(0)]
+    w0 = wedge(differential(fixed_form), differential(base_form))
     w1 = wedge(differential(fixed_form), differential(shift_form))
     if w1.is_zero:
         return [Fraction(0), Fraction(1)] if w0.is_zero else []
@@ -600,9 +601,9 @@ def _detect_type_i(ws, H, v3: int, sigma, l: int, s: int, limits):
         return None
     h1w, h2w, h3w = (ws.leading_form(h) for h in H)
     if v3 == s * l:
-        alphas = [t for t in _leading_dependence_scalars(ws, h1w, h2w, h3w) if t != 0]
+        alphas = [t for t in _leading_dependence_scalars(h1w, h2w, h3w) if t != 0]
     else:
-        alphas = [Fraction(1)] if _leading_dependence_scalars(ws, h1w, h2w, None) else []
+        alphas = [Fraction(1)] if _leading_dependence_scalars(h1w, h2w, None) else []
     candidates = ((alpha, h1, h2 - h3.scale(alpha)) for alpha in alphas)
     found = _peel_candidates(ws, h3, l, s * l, candidates, _lower_third(ws, h3, s * l),
                              limits)
@@ -620,9 +621,9 @@ def _detect_type_ii(ws, H, v3: int, sigma, l: int, limits):
     if proportionality(h1w, h3w) is not None:
         return None
     if v3 == 2 * l:
-        alphas = _leading_dependence_scalars(ws, h2w, h1w, h3w)
+        alphas = _leading_dependence_scalars(h2w, h1w, h3w)
     else:
-        alphas = [Fraction(0)] if _leading_dependence_scalars(ws, h2w, h1w, None) else []
+        alphas = [Fraction(0)] if _leading_dependence_scalars(h2w, h1w, None) else []
     candidates = (
         ((alpha, beta), h1 - h3.scale(alpha), h2 - h3.scale(beta))
         for alpha in alphas
@@ -642,7 +643,7 @@ def _detect_type_iii_iv(ws, H, v2: int, sigma, l: int, which: str, limits):
     h1w, h2w = ws.leading_form(h1), ws.leading_form(h2)
     h3sq = h3**2
     if v2 == 3 * l:
-        alphas = _leading_dependence_scalars(ws, h1w, h2w, ws.leading_form(h3sq))
+        alphas = _leading_dependence_scalars(h1w, h2w, ws.leading_form(h3sq))
     else:
         # degree of h2 is below 3l, so the quadratic term supplies the top
         dependent = not algebraically_independent([h1w, ws.leading_form(h3sq)])

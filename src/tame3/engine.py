@@ -21,6 +21,7 @@ from .algebra import (
     DegreeValue,
     Poly,
     WeightSystem,
+    det,
     lex_weight,
     poly_to_text,
 )
@@ -100,7 +101,7 @@ class TameFactor:
                 raise ValueError("affine factor needs a 3x3 matrix and 3 translations")
             self.rows = tuple(_primitive(nums, den) for nums, den in self.rows)
             # scaling a row by its denominator does not change whether det A is 0
-            if _det3([nums[1:] for nums, _ in self.rows]) == 0:
+            if det([nums[1:] for nums, _ in self.rows]) == 0:
                 raise ValueError("affine factor must have invertible matrix")
         elif self.kind == "elementary":
             if not 1 <= self.index <= N:
@@ -193,7 +194,7 @@ def _inverse_rows(rows: Sequence[tuple]) -> tuple:
     y = Ax + b  =>  x = A^-1 y - A^-1 b.
     """
     r = [nums[1:] for nums, _ in rows]
-    d = _det3(r)
+    d = det(r)
     t = [nums[0] for nums, _ in rows]
     return tuple(((-sum(a * c for a, c in zip(row, t)),
                    *(a * den for a, (_, den) in zip(row, rows))), d) for row in _adj3(r))
@@ -211,14 +212,6 @@ def _combine(nums: Sequence[int], den: int, acc: Sequence[Poly]) -> Poly:
             for m, v in p.nums.items():
                 out[m] = out.get(m, 0) + k * v
     return Poly.from_contents(n, out, den * common)
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def _adj3(m) -> list[list[int]]:
@@ -629,7 +622,7 @@ def _random_factor(rng: random.Random, cbound: int, dbound: int) -> TameFactor:
     if rng.random() < 0.45:
         while True:
             matrix = [[rng.randint(-cbound, cbound) for _ in range(N)] for _ in range(N)]
-            if _det3(matrix) != 0:
+            if det(matrix) != 0:
                 break
         translation = [rng.randint(-cbound, cbound) for _ in range(N)]
         return TameFactor.affine(matrix, translation)

@@ -19,7 +19,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .algebra import DegreeValue, Poly, WeightSystem, poly_to_text, probe_points
+from .algebra import DegreeValue, Poly, WeightSystem, det, poly_to_text, probe_points
 
 
 class DiffForm:
@@ -177,29 +177,13 @@ def differentials_wedge(fs: Sequence[Poly]) -> DiffForm:
     return wedge_all([differential(f) for f in fs])
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small square integer matrix: closed form up to
-    3 x 3, Laplace along the first row above that."""
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j, a in enumerate(m[0]) if a)
-
-
 def _has_nonzero_minor(rows: Sequence[Sequence[int]]) -> bool:
     """Whether some k x k minor of the k x n integer matrix ``rows`` is
     nonzero."""
     k, n = len(rows), len(rows[0])
     if k == n:
-        return _det(rows) != 0
-    return any(_det([[row[j] for j in cols] for row in rows])
+        return det(rows) != 0
+    return any(det([[row[j] for j in cols] for row in rows])
                for cols in combinations(range(n), k))
 
 

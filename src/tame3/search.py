@@ -124,94 +124,75 @@ class MembershipOutcome:
     negated: Optional[BiPoly] = None
 
 
-class _ProductCache:
-    """The slices of the products f^i g^j of a fixed generator pair f, g that
-    a leading search reads.  Every power comes from ``Poly.__pow__``, so f,
-    g and their leading forms each build a power once and keep it.
+def _size_bound(f: Poly, g: Poly, i: int, j: int) -> int:
+    """A bound on the term count of f^i g^j: at most tf^i tg^j products of
+    terms, and at most the number of monomials of its total degree."""
+    deg = i * f.total_degree() + j * g.total_degree()
+    return min(len(f.nums)**i * len(g.nums)**j, math.comb(deg + f.n, f.n))
+
+
+def _product_within(f: Poly, g: Poly, i: int, j: int, term_cap: int) -> bool:
+    """Whether the pair (i, j) joins the widened ansatz: the size bound of
+    f^i g^j stays within term_cap, and the term pairs of a last
+    multiplication in its chain within 50 * term_cap.  Decided from the
+    bound alone, so the pairs tried do not depend on what ``_tail``
+    builds."""
+    bound = _size_bound(f, g, i, j)
+    return bound <= term_cap and bound * max(len(f.nums), len(g.nums)) <= 50 * term_cap
+
+
+def _tail(ws: WeightSystem, gens: tuple[Poly, Poly], i: int, j: int, threshold: DegreeValue,
+          by_degree: dict) -> tuple[int, list]:
+    """(denominator, [(mono, int_coeff)]) of the terms of f^i g^j with
+    degree >= threshold, for gens = (f, g).
 
     Weighted degree is additive, so the terms of f^i g^j at its own degree
-    i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg.
-    ``tail`` at that degree (every exact-slice pair) reads the leading-form
-    product.  A widened pair lies above the target degree.  With a zero
-    exponent its product is one remembered power, f^i or g^j, and ``tail``
-    reads that power's terms at or above the threshold (``_above``): nothing
-    is sorted or multiplied.  Otherwise ``tail`` multiplies the powers f^i
-    and g^j, each sorted by degree once here, and skips every term pair
-    whose degrees sum below the threshold, so no full f^i g^j is built.
+    i*deg f + j*deg g are exactly lf^i lg^j, for the leading forms lf, lg
+    that ``ws`` remembers: every exact-slice pair reads that product.  A
+    widened pair lies above the target degree.  With a zero exponent its
+    product is one remembered power, f^i or g^j, read at or above the
+    threshold (``_above``): nothing is sorted or multiplied.  Otherwise
+    ``_truncated`` multiplies the powers f^i and g^j, skipping every term
+    pair whose degrees sum below the threshold, so no full f^i g^j is built.
     """
+    f, g = gens
+    if tuple(i * a + j * b for a, b in zip(ws.deg(f).vec, ws.deg(g).vec)) == threshold.vec:
+        lf, lg = ws.leading_form(f), ws.leading_form(g)
+        p = lg**j if i == 0 else lf**i if j == 0 else lf**i * lg**j
+        return p.den, list(p.nums.items())
+    if i == 0 or j == 0:
+        return _above(ws, g**j if i == 0 else f**i, threshold)
+    return _truncated(ws, gens, i, j, threshold.vec, by_degree)
 
-    def __init__(self, f: Poly, g: Poly, ws: WeightSystem):
-        self.f = f
-        self.g = g
-        self.ws = ws
-        self.lf = ws.leading_form(f)
-        self.lg = ws.leading_form(g)
-        self._degs = (ws.deg(f).vec, ws.deg(g).vec)
-        self._sorted: dict[tuple[int, int], list] = {}  # (0, i) f^i, (1, j) g^j
 
-    def _sorted_power(self, side: int, k: int) -> list:
-        """[(degree vector, mono, int)] of f^k (side 0) or g^k (side 1), by
-        descending degree vector."""
-        key = (side, k)
-        entries = self._sorted.get(key)
-        if entries is None:
-            p = (self.f, self.g)[side] ** k
-            entries = sorted(zip(self.ws.term_vecs(p.nums), p.nums, p.nums.values()),
-                             key=itemgetter(0), reverse=True)
-            self._sorted[key] = entries
-        return entries
-
-    def size_bound(self, i: int, j: int) -> int:
-        """A bound on the term count of f^i g^j: at most tf^i tg^j products
-        of terms, and at most the number of monomials of its total degree."""
-        tf, tg = len(self.f.nums), len(self.g.nums)
-        deg = i * self.f.total_degree() + j * self.g.total_degree()
-        dense = 1
-        for k in range(1, self.f.n + 1):
-            dense = dense * (deg + k) // k
-        return min(tf**i * tg**j, dense)
-
-    def product_within(self, i: int, j: int, term_cap: int) -> bool:
-        """Whether the pair (i, j) joins the widened ansatz: the size bound
-        of f^i g^j stays within term_cap, and the term pairs of a last
-        multiplication in its chain within 50 * term_cap.  Decided from the
-        bound alone, so the pairs tried do not depend on what ``tail``
-        builds."""
-        bound = self.size_bound(i, j)
-        tf, tg = len(self.f.nums), len(self.g.nums)
-        return bound <= term_cap and bound * max(tf, tg) <= 50 * term_cap
-
-    def tail(self, i: int, j: int, threshold) -> tuple[int, list]:
-        """(denominator, [(mono, int_coeff)]) of the terms of f^i g^j with
-        degree >= threshold; at the degree of f^i g^j itself, the contents
-        of lf^i lg^j."""
-        if tuple(i * a + j * b for a, b in zip(*self._degs)) == threshold.vec:
-            p = self.lg**j if i == 0 else self.lf**i if j == 0 else self.lf**i * self.lg**j
-            return p.den, list(p.nums.items())
-        if i == 0 or j == 0:
-            return _above(self.ws, self.g**j if i == 0 else self.f**i, threshold)
-        return self._truncated(i, j, threshold.vec)
-
-    def _truncated(self, i: int, j: int, top: tuple) -> tuple[int, list]:
-        """The terms of f^i g^j with degree vector >= top, for i, j > 0,
-        from the term pairs of f^i and g^j whose degree vectors sum to at
-        least top."""
-        fs, gs = self._sorted_power(0, i), self._sorted_power(1, j)
-        g_top = gs[0][0]
-        acc: dict = {}
-        for fv, fm, fc in fs:
-            # gv >= top - fv, read off the sorted powers
-            need = tuple(t - v for t, v in zip(top, fv))
-            if g_top < need:
+def _truncated(ws: WeightSystem, gens: tuple[Poly, Poly], i: int, j: int, top: tuple,
+               by_degree: dict) -> tuple[int, list]:
+    """The terms of f^i g^j with degree vector >= top, for i, j > 0, from
+    the term pairs of f^i and g^j whose degree vectors sum to at least top.
+    ``by_degree`` holds each power as [(degree vector, mono, int)] by
+    descending degree vector, under (0, i) for f^i and (1, j) for g^j, so
+    one solve sorts each power once."""
+    f, g = gens
+    fi, gj = f**i, g**j
+    for key, p in (((0, i), fi), ((1, j), gj)):
+        if key not in by_degree:
+            by_degree[key] = sorted(zip(ws.term_vecs(p.nums), p.nums, p.nums.values()),
+                                    key=itemgetter(0), reverse=True)
+    fs, gs = by_degree[0, i], by_degree[1, j]
+    g_top = gs[0][0]
+    acc: dict = {}
+    for fv, fm, fc in fs:
+        # gv >= top - fv, read off the sorted powers
+        need = tuple(t - v for t, v in zip(top, fv))
+        if g_top < need:
+            break
+        for gv, gm, gc in gs:
+            if gv < need:
                 break
-            for gv, gm, gc in gs:
-                if gv < need:
-                    break
-                m = tuple(map(add, fm, gm))
-                v = acc.get(m)
-                acc[m] = fc * gc if v is None else v + fc * gc
-        den = (self.f**i).den * (self.g**j).den
-        return den, [(m, c) for m, c in acc.items() if c]
+            m = tuple(map(add, fm, gm))
+            v = acc.get(m)
+            acc[m] = fc * gc if v is None else v + fc * gc
+    return fi.den * gj.den, [(m, c) for m, c in acc.items() if c]
 
 
 def _above(ws: WeightSystem, p: Poly, threshold: DegreeValue) -> tuple[int, list]:
@@ -222,20 +203,22 @@ def _above(ws: WeightSystem, p: Poly, threshold: DegreeValue) -> tuple[int, list
 
 
 def _solve_with_pairs(
+    ws: WeightSystem,
     lead: Poly,
     gens: tuple[Poly, Poly],
     pairs: list[tuple[int, int]],
     threshold: DegreeValue,
-    cache: _ProductCache,
 ) -> Optional[BiPoly]:
     """Coefficients c over `pairs` with deg(target - sum c*f^i*g^j) <
     threshold, where `lead` is the target's terms at or above threshold (its
     leading form, when threshold is its degree), as a representation on
     integer contents: one ``Elimination`` of `lead` over the tails of the
-    pairs, filled and solved once."""
+    pairs (``_tail``), filled and solved once.  The powers sorted by degree
+    are kept for this solve only."""
     system = Elimination((lead.den, lead.nums))
+    by_degree: dict = {}
     for i, j in pairs:
-        system.add(cache.tail(i, j, threshold))
+        system.add(_tail(ws, gens, i, j, threshold, by_degree))
     sol = system.contents()
     if sol is None:
         return None
@@ -243,18 +226,25 @@ def _solve_with_pairs(
     return BiPoly(gens, Poly.from_contents(2, {pairs[k]: c for k, c in nums.items()}, den))
 
 
-def _one_term_slice(
-    lead: Poly, gens: tuple[Poly, Poly], lf: Poly, lg: Poly, pairs: list[tuple[int, int]]
+def _exact_slice(
+    ws: WeightSystem, lead: Poly, gens: tuple[Poly, Poly], pairs: list[tuple[int, int]],
+    d: DegreeValue,
 ) -> Optional[BiPoly]:
-    """The exact slice of one-term `lead` over one-term generator leading
-    forms lf, lg, read off the exponents.
+    """The representation of `lead`, a form of degree d, over the leading
+    forms lf, lg of gens on the exact pairs: one ``Elimination``
+    (``_solve_with_pairs``), unless lead, lf and lg are one term each, as
+    every leading form is at a full-rank weight.
 
-    Each lf^i lg^j is the one term c_f^i c_g^j x^(i*m_f + j*m_g), so the
-    representation is the first of `pairs` whose monomial is lead's, with
-    lead's coefficient over that product's.  The elimination gives the same
-    answer: a one-term column pivots on its only key, so the first matching
-    pair takes the whole coefficient and every later column reduces to zero.
+    Then it is read off the exponents.  Each lf^i lg^j is the one term
+    c_f^i c_g^j x^(i*m_f + j*m_g), so the representation is the first of
+    `pairs` whose monomial is lead's, with lead's coefficient over that
+    product's.  The elimination gives the same answer: a one-term column
+    pivots on its only key, so the first matching pair takes the whole
+    coefficient and every later column reduces to zero.
     """
+    lf, lg = ws.leading_form(gens[0]), ws.leading_form(gens[1])
+    if not len(lead.nums) == len(lf.nums) == len(lg.nums) == 1:
+        return _solve_with_pairs(ws, lead, gens, pairs, d)
     ((mt, ct),) = lead.nums.items()
     ((mf, cf),) = lf.nums.items()
     ((mg, cg),) = lg.nums.items()
@@ -272,9 +262,7 @@ def homogeneous_membership(
 
     Complete: only exponent pairs on the degree slice can contribute, and a
     combination of higher homogeneous products is homogeneous of the wrong
-    degree, so the slice decides membership: on exponents when h, g1h and
-    g2h are one term each (``_one_term_slice``), else by one exact linear
-    system.
+    degree, so the slice decides membership (``_exact_slice``).
     """
     for name, p in (("h", h), ("g1", g1h), ("g2", g2h)):
         if p.is_zero:
@@ -285,11 +273,8 @@ def homogeneous_membership(
         raise ValueError("generators must be nonconstant")
     d = ws.deg(h)
     pairs = all_semigroup_pairs(d, ws.deg(g1h), ws.deg(g2h))
-    if len(h.nums) == len(g1h.nums) == len(g2h.nums) == 1:
-        return _one_term_slice(h, (g1h, g2h), g1h, g2h, pairs)
-    found = _solve_with_pairs(h, (g1h, g2h), pairs, d, _ProductCache(g1h, g2h, ws))
-    if found is not None:
-        assert found.value() == h
+    found = _exact_slice(ws, h, (g1h, g2h), pairs, d)
+    assert found is None or found.value() == h
     return found
 
 
@@ -307,15 +292,11 @@ class _Widening:
     """A target the exact slice left open: its generator degrees are
     Z-dependent, so products above its degree may cancel among themselves.
     ``_widen`` decides the rest, starting with the power proportionality
-    of the generator leading forms.  ``cache`` is the caller's product
-    cache or the exact slice's, if either was built; else ``_widen`` builds
-    one when it reaches the widened solve."""
+    of the generator leading forms."""
 
     target: Poly
     gens: tuple[Poly, Poly]
-    degree: DegreeValue
     exact_pairs: list[tuple[int, int]]
-    cache: Optional[_ProductCache]
 
 
 def _decided_absent(exact_pairs: list, d: DegreeValue, shape_detail,
@@ -334,7 +315,6 @@ def _decide_exact(
     ws: WeightSystem,
     target: Poly,
     gens: tuple[Poly, Poly],
-    cache: Optional[_ProductCache] = None,
     component: Optional[int] = None,
 ) -> MembershipOutcome | _Widening:
     """The exact-slice solve and the rigorous exits on Z-independent
@@ -346,11 +326,7 @@ def _decide_exact(
     it.  A target degree outside the semigroup of Z-independent generator
     degrees is decided before anything is built; its absence names the
     1-based ``component`` when the elementary search gives one, else the
-    target degree.  When the target's leading form and both generator
-    leading forms are one term each, as every leading form is at a
-    full-rank weight, the slice is read off the exponents
-    (``_one_term_slice``) and no product cache is built; any other slice is
-    one ``Elimination``.
+    target degree.  The slice itself is ``_exact_slice``.
     """
     if target.is_zero:
         raise ValueError("zero target")
@@ -370,17 +346,12 @@ def _decide_exact(
     if independent and not exact_pairs:
         detail = {"target_degree": d.to_json()} if component is None else {"component": component}
         return MembershipOutcome(None, Absence("semigroup-obstruction", detail))
-    lead, lf, lg = ws.leading_form(target), ws.leading_form(f), ws.leading_form(g)
-    if len(lead.nums) == len(lf.nums) == len(lg.nums) == 1:
-        found = _one_term_slice(lead, gens, lf, lg, exact_pairs)
-    else:
-        cache = cache or _ProductCache(f, g, ws)
-        found = _solve_with_pairs(lead, gens, exact_pairs, d, cache)
+    found = _exact_slice(ws, ws.leading_form(target), gens, exact_pairs, d)
     if found is not None:
         return _found(ws, target, found, 0)
     if independent:
         return _decided_absent(exact_pairs, d, "homogeneous-slice-mismatch")
-    return _Widening(target, gens, d, exact_pairs, cache)
+    return _Widening(target, gens, exact_pairs)
 
 
 def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> MembershipOutcome:
@@ -403,32 +374,30 @@ def _widen(ws: WeightSystem, state: _Widening, limits: SearchLimits) -> Membersh
     dropped.
     """
     f, g = state.gens
-    d = state.degree
+    d = ws.deg(state.target)
     scaled = find_scaled_pair(ws, ws.leading_form(f), ws.leading_form(g))
     if scaled is None:
         return _decided_absent(state.exact_pairs, d,
                                "homogeneous-slice-mismatch (independent leading forms)",
                                "independent leading forms")
     d1, d2 = ws.deg(f), ws.deg(g)
-    wedge = wedge_degree(ws, f, g)
     # Any element whose representation degree exceeds its value degree obeys
     # the cancellation floor q*deg(f) + deg(df^dg) - deg(f) - deg(g); targets
     # below it cannot be reached by the widened ansatz at all.
-    floor = scaled.q * d1 + wedge - d1 - d2
+    floor = scaled.q * d1 + wedge_degree(ws, f, g) - d1 - d2
     if d < floor:
         return _decided_absent(state.exact_pairs, d, {"cancellation_floor": floor.to_json()},
                                "below the cancellation floor")
-    pairs = cancellation_window(d, d1, d2, wedge, scaled.p, scaled.q)
+    pairs = cancellation_window(d, d1, d2, floor, scaled.p, scaled.q)
     if pairs is None:
         top = limits.max_bidegree
         pairs, levels = level_box(d, d1, d2, top, limits.max_cancellation_rounds)
         detail = {"max_bidegree": top, "rounds": levels}
     else:
         detail = {"cancellation_window": [list(pair) for pair in pairs]}
-    cache = state.cache or _ProductCache(f, g, ws)
-    kept = [pair for pair in pairs if cache.product_within(*pair, limits.max_product_terms)]
-    found = _solve_with_pairs(ws.leading_form(state.target), state.gens,
-                              state.exact_pairs + kept, d, cache)
+    kept = [pair for pair in pairs if _product_within(f, g, *pair, limits.max_product_terms)]
+    found = _solve_with_pairs(ws, ws.leading_form(state.target), state.gens,
+                              state.exact_pairs + kept, d)
     if found is not None:
         return _found(ws, state.target, found, 1)
     if len(kept) < len(pairs):
@@ -442,7 +411,6 @@ def leading_membership_search(
     target: Poly,
     gens: tuple[Poly, Poly],
     limits: SearchLimits = DEFAULT_LIMITS,
-    cache: Optional[_ProductCache] = None,
 ) -> MembershipOutcome:
     """Find phi over gens with deg(target - phi.value()) < deg(target).
 
@@ -452,7 +420,7 @@ def leading_membership_search(
     themselves.  Absence is NOT a proof of non-membership unless tagged
     rigorous.
     """
-    out = _decide_exact(ws, target, gens, cache)
+    out = _decide_exact(ws, target, gens)
     if isinstance(out, _Widening):
         return _widen(ws, out, limits)
     return out
@@ -474,7 +442,6 @@ def peel(
     residual, or (None, absence) when a leading form has no representation,
     the residual is an unaccepted constant, or the budget runs out.
     """
-    cache = _ProductCache(*gens, ws)
     residual = target
     acc = Poly.zero(2)
     for _ in range(budget):
@@ -482,7 +449,7 @@ def peel(
             return BiPoly(gens, acc), residual
         if residual.is_constant:
             return None, Absence("limits-exhausted", "constant residual")
-        out = leading_membership_search(ws, residual, gens, limits, cache)
+        out = leading_membership_search(ws, residual, gens, limits)
         if out.found is None:
             return None, out.absence
         acc = acc + out.found.poly

@@ -2,10 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import conditions
-from tame3.algebra import DegreeValue, Poly, parse_poly
+from tame3.algebra import DegreeValue, Poly, parse_poly, total_weight
 from tame3.conditions import (
     check_not_er,
     check_quasi_su,
@@ -15,7 +15,7 @@ from tame3.conditions import (
     su_pair_uniqueness,
     verify_properties,
 )
-from tame3.forms import differentials_wedge, wedge_degree
+from tame3.forms import differential, differentials_wedge, wedge, wedge_degree
 from tame3.search import (DEFAULT_LIMITS, find_elementary_reduction, find_su_reduction,
                           permute_triple)
 
@@ -334,13 +334,44 @@ def test_detect_type_iv_peel_returns(F):
     ("x1", "x1^2", "x2", [Fraction(0)]),
     ("x1", "x2", None, []),
 ])
-def test_leading_dependence_scalars(wt, fixed, base, shift, scalars):
+def test_leading_dependence_scalars(fixed, base, shift, scalars):
     # the scalars t with fixed and base - t*shift dependent, from the wedges
     import tame3.conditions as conditions
 
     forms = _triple(fixed, base, shift or "0")
     assert conditions._leading_dependence_scalars(
-        wt, forms[0], forms[1], forms[2] if shift else None) == scalars
+        forms[0], forms[1], forms[2] if shift else None) == scalars
+
+
+@st.composite
+def _leading_form_pairs(draw):
+    """Two leading forms at total weight: each of a random polynomial (a
+    constant form included), or scalar multiples of two powers of one such
+    form, which are dependent."""
+    ws = total_weight(3)
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+    def form():
+        p = Poly(3, {tuple(draw(st.integers(0, 3)) for _ in range(3)): draw(coeff)
+                     for _ in range(draw(st.integers(1, 4)))})
+        assume(not p.is_zero)
+        return ws.leading_form(p)
+
+    u = form()
+    if draw(st.booleans()):
+        return u, form()
+    return tuple((u**draw(st.integers(1, 3))).scale(draw(coeff)) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_leading_form_pairs())
+def test_dependence_without_a_shift_matches_the_wedge(pair):
+    # with no shift form the scalar is 0 exactly when the two forms are
+    # dependent, which the wedge of their differentials decides
+    fixed, base = pair
+    dependent = wedge(differential(fixed), differential(base)).is_zero
+    assert conditions._leading_dependence_scalars(fixed, base, None) == (
+        [Fraction(0)] if dependent else [])
 
 
 def test_type_iii_iv_gate_skips_the_barren_branch(monkeypatch):

@@ -1,16 +1,17 @@
 """Module boundaries inside the package: a private name stays in its module,
-every module-level import is used, only the algebra module writes the
-fields of a Poly, only the algebra module calls the sparse solver, only
-the engine module states a non-tameness verdict, and every public function
-or method is referenced inside the package or kept for a stated reason.
+every module-level import is used, every parameter is read, only the
+algebra module writes the fields of a Poly, only the algebra module calls
+the sparse solver, only the engine module states a non-tameness verdict,
+and every public function or method is referenced inside the package or
+kept for a stated reason.
 
 A helper that another module needs is public in the module that owns it, so
 each primitive has one implementation rather than private copies and
 cross-module reaches into them.  An import left behind by a deletion fails
-the unused-import check.  A Poly remembers its weighted degree, its
-powers, its leading form and its values and gradients at the probe points,
-which is sound only while no other module changes its contents after it is
-built.
+the unused-import check, and a parameter left behind the unused-parameter
+check.  A Poly remembers its weighted degree, its powers, its leading form
+and its values and gradients at the probe points, which is sound only while
+no other module changes its contents after it is built.
 A non-tameness claim is read off one rule (a rigorous stuck on a verified
 map), so its wording lives next to that rule and nowhere else.
 """
@@ -114,6 +115,42 @@ def test_unused_import_detector(tmp_path):
                      "from typing import Iterator, Optional\n"
                      "def f(x: Optional[int]):\n    return os.path.join(str(x))\n")
     assert _unused_imports(probe) == ["3: json", "4: Iterator"]
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """'line: function(parameter)' for every parameter of a function or
+    lambda that its body never reads; names starting with _ are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+        read = {sub.id for sub in ast.walk(body) if isinstance(sub, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found.extend(f"{node.lineno}: {name}({a.arg})" for a in params
+                     if not a.arg.startswith("_") and a.arg not in read)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert _unused_parameters(path) == []
+
+
+def test_unused_parameter_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(ws, p, *args, q=1, _r=2, **kw):\n"
+                     "    def g(x):\n        return p + q\n"
+                     "    return g\n"
+                     "class A:\n    def m(self, a: int = 0) -> int:\n        return self.k + a\n"
+                     "    def n(self, b):\n        return 1\n"
+                     "h = lambda res, _: res\nk = lambda a, b: b\n")
+    assert _unused_parameters(probe) == [
+        "1: f(ws)", "1: f(args)", "1: f(kw)", "2: g(x)", "8: n(self)",
+        "8: n(b)", "11: <lambda>(a)"]
 
 
 _POLY_FIELDS = ("nums", "den", "_deg", "_lead", "_powers", "_probes")

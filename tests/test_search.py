@@ -311,18 +311,19 @@ def test_one_term_slice_matches_the_elimination(case):
     x = solve_contents((lead.den, lead.nums.items()),
                        [(p.den, p.nums.items()) for p in products])
     expected = None if x is None else Poly(2, dict(zip(pairs, x)))
-    got = search._one_term_slice(lead, (f, g), lf, lg, pairs)
-    assert (None if got is None else got.poly) == expected
-    # both callers take this path and build no Elimination and no product
-    # cache; a state left to widen gets its cache in _widen
+    # the exponent read, and both callers of _exact_slice, build no
+    # Elimination and read no product slice; a state left to widen carries
+    # its exact pairs and nothing built
     with mock.patch.object(search, "Elimination", side_effect=AssertionError("built")), \
-            mock.patch.object(search, "_ProductCache", side_effect=search._ProductCache) as cache:
+            mock.patch.object(search, "_tail", side_effect=search._tail) as tail:
+        got = search._exact_slice(ws, lead, (f, g), pairs, d)
         rep = homogeneous_membership(ws, lead, lf, lg)
         out = search._decide_exact(ws, target, (f, g))
+    assert (None if got is None else got.poly) == expected
     assert (None if rep is None else rep.poly) == expected
-    assert cache.call_count == 0
+    assert tail.call_count == 0
     if isinstance(out, search._Widening):
-        assert expected is None and out.cache is None
+        assert expected is None and out.exact_pairs == pairs
         return
     if expected is None:
         assert out.found is None and out.absence.rigorous
@@ -492,23 +493,25 @@ def test_widening_builds_only_the_window(xyz, monkeypatch):
     x, y, z = xyz
     g1, g2 = _cancelling_pair(y, z)
     ws, target = total_weight(3), x + g1**2 - g2**3
-    d = ws.deg(target)
-    window = cancellation_window(d, ws.deg(g1), ws.deg(g2), wedge_degree(ws, g1, g2), 3, 2)
+    d, d1, d2 = ws.deg(target), ws.deg(g1), ws.deg(g2)
+    floor = 2 * d1 + wedge_degree(ws, g1, g2) - d1 - d2
+    assert floor == D(6)
+    window = cancellation_window(d, d1, d2, floor, 3, 2)
     assert window == [(0, 2), (1, 1), (2, 0), (0, 3)]
     assert leading_membership_search(ws, target, (g1, g2)).rounds_used == 1
     tails, built = [], []
-    tail, truncated = search._ProductCache.tail, search._ProductCache._truncated
+    tail, truncated = search._tail, search._truncated
 
-    def counted_tail(cache, i, j, threshold):
+    def counted_tail(ws_, gens, i, j, threshold, by_degree):
         tails.append((i, j))
-        return tail(cache, i, j, threshold)
+        return tail(ws_, gens, i, j, threshold, by_degree)
 
-    def counted(cache, i, j, top):
+    def counted(ws_, gens, i, j, top, by_degree):
         built.append((i, j))
-        return truncated(cache, i, j, top)
+        return truncated(ws_, gens, i, j, top, by_degree)
 
-    monkeypatch.setattr(search._ProductCache, "tail", counted_tail)
-    monkeypatch.setattr(search._ProductCache, "_truncated", counted)
+    monkeypatch.setattr(search, "_tail", counted_tail)
+    monkeypatch.setattr(search, "_truncated", counted)
     phi, residual = search.peel(ws, target, (g1, g2), DEFAULT_LIMITS,
                                 lambda res, _: ws.deg(res) < d, 2)
     assert phi is not None and residual == x
@@ -531,7 +534,7 @@ def test_peel_accumulates_the_fraction_sum_of_its_rounds(wt, xyz, monkeypatch):
     rounds = [{(1, 0): 1, (0, 1): 2}, {(1, 0): -1, (2, 0): Fraction(1, 3)}]
     script = iter(zip(rounds, residuals[1:]))
 
-    def scripted(ws, target, gens_, limits, cache):
+    def scripted(ws, target, gens_, limits):
         coeffs, residual = next(script)
         return search.MembershipOutcome(BiPoly(gens_, Poly(2, coeffs)), residual=residual)
 
@@ -569,7 +572,8 @@ def test_unbounded_window_solves_the_level_box_once(xyz, monkeypatch):
     g1, g2 = _cancelling_pair(y, z)
     ws, target = lex_weight(3), z**5 + g1**2 - g2**3
     d1, d2 = ws.deg(g1), ws.deg(g2)
-    assert cancellation_window(ws.deg(target), d1, d2, wedge_degree(ws, g1, g2), 3, 2) is None
+    floor = 2 * d1 + wedge_degree(ws, g1, g2) - d1 - d2
+    assert cancellation_window(ws.deg(target), d1, d2, floor, 3, 2) is None
     calls = []
     widen, elimination = search._widen, search.Elimination
 
@@ -588,6 +592,36 @@ def test_unbounded_window_solves_the_level_box_once(xyz, monkeypatch):
     assert out.rounds_used == 1 and calls == ["widen", "elimination"]
     assert ws.deg(out.residual) < ws.deg(target)
 
+
+def test_level_box_solve_sorts_each_power_once(xyz, monkeypatch):
+    # the box of the target above holds (1, 1), (1, 2), (2, 1), ..., whose
+    # truncated products share the powers g1^i and g2^j: one solve sorts
+    # each power it multiplies once, and keeps the sort for that solve only
+    x, y, z = xyz
+    g1, g2 = _cancelling_pair(y, z)
+    ws, target = lex_weight(3), z**5 + g1**2 - g2**3
+    limits = DEFAULT_LIMITS
+    pairs, _ = level_box(ws.deg(target), ws.deg(g1), ws.deg(g2), limits.max_bidegree,
+                         limits.max_cancellation_rounds)
+    multiplied = [(i, j) for i, j in pairs if i and j]
+    powers = [g1**i for i in sorted({i for i, _ in multiplied})]
+    powers += [g2**j for j in sorted({j for _, j in multiplied})]
+    assert len(powers) < 2 * len(multiplied)
+    sorted_powers = []
+
+    def counted(entries, **kwargs):
+        # the entries of a power's sort are (degree vector, mono, int)
+        entries = list(entries)
+        sorted_powers.append(frozenset(m for _, m, _ in entries))
+        return sorted(entries, **kwargs)
+
+    monkeypatch.setattr(search, "sorted", counted, raising=False)
+    for _ in range(2):
+        sorted_powers.clear()
+        out = leading_membership_search(ws, target, (g1, g2), limits)
+        assert out.rounds_used == 1 and out.found.coeffs == {(2, 0): 1, (0, 3): -1}
+        assert sorted(sorted_powers, key=sorted) == sorted(
+            (frozenset(p.nums) for p in powers), key=sorted)
 
 def test_level_box_by_hand(xyz):
     # at lex, deg g1 = (0, 6, 0), deg g2 = (0, 4, 0) and the target above has
@@ -650,7 +684,7 @@ def test_box_solve_matches_level_prefixes(c, a, b, low, top, levels):
     # the floor 2*d1 + wedge - d1 - d2 is (0, 4, 2), as dg1 ^ dg2 = 3yz dy^dz
     assert wedge == D(0, 2, 2)
     assume(d >= D(0, 4, 2))
-    assert cancellation_window(d, d1, d2, wedge, 3, 2) is None
+    assert cancellation_window(d, d1, d2, 2 * d1 + wedge - d1 - d2, 3, 2) is None
     lead = _terms_from(ws, target, d)
     exact_pairs = all_semigroup_pairs(d, d1, d2)
     exact = [_terms_from(ws, g1**i * g2**j, d) for i, j in exact_pairs]
@@ -718,12 +752,13 @@ def test_cancellation_window_of_the_corpus_map():
     # deg(df ^ dg) = (6, 1, 0) and 5*deg f = 2*deg g.  The floor is (9, 1, 0),
     # so Imax = 65 // 9 = 7, Jmax = 26 // 9 = 2, m <= 1 and K = (1, -1, 0):
     # the window's pairs lie in ((13, 1, 0), (14, 0, 0)]
-    window = cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), D(6, 1, 0), 2, 5)
+    window = cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), D(9, 1, 0), 2, 5)
     assert window == [(2, 2), (7, 0)]
-    # dependent f, g, or a floor with first component 0, bounds nothing
+    # dependent f, g (a Bottom floor), or a floor with first component 0,
+    # bounds nothing: the latter is the lex floor of _cancelling_pair
     assert cancellation_window(D(13, 1, 0), D(2, 0, 0), D(5, 0, 0), DegreeValue.bottom(),
                                2, 5) is None
-    assert cancellation_window(D(0, 4, 2), D(0, 6, 0), D(0, 4, 0), D(0, 2, 2), 3, 2) is None
+    assert cancellation_window(D(0, 4, 2), D(0, 6, 0), D(0, 4, 0), D(0, 4, 2), 3, 2) is None
 
 
 def _window_reference(d, d1, d2, wedge, p, q):
@@ -765,10 +800,13 @@ def _window_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_window_cases())
 def test_cancellation_window_matches_the_degree_reference(case):
-    assert cancellation_window(*case) == _window_reference(*case)
+    # the window reads the floor its caller derives, Bottom for a Bottom wedge
+    d, d1, d2, wedge, p, q = case
+    floor = q * d1 + wedge - d1 - d2
+    assert cancellation_window(d, d1, d2, floor, p, q) == _window_reference(*case)
 
 
-def _cache_poly(draw, ws):
+def _tail_poly(draw, ws):
     terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)):
              draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]))
              for _ in range(draw(st.integers(1, 4)))}
@@ -779,14 +817,15 @@ def _cache_poly(draw, ws):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_product_cache_tail_matches_the_full_product(data):
-    # every branch of tail against the terms of the full f^i g^j at or
+def test_tail_matches_the_full_product(data):
+    # every branch of _tail against the terms of the full f^i g^j at or
     # above the threshold: the product's own degree (the leading-form
     # product), the degree of one of its terms, or any vector; compared as
-    # rationals, since a tail's contents need not be primitive
+    # rationals, since a tail's contents need not be primitive.  One
+    # degree-sort memo serves every pair, as in one solve.
     ws = data.draw(st.sampled_from(_PAIR_WEIGHTS))
-    f, g = _cache_poly(data.draw, ws), _cache_poly(data.draw, ws)
-    cache = search._ProductCache(f, g, ws)
+    f, g = _tail_poly(data.draw, ws), _tail_poly(data.draw, ws)
+    by_degree = {}
     for i, j in product(range(4), repeat=2):
         full = f**i * g**j
         vecs = sorted({ws.monomial_vec(m) for m in full.nums})
@@ -797,7 +836,7 @@ def test_product_cache_tail_matches_the_full_product(data):
             threshold = DegreeValue(data.draw(st.sampled_from(vecs)))
         else:
             threshold = DegreeValue(tuple(data.draw(st.integers(-2, 8)) for _ in range(ws.r)))
-        den, terms = cache.tail(i, j, threshold)
+        den, terms = search._tail(ws, (f, g), i, j, threshold, by_degree)
         expected = {m: full.coeff(m) for m in full.nums if ws.monomial_vec(m) >= threshold.vec}
         assert {m: Fraction(c, den) for m, c in terms if c} == expected
         assert len(terms) == len({m for m, _ in terms})
@@ -858,9 +897,10 @@ def test_cancellation_window_holds_every_cancelling_pair(case):
     big_i = max(i for i, _ in phi.coeffs)
     big_j = max(j for _, j in phi.coeffs)
     assert report.multiplicity <= min(big_j // p, big_i // q)
-    window = cancellation_window(d, d1, d2, wedge, p, q)
+    floor = q * d1 + wedge - d1 - d2
+    window = cancellation_window(d, d1, d2, floor, p, q)
     if window is None:
-        assert (q * d1 + wedge - d1 - d2).first <= 0
+        assert floor.first <= 0
     else:
         assert {pair for pair in phi.coeffs if pair[0] * d1 + pair[1] * d2 > d} <= set(window)
 
@@ -894,13 +934,13 @@ def test_elementary_step_in_pass_one_builds_no_full_product(wt, xyz, monkeypatch
     x1, x2, x3 = xyz
     F = (x1 - (x2 * x3).scale(2) - x3.scale(2), x2, x3 - (x2**2).scale(2))
     built = []
-    truncated = search._ProductCache._truncated
+    truncated = search._truncated
 
-    def counted(cache, i, j, top):
+    def counted(ws_, gens, i, j, top, by_degree):
         built.append((i, j))
-        return truncated(cache, i, j, top)
+        return truncated(ws_, gens, i, j, top, by_degree)
 
-    monkeypatch.setattr(search._ProductCache, "_truncated", counted)
+    monkeypatch.setattr(search, "_truncated", counted)
     out = find_elementary_reduction(wt, F)
     assert out.step is not None and out.step.index == 3
     assert built == []
@@ -961,8 +1001,8 @@ def test_assembled_first_component_tops_at_a_power_of_u(ws, top, f3, h, s, k, a0
 def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
     full = f**i * g**j
     d = ws.deg(full)
-    cache = search._ProductCache(f, g, ws)
-    den, contents = cache.tail(i, j, d)
+    by_degree = {}
+    den, contents = search._tail(ws, (f, g), i, j, d, by_degree)
     top = {m: c for m, c in full.terms.items() if ws.monomial_vec(m) == d.vec}
     assert Poly.from_contents(3, dict(contents), den) == Poly(3, top)
     # below its own degree (a widened pair) the tail is the full product cut
@@ -970,7 +1010,7 @@ def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
     degrees = [DegreeValue(v) for v in sorted({ws.monomial_vec(m) for m in full.nums})]
     below_all = DegreeValue((-1,) + (0,) * (ws.r - 1))
     for threshold in [below_all] + degrees[:-1]:
-        den, contents = cache.tail(i, j, threshold)
+        den, contents = search._tail(ws, (f, g), i, j, threshold, by_degree)
         assert len({m for m, _ in contents}) == len(contents)
         cut = {m: c for m, c in full.terms.items() if ws.monomial_vec(m) >= threshold.vec}
         assert Poly.from_contents(3, dict(contents), den) == Poly(3, cut)
@@ -979,8 +1019,7 @@ def test_tail_at_own_degree_is_the_leading_form_product(f, g, i, j, ws):
 @settings(max_examples=60, deadline=None)
 @given(_nonconstant_polys(), _nonconstant_polys(), st.integers(0, 4), st.integers(0, 4))
 def test_product_size_never_exceeds_its_bound(f, g, i, j):
-    cache = search._ProductCache(f, g, total_weight(3))
-    assert len((f**i * g**j).nums) <= cache.size_bound(i, j)
+    assert len((f**i * g**j).nums) <= search._size_bound(f, g, i, j)
 
 
 def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
@@ -993,7 +1032,7 @@ def test_slice_solve_errors_propagate(wt, xyz, monkeypatch):
     def broken(*args):
         raise ValueError("product build failed")
 
-    monkeypatch.setattr(search._ProductCache, "tail", broken)
+    monkeypatch.setattr(search, "_tail", broken)
     with pytest.raises(ValueError, match="product build failed"):
         leading_membership_search(wt, x1 + x2**2 + x3**2, (x2, x3))
 
