@@ -312,20 +312,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_arity(other)
-        B = list(other.nums.items())
         acc: dict = {}
-        if self.n == 3:
-            for (a0, a1, a2), c1 in self.nums.items():
-                for (b0, b1, b2), c2 in B:
-                    m = (a0 + b0, a1 + b1, a2 + b2)
-                    v = acc.get(m)
-                    acc[m] = c1 * c2 if v is None else v + c1 * c2
-        else:
-            for m1, c1 in self.nums.items():
-                for m2, c2 in B:
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    v = acc.get(m)
-                    acc[m] = c1 * c2 if v is None else v + c1 * c2
+        add_product(acc, self, other)
         return _poly(self.n, {m: v for m, v in acc.items() if v}, self.den * other.den)
 
     def scale(self, c) -> "Poly":
@@ -428,6 +416,28 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_text(self)!r})"
+
+
+def add_product(acc: dict, p: Poly, q: Poly, k: int = 1) -> None:
+    """Add k times the product of the integer contents of p and q into
+    acc, term pair by term pair.  acc maps monomials to ints, and zero
+    values may remain; its denominator is the caller's to keep (from an
+    empty acc with k = 1, p * q is acc over p.den * q.den).  p and q must
+    share their arity, which is not checked."""
+    A = p.nums.items() if k == 1 else [(m, c * k) for m, c in p.nums.items()]
+    B = list(q.nums.items())
+    if p.n == 3:
+        for (a0, a1, a2), c1 in A:
+            for (b0, b1, b2), c2 in B:
+                m = (a0 + b0, a1 + b1, a2 + b2)
+                v = acc.get(m)
+                acc[m] = c1 * c2 if v is None else v + c1 * c2
+    else:
+        for m1, c1 in A:
+            for m2, c2 in B:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                v = acc.get(m)
+                acc[m] = c1 * c2 if v is None else v + c1 * c2
 
 
 def _poly(n: int, nums: dict, den: int) -> Poly:

@@ -506,10 +506,14 @@ def detect_type(
         ws = total_weight(3)
     elif ws.weights != ((1,), (1,), (1,)):
         raise ValueError("type detection is defined for the all-ones weight only")
-    degs = tuple(_deg(ws, f) for f in F)
+    degs = [_deg(ws, f) for f in F]
     for sigma in PERMUTATIONS_3:
-        witness = _detect_on_permuted(ws, permute_triple(F, sigma),
-                                      permute_triple(degs, sigma), sigma, which, limits)
+        permuted = permute_triple(degs, sigma)
+        gate = _type_gate(permuted, which)
+        if gate is None:
+            continue
+        witness = _detect_on_permuted(ws, permute_triple(F, sigma), permuted, sigma,
+                                      which, *gate, limits)
         if witness is not None:
             return witness
     return None
@@ -522,8 +526,19 @@ def _deg(ws, f: Poly) -> int:
     return -1 if vec is None else vec[0]
 
 
-def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, limits):
-    # A zero component (total degree -1) fails every degree gate below.
+def _type_gate(degs: tuple, which: str) -> Optional[tuple[int, Optional[int]]]:
+    """(l, s) when the permuted total degrees (v1, v2, v3) pass the degree
+    gate of type ``which``, else None.
+
+    Every type needs v1 = 2l with l >= 1.  Types I and II need v2 = s*l with
+    s odd and at least 3, and type II needs s = 3.  Types III and IV share
+    one gate, 2 v3 = 3l and 5l < 2 v2 <= 6l, and have no s (None).  The
+    branch deg h2 = 3l with 2l < 2 deg h3 < 3l gives neither III nor IV: its
+    only scalar is 0, which type III refuses, and type IV accepts only a
+    peeled residual of degree 3l/2, above deg h3.  With 2 deg h3 = 3l it
+    lies inside this gate.  A zero component (total degree -1) fails this
+    gate, or as h3 of type I or II the detector's bound on deg h3.
+    """
     v1, v2, v3 = degs
     if v1 % 2 or v1 < 2:
         return None
@@ -532,20 +547,23 @@ def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, li
         if v2 % l:
             return None
         s = v2 // l
-        if s < 3 or s % 2 == 0:
+        if s < 3 or s % 2 == 0 or (which == "II" and s != 3):
             return None
-        if which == "I":
-            return _detect_type_i(ws, H, v3, sigma, l, s, limits)
-        if s != 3:
-            return None
-        return _detect_type_ii(ws, H, v3, sigma, l, limits)
-    # Types III and IV share one degree gate.  The branch deg h2 = 3l with
-    # 2l < 2 deg h3 < 3l gives neither type: its only scalar is 0, which
-    # type III refuses, and type IV accepts only a peeled residual of degree
-    # 3l/2, above deg h3.  With 2 deg h3 = 3l it lies inside this gate.
+        return l, s
     if not (2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l):
         return None
-    return _detect_type_iii_iv(ws, H, v2, sigma, l, which, limits)
+    return l, None
+
+
+def _detect_on_permuted(ws, H: Triple, degs: tuple, sigma: tuple, which: str, l: int,
+                        s: Optional[int], limits):
+    """The detector of type ``which`` on H, whose degrees degs passed the
+    gate with (l, s)."""
+    if which == "I":
+        return _detect_type_i(ws, H, degs[2], sigma, l, s, limits)
+    if which == "II":
+        return _detect_type_ii(ws, H, degs[2], sigma, l, limits)
+    return _detect_type_iii_iv(ws, H, degs[1], sigma, l, which, limits)
 
 
 def _peel_candidates(ws, h3, l: int, top: int, candidates, make_accept, limits):

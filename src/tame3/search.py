@@ -57,7 +57,8 @@ PERMUTATIONS_3 = (
 
 def permute_triple(triple: Sequence, sigma: tuple) -> tuple:
     """(f_{sigma(1)}, f_{sigma(2)}, f_{sigma(3)})."""
-    return tuple(triple[s - 1] for s in sigma)
+    i, j, k = sigma
+    return (triple[i - 1], triple[j - 1], triple[k - 1])
 
 
 def unpermute_triple(permuted: Sequence, sigma: tuple) -> tuple:

@@ -7,40 +7,56 @@ between the two is what the inequality oracle quantifies.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import DegreeValue, Poly, WeightSystem
+from .algebra import DegreeValue, Poly, WeightSystem, add_product
 from .forms import deg_form, differential, differentials_wedge, wedge
 
 
 class AuxPoly:
-    """Nonzero map i -> coefficient polynomial (of y^i); zero coeffs dropped."""
+    """Nonzero map i -> coefficient polynomial (of y^i); zero coeffs dropped.
+
+    Every y-exponent is a nonnegative int (read with ``operator.index``)
+    and every coefficient has arity n; anything else raises ValueError."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: dict):
         self.n = n
-        self.coeffs = {int(i): p for i, p in coeffs.items() if not p.is_zero}
-        if any(i < 0 for i in self.coeffs):
-            raise ValueError("negative y-exponent")
+        self.coeffs = {}
+        for i, p in coeffs.items():
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise ValueError(f"y-exponent {i!r} is not an integer") from None
+            if i < 0:
+                raise ValueError("negative y-exponent")
+            if p.n != n:
+                raise ValueError(f"coefficient of y^{i} has arity {p.n}, expected {n}")
+            if not p.is_zero:
+                self.coeffs[i] = p
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def derivative(self) -> "AuxPoly":
-        return AuxPoly(
-            self.n, {i - 1: p.scale(i) for i, p in self.coeffs.items() if i >= 1}
-        )
-
-    def evaluate(self, g: Poly) -> Poly:
-        """Phi(g), exact."""
-        acc = Poly.zero(self.n)
-        for i in sorted(self.coeffs):
-            acc = acc + self.coeffs[i] * g**i
-        return acc
+    def evaluate(self, g: Poly, k: int = 0) -> Poly:
+        """Phi^(k)(g), the k-th y-derivative at y = g, exact: the sum over
+        i >= k of i!/(i-k)! * phi_i * g^(i-k), each product scattered term
+        pair by term pair into one integer accumulator over the common
+        denominator, with its falling factorial in the multiplier."""
+        if g.n != self.n:
+            raise ValueError(f"arity mismatch: {self.n} vs {g.n}")
+        parts = [(math.perm(i, k), p, g ** (i - k)) for i, p in self.coeffs.items() if i >= k]
+        den = math.lcm(*(p.den * q.den for _, p, q in parts))
+        acc: dict = {}
+        for c, p, q in parts:
+            add_product(acc, p, q, c * (den // (p.den * q.den)))
+        return Poly.from_contents(self.n, acc, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AuxPoly):
@@ -48,49 +64,48 @@ class AuxPoly:
         return self.n == other.n and self.coeffs == other.coeffs
 
 
+def _aux_vecs(ws: WeightSystem, phi: AuxPoly, g: Poly) -> list[tuple[int, tuple]]:
+    """(i, deg phi_i + i * deg g) for every stored i, degrees as int tuples."""
+    dg = ws.deg(g).vec
+    return [(i, tuple([a + i * b for a, b in zip(ws.deg(p).vec, dg)]))
+            for i, p in phi.coeffs.items()]
+
+
 def aux_degree(ws: WeightSystem, phi: AuxPoly, g: Poly) -> DegreeValue:
     """Max over i of deg(phi_i * g^i)."""
     if phi.is_zero or g.is_zero:
         raise ValueError("aux_degree requires nonzero inputs")
-    dg = ws.deg(g)
-    return max(ws.deg(p) + i * dg for i, p in phi.coeffs.items())
+    return DegreeValue(max(v for _, v in _aux_vecs(ws, phi, g)))
 
 
 def aux_leading(ws: WeightSystem, phi: AuxPoly, g: Poly) -> AuxPoly:
     """Coefficients achieving the max, replaced by their leading forms."""
     if phi.is_zero or g.is_zero:
         raise ValueError("aux_leading requires nonzero inputs")
-    dg = ws.deg(g)
-    top = aux_degree(ws, phi, g)
-    return AuxPoly(
-        phi.n,
-        {
-            i: ws.leading_form(p)
-            for i, p in phi.coeffs.items()
-            if ws.deg(p) + i * dg == top
-        },
-    )
+    vecs = _aux_vecs(ws, phi, g)
+    top = max(v for _, v in vecs)
+    return AuxPoly(phi.n, {i: ws.leading_form(phi.coeffs[i]) for i, v in vecs if v == top})
 
 
 def aux_multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly,
                      deg: Optional[DegreeValue] = None) -> int:
-    """Minimal i with aux_degree(Phi^(i)) == deg(Phi^(i)(g)).
+    """Minimal k with aux_degree(Phi^(k)) == deg(Phi^(k)(g)).
 
-    ``deg`` is deg(Phi(g)) when the caller has it already.  Terminates at
-    i <= y-degree of Phi: the top derivative is y-free.
+    ``deg`` is deg(Phi(g)) when the caller has it already.  The auxiliary
+    degree of Phi^(k) is the max over i >= k of deg phi_i + (i - k) deg g,
+    read off Phi's own coefficients.  Terminates at k <= y-degree of Phi:
+    the top derivative is y-free.
     """
     if phi.is_zero or g.is_zero:
         raise ValueError("aux_multiplicity requires nonzero inputs")
-    current = phi
-    i = 0
-    while True:
-        value_deg = deg if i == 0 and deg is not None else ws.deg(current.evaluate(g))
-        if aux_degree(ws, current, g) == value_deg:
-            return i
-        current = current.derivative()
-        i += 1
-        if current.is_zero:
-            raise AssertionError("multiplicity loop passed the y-degree")
+    dg = ws.deg(g).vec
+    vecs = _aux_vecs(ws, phi, g)
+    for k in range(max(phi.coeffs) + 1):
+        value = deg if k == 0 and deg is not None else ws.deg(phi.evaluate(g, k))
+        top = max(v for i, v in vecs if i >= k)
+        if value.vec == tuple([a - k * b for a, b in zip(top, dg)]):
+            return k
+    raise AssertionError("multiplicity loop passed the y-degree")
 
 
 def multiplicity_by_roots(ws: WeightSystem, phi: AuxPoly, g: Poly) -> int:
@@ -103,13 +118,9 @@ def multiplicity_by_roots(ws: WeightSystem, phi: AuxPoly, g: Poly) -> int:
         raise ValueError("requires nonzero inputs")
     lead = aux_leading(ws, phi, g)
     gw = ws.leading_form(g)
-    i = 0
-    current = lead
-    while not current.is_zero:
-        if not current.evaluate(gw).is_zero:
-            return i
-        current = current.derivative()
-        i += 1
+    for k in range(max(lead.coeffs) + 1):
+        if not lead.evaluate(gw, k).is_zero:
+            return k
     raise AssertionError("leading part vanished identically at every order")
 
 

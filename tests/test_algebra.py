@@ -846,3 +846,25 @@ def test_semigroup_member_bruteforce_equivalence():
     assert {(r, ind, False, found) for r in (2, 3) for ind in (True, False)
             for found in (True, False)} <= seen
     assert {(1, False, False, True), (1, False, False, False), ("zero", True)} <= seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([-3, -1, 0, 2, 5]), st.data())
+def test_add_product_scales_into_a_nonempty_accumulator(n, k, data):
+    # add_product is Poly.__mul__'s term-pair loop: k * p * q added onto the
+    # accumulator's contents over p.den * q.den, zero entries included
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly():
+        return Poly(n, data.draw(st.dictionaries(monos, _RATIONALS, max_size=4)))
+
+    p, q = poly(), poly()
+    start = data.draw(st.dictionaries(monos, st.integers(-9, 9), min_size=1, max_size=5))
+    den = p.den * q.den
+    acc = dict(start)
+    assert algebra.add_product(acc, p, q, k) is None
+    assert Poly.from_contents(n, acc, den) == (
+        Poly.from_contents(n, start, den) + (p * q).scale(k))
+    acc = {}
+    algebra.add_product(acc, p, q)
+    assert Poly.from_contents(n, acc, den) == p * q

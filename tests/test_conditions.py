@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from tame3.conditions import (
     verify_properties,
 )
 from tame3.forms import differential, differentials_wedge, wedge, wedge_degree
-from tame3.search import (DEFAULT_LIMITS, find_elementary_reduction, find_su_reduction,
-                          permute_triple)
+from tame3.search import (DEFAULT_LIMITS, PERMUTATIONS_3, find_elementary_reduction,
+                          find_su_reduction, permute_triple)
 
 D = DegreeValue.of
 
@@ -397,6 +398,107 @@ def test_type_iii_iv_gate_skips_the_barren_branch(monkeypatch):
     assert detect_type(F, "III") is None
     assert detect_type(F, "IV") is None
     assert calls == []
+
+
+# --- the degree gate before any permutation --------------------------------
+
+
+def _detect_on_permuted_reference(ws, H, degs, sigma, which, limits):
+    # the dispatch detect_type ran on every permutation before the gate
+    # moved out, verbatim but for reaching the detectors through the module
+    v1, v2, v3 = degs
+    if v1 % 2 or v1 < 2:
+        return None
+    l = v1 // 2
+    if which in ("I", "II"):
+        if v2 % l:
+            return None
+        s = v2 // l
+        if s < 3 or s % 2 == 0:
+            return None
+        if which == "I":
+            return conditions._detect_type_i(ws, H, v3, sigma, l, s, limits)
+        if s != 3:
+            return None
+        return conditions._detect_type_ii(ws, H, v3, sigma, l, limits)
+    if not (2 * v3 == 3 * l and 5 * l < 2 * v2 <= 6 * l):
+        return None
+    return conditions._detect_type_iii_iv(ws, H, v2, sigma, l, which, limits)
+
+
+def _detect_type_reference(F, which):
+    # the old six-permutation loop: both tuples permuted, then the dispatch
+    ws = total_weight(3)
+    degs = tuple(conditions._deg(ws, f) for f in F)
+    for sigma in PERMUTATIONS_3:
+        witness = _detect_on_permuted_reference(ws, permute_triple(F, sigma),
+                                                permute_triple(degs, sigma), sigma, which,
+                                                DEFAULT_LIMITS)
+        if witness is not None:
+            return witness
+    return None
+
+
+def test_gated_scan_matches_the_permutation_loop(su_pair_family, small_corpus):
+    triples = [permute_triple(T, sigma) for _, F, G in su_pair_family for T in (F, G)
+               for sigma in PERMUTATIONS_3]
+    triples += [endo.components for endo, _ in small_corpus]
+    triples += [_triple("x1^4 + x2^4 + x3", "x1^6", "x2^4"),
+                _triple("x1^4 + x3", "x1^6 + x2^6", "x2^3"),
+                _triple("x1^4 + x2", "x1^6 + x3", "x1^3 + x2"),
+                _triple("x1^8 + x2", "x1^12 + x3", "x2^5")]
+    found = 0
+    for T in triples:
+        for kind in conditions.TYPE_NAMES:
+            got, want = detect_type(T, kind), _detect_type_reference(T, kind)
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                assert got.to_json() == want.to_json() and got.derived == want.derived
+    assert found >= 18  # type I on every permutation of three su-pair F
+
+
+def test_type_gate_matches_the_inline_gate(monkeypatch):
+    # the old dispatch with its detectors replaced by a record of what they
+    # received: type II dispatched only at s = 3, types III and IV with no s
+    monkeypatch.setattr(conditions, "_detect_type_i",
+                        lambda ws, H, v3, sigma, l, s, limits: (l, s))
+    monkeypatch.setattr(conditions, "_detect_type_ii",
+                        lambda ws, H, v3, sigma, l, limits: (l, 3))
+    monkeypatch.setattr(conditions, "_detect_type_iii_iv",
+                        lambda ws, H, v2, sigma, l, which, limits: (l, None))
+    passed = 0
+    for degs in itertools.product(range(-1, 13), repeat=3):
+        for kind in conditions.TYPE_NAMES:
+            expected = _detect_on_permuted_reference(None, None, degs, None, kind, None)
+            assert conditions._type_gate(degs, kind) == expected, (degs, kind)
+            passed += expected is not None
+    assert passed > 100
+
+
+@pytest.mark.parametrize("F, reached", [
+    (_triple("x1", "x2", "x3"), 0),                        # deg (1, 1, 1)
+    (_triple("x1^4 + x2", "x2^5", "x3^7 + x1"), 0),        # deg (4, 5, 7)
+    (_triple("x1^8 + x2", "x1^12 + x3", "x2^5"), 2),       # I and II gates at (8, 12, 5)
+], ids=["odd", "no-gate", "one-gate"])
+def test_scan_permutes_only_the_degrees_until_a_gate_passes(F, reached, monkeypatch):
+    dispatched, permuted = [], []
+    dispatch, permute = conditions._detect_on_permuted, conditions.permute_triple
+
+    def counted(*args):
+        dispatched.append(args[3])
+        return dispatch(*args)
+
+    def seen(triple, sigma):
+        permuted.append(isinstance(triple[0], Poly))
+        return permute(triple, sigma)
+
+    monkeypatch.setattr(conditions, "_detect_on_permuted", counted)
+    monkeypatch.setattr(conditions, "permute_triple", seen)
+    for kind in conditions.TYPE_NAMES:
+        detect_type(F, kind)
+    assert len(dispatched) == reached
+    assert permuted.count(True) == reached and permuted.count(False) == 6 * 4
 
 
 def test_peel_candidates_have_dependent_leading_forms(su_pair_family, small_corpus,

@@ -1,4 +1,5 @@
-"""Poly arithmetic, composition and the Jacobian checked against sympy.
+"""Poly arithmetic, composition, the Jacobian and the y-derivatives of an
+auxiliary polynomial at a point, checked against sympy.
 
 Every result is also checked to be in canonical form: integer contents over
 one positive denominator, primitive, with no zero coefficient, so that equal
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from tame3.algebra import Poly
 from tame3.forms import differential, jacobian_det, wedge
+from tame3.univariate import AuxPoly
 
 sympy = pytest.importorskip("sympy")
 
@@ -150,3 +152,46 @@ def test_compose_matches_sympy(f, p, q, r):
     # f*(x1 - x2) vanishes when x1 and x2 receive the same polynomial
     x1, x2 = Poly.variable(0, 3), Poly.variable(1, 3)
     assert canonical((f * (x1 - x2)).compose([p, p, q])).is_zero
+
+
+Y = sympy.Symbol("y")
+
+
+@st.composite
+def aux_at_a_point(draw):
+    """(n, phi, g, k, vanishes): an auxiliary polynomial and a point in n = 2
+    or 3 variables with rational coefficients, and a derivative order k up
+    to one past the y-degree; when ``vanishes``, phi = (y - g) * psi, so
+    Phi(g) cancels to zero."""
+    n = draw(st.sampled_from([2, 3]))
+
+    def poly():
+        monos = st.tuples(*[st.integers(0, 2)] * n)
+        return Poly(n, draw(st.dictionaries(monos, coeffs, max_size=3)))
+
+    psi = [poly() for _ in range(draw(st.integers(1, 3)))]
+    g = poly()
+    vanishes = draw(st.booleans())
+    if vanishes:
+        # the coefficient of y^i in (y - g) * psi is psi_{i-1} - g * psi_i
+        zero = Poly.zero(n)
+        psi = [(psi[i - 1] if i else zero) - g * (psi[i] if i < len(psi) else zero)
+               for i in range(len(psi) + 1)]
+    phi = AuxPoly(n, dict(enumerate(psi)))
+    return n, phi, g, draw(st.integers(0, max(phi.coeffs, default=0) + 1)), vanishes
+
+
+@settings(max_examples=80, deadline=None)
+@given(aux_at_a_point())
+def test_aux_evaluate_matches_the_sympy_derivative(case):
+    # Phi^(k)(g) is sympy's k-th y-derivative of sum phi_i y^i at y = g
+    n, phi, g, k, vanishes = case
+    expr = sympy.Add(*[to_sympy(p) * Y**i for i, p in phi.coeffs.items()])
+    expected = sympy.expand(sympy.diff(expr, Y, k).subs(Y, to_sympy(g)))
+    terms = sympy.Poly(expected, *X[:n], domain="QQ").terms()
+    got = phi.evaluate(g, k)
+    assert got == Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+    assert got.den > 0 and all(got.nums.values())
+    assert math.gcd(got.den, *got.nums.values()) == 1
+    if vanishes and k == 0:
+        assert got.is_zero

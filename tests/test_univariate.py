@@ -27,6 +27,11 @@ def _aux(coeffs):
     return AuxPoly(3, coeffs)
 
 
+def _derivative(phi):
+    """The y-derivative of phi, coefficient by coefficient."""
+    return AuxPoly(phi.n, {i - 1: p.scale(i) for i, p in phi.coeffs.items() if i >= 1})
+
+
 def test_aux_degree_examples(xyz, wt):
     x1, x2, _ = xyz
     g = x1 + x2**2
@@ -69,11 +74,11 @@ def test_aux_leading_derivative_compatibility(wt, wlex):
             if c:
                 coeffs[i] = coeffs.get(i, Poly.zero(3)) + Poly(3, {mono: c})
         phi = _aux({i: p for i, p in coeffs.items() if not p.is_zero})
-        if phi.is_zero or phi.derivative().is_zero:
+        if phi.is_zero or _derivative(phi).is_zero:
             continue
         g = Poly(3, {(1, 0, 0): 1, (0, 2, 0): 1})
-        lhs = aux_leading(ws, phi.derivative(), g)
-        rhs = aux_leading(ws, phi, g).derivative()
+        lhs = aux_leading(ws, _derivative(phi), g)
+        rhs = _derivative(aux_leading(ws, phi, g))
         if rhs.is_zero:
             continue
         assert lhs == rhs
@@ -129,9 +134,61 @@ def _add_aux(a, b):
 
 
 def test_eval_aux(xyz):
-    x1, x2, _ = xyz
-    phi = _aux({2: Poly.constant(1, 3)})
-    assert phi.evaluate(x1 + x2) == (x1 + x2) ** 2
+    x1, x2, x3 = xyz
+    square = _aux({2: Poly.constant(1, 3)})
+    assert square.evaluate(x1 + x2) == (x1 + x2) ** 2
+    # Phi = y^3 - 2 x1 y + 1/2 x3, so Phi^(1) = 3y^2 - 2 x1, Phi^(2) = 6y,
+    # Phi^(3) = 6 and Phi^(4) = 0
+    phi = _aux({3: Poly.constant(1, 3), 1: x1.scale(-2), 0: x3.scale(Fraction(1, 2))})
+    g = x1 + x2
+    assert phi.evaluate(g, 0) == phi.evaluate(g) == g**3 - (x1 * g).scale(2) + x3.scale(
+        Fraction(1, 2))
+    assert phi.evaluate(g, 1) == (g**2).scale(3) - x1.scale(2)
+    assert phi.evaluate(g, 2) == g.scale(6)
+    assert phi.evaluate(g, 3) == Poly.constant(6, 3)
+    assert phi.evaluate(g, 4).is_zero and phi.evaluate(g, 4).den == 1
+    # (y - g)^2 vanishes at g to order 2
+    root2 = _aux({2: Poly.constant(1, 3), 1: g.scale(-2), 0: g**2})
+    assert root2.evaluate(g).is_zero and root2.evaluate(g, 1).is_zero
+    assert root2.evaluate(g, 2) == Poly.constant(2, 3)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, "2", None, Fraction(3, 1)])
+def test_aux_rejects_a_non_integral_exponent(exponent):
+    # exponents are read with operator.index, as Poly reads its monomials:
+    # a float, even an integral one, a string and a Fraction all raise
+    with pytest.raises(ValueError, match="not an integer"):
+        AuxPoly(3, {exponent: Poly.variable(0, 3)})
+
+
+def test_aux_reads_exponents_with_index():
+    class Two:
+        def __index__(self):
+            return 2
+
+    x1 = Poly.variable(0, 3)
+    phi = AuxPoly(3, {Two(): x1, True: x1})
+    assert phi.coeffs == {2: x1, 1: x1} and all(type(i) is int for i in phi.coeffs)
+    with pytest.raises(ValueError, match="negative"):
+        AuxPoly(3, {-1: x1})
+
+
+def test_aux_rejects_a_coefficient_of_another_arity():
+    with pytest.raises(ValueError, match="arity 2, expected 3"):
+        AuxPoly(3, {0: Poly.variable(0, 3), 1: Poly.variable(0, 2)})
+    # a zero coefficient of another arity is rejected too, not dropped
+    with pytest.raises(ValueError, match="arity"):
+        AuxPoly(3, {1: Poly.zero(2)})
+    assert AuxPoly(2, {1: Poly.variable(1, 2)}).coeffs == {1: Poly.variable(1, 2)}
+
+
+def test_evaluate_rejects_a_point_of_another_arity():
+    phi = _aux({0: Poly.variable(0, 3), 2: Poly.constant(1, 3)})
+    for k in (0, 1, 2, 3):
+        with pytest.raises(ValueError, match="arity mismatch: 3 vs 2"):
+            phi.evaluate(Poly.variable(0, 2), k)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        AuxPoly(3, {}).evaluate(Poly.zero(4))
 
 
 def test_degS_reads_representation(xyz, wt):
@@ -225,10 +282,10 @@ def test_derivative_degree_drop_when_multiple(wt):
         g = Poly(3, {(1, 0, 0): 1, (0, 1, 1): 1})
         base = _aux({0: -g, 1: Poly.constant(1, 3)})
         phi = _mul_aux(base, _aux({rng.randint(0, 2): Poly.constant(1, 3)}))
-        if phi.derivative().is_zero:
+        if _derivative(phi).is_zero:
             continue
         if aux_multiplicity(wt, phi, g) >= 1:
-            assert aux_degree(wt, phi.derivative(), g) == aux_degree(wt, phi, g) - wt.deg(g)
+            assert aux_degree(wt, _derivative(phi), g) == aux_degree(wt, phi, g) - wt.deg(g)
 
 
 # --- inequality oracle -----------------------------------------------------
@@ -275,9 +332,10 @@ def test_integer_claims_exhaustive():
 
 
 def test_inequality_report_evaluates_phi_at_g_once(xyz, wt, wlex, monkeypatch):
-    # the report's deg Phi(g) is the multiplicity's i = 0 value degree, so a
-    # report evaluates exactly what the multiplicity alone evaluates, and it
-    # still reaches the multiplicity through the module's name
+    # the report's deg Phi(g) is the multiplicity's k = 0 value degree, so a
+    # report evaluates exactly what the multiplicity alone evaluates (each
+    # order k = 0..m once), and it still reaches the multiplicity through
+    # the module's name
     x1, x2, x3 = xyz
     g = x1 + x2**2
     root = _aux({0: -g, 1: Poly.constant(1, 3)})
@@ -287,17 +345,18 @@ def test_inequality_report_evaluates_phi_at_g_once(xyz, wt, wlex, monkeypatch):
     evaluated, multiplicities = [], []
     evaluate, multiplicity = AuxPoly.evaluate, univariate.aux_multiplicity
     monkeypatch.setattr(AuxPoly, "evaluate",
-                        lambda self, at: evaluated.append(1) or evaluate(self, at))
+                        lambda self, at, k=0: evaluated.append(k) or evaluate(self, at, k))
     monkeypatch.setattr(univariate, "aux_multiplicity",
                         lambda *args: multiplicities.append(1) or multiplicity(*args))
     for ws, phi, at in cases:
         evaluated.clear()
         m = multiplicity(ws, phi, at)
         alone = len(evaluated)
-        assert alone == m + 1
+        assert alone == m + 1 and evaluated == list(range(m + 1))
         evaluated.clear()
         multiplicities.clear()
         report = su_inequality_report(ws, [x3], phi, at)
         assert len(evaluated) == alone and multiplicities == [1]
+        assert evaluated == list(range(m + 1))
         assert report.multiplicity == m and report.lhs == ws.deg(phi.evaluate(at))
     assert [multiplicity(ws, phi, at) for ws, phi, at in cases] == [0, 1, 2, 2]
