@@ -25,7 +25,6 @@ from .forms import (
 from .univariate import (
     AuxPoly,
     BiPoly,
-    aux_degree,
     aux_leading,
     aux_multiplicity,
     degS,

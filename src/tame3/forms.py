@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -148,28 +148,63 @@ def deg_form(ws: WeightSystem, omega: DiffForm) -> DegreeValue:
     return DegreeValue(max(ws.term_vecs([m for m, _ in omega.contents])))
 
 
-def wedge_degree(ws: WeightSystem, p: Poly, q: Poly) -> DegreeValue:
-    """deg(dp ^ dq), the wedge term of the SU6 bound and the cancellation floor.
+def wedge_degree(ws: WeightSystem, *fs: Poly) -> DegreeValue:
+    """deg(df_1 ^ ... ^ df_k), k >= 1: the wedge term of the SU6 bound, the
+    cancellation floor and the Jacobian degrees of the inequality oracle.
 
-    Read off the term pairs without building a form: in logarithmic
-    coordinates, c*x^a and d*x^b give c*d*(a_i*b_j - a_j*b_i) under
-    (a + b, (i, j)) for i < j, as ``wedge`` of their differentials does, and
-    the degree is the max of deg x^(a + b) over the keys left nonzero."""
-    if p.n != q.n:
-        raise ValueError("arity mismatch in wedge")
-    if p.n != ws.n:
-        raise ValueError(f"form arity {p.n} != weight count {ws.n}")
-    minors = tuple(combinations(range(p.n), 2))  # the dx_i ^ dx_j, i < j
-    terms = list(q.nums.items())
+    Read off the term tuples without building a form: in logarithmic
+    coordinates, the terms c_j*x^(a_j) give c_1*...*c_k*det(a_j[I]) under
+    (a_1 + ... + a_k, I) for each k-subset I, as ``wedge`` of their
+    differentials does, and the degree is the max of deg x^(a_1 + ... + a_k)
+    over the keys left nonzero.  So one factor gives the max over its
+    nonconstant monomials, more factors than variables give Bottom, and two
+    factors take the 2x2 minors of each term pair."""
+    n, k = ws.n, len(fs)
+    if not k:
+        raise ValueError("empty wedge")
+    for f in fs:
+        if f.n != n:
+            raise ValueError(f"wedge of arities {[f.n for f in fs]} under {n} weights")
     acc: dict = {}
-    for a, c1 in p.nums.items():
-        for b, c2 in terms:
-            m, c = tuple(map(add, a, b)), c1 * c2
-            for i, j in minors:
-                det = a[i] * b[j] - a[j] * b[i]
-                if det:
-                    acc[m, i, j] = acc.get((m, i, j), 0) + c * det
-    tops = [k[0] for k, v in acc.items() if v]
+    if k == 1:
+        tops = [m for m in fs[0].nums if any(m)]
+    elif k == 2:
+        p, q = fs
+        minors = tuple(combinations(range(n), 2))  # the dx_i ^ dx_j, i < j
+        terms = list(q.nums.items())
+        for a, c1 in p.nums.items():
+            for b, c2 in terms:
+                m, c = tuple(map(add, a, b)), c1 * c2
+                for i, j in minors:
+                    d = a[i] * b[j] - a[j] * b[i]
+                    if d:
+                        acc[m, i, j] = acc.get((m, i, j), 0) + c * d
+        tops = [key[0] for key, v in acc.items() if v]
+    elif k == n == 3:
+        # det(a; b; x) = x . (a x b): the cofactors of each (a, b) term pair
+        # once, then one dot product per term of the third factor
+        p, q, r = fs
+        terms, last = list(q.nums.items()), list(r.nums.items())
+        for (a0, a1, a2), c1 in p.nums.items():
+            for (b0, b1, b2), c2 in terms:
+                u, v, w, c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0, c1 * c2
+                for (x0, x1, x2), c3 in last:
+                    d = u * x0 + v * x1 + w * x2
+                    if d:
+                        m = (a0 + b0 + x0, a1 + b1 + x1, a2 + b2 + x2)
+                        acc[m] = acc.get(m, 0) + c * c3 * d
+        tops = [m for m, v in acc.items() if v]
+    elif k <= n:  # each k x k minor of each term tuple
+        for tup in product(*[f.nums.items() for f in fs]):
+            m = tuple(map(sum, zip(*[a for a, _ in tup])))
+            c = math.prod([c for _, c in tup])
+            for idx in combinations(range(n), k):
+                d = det([[a[i] for i in idx] for a, _ in tup])
+                if d:
+                    acc[m, idx] = acc.get((m, idx), 0) + c * d
+        tops = [key[0] for key, v in acc.items() if v]
+    else:
+        tops = []
     return DegreeValue(max(ws.term_vecs(tops))) if tops else DegreeValue.bottom()
 
 

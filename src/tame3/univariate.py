@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import DegreeValue, Poly, WeightSystem, add_product
-from .forms import deg_form, differential, differentials_wedge, wedge
+from .forms import wedge_degree
 
 
 class AuxPoly:
@@ -46,14 +46,17 @@ class AuxPoly:
 
     def evaluate(self, g: Poly, k: int = 0) -> Poly:
         """Phi^(k)(g), the k-th y-derivative at y = g, exact: the sum over
-        i >= k of i!/(i-k)! * phi_i * g^(i-k), each product scattered term
-        pair by term pair into one integer accumulator over the common
-        denominator, with its falling factorial in the multiplier."""
+        i >= k of i!/(i-k)! * phi_i * g^(i-k) in one integer accumulator over
+        the common denominator, which starts from k! * phi_k (no power of g
+        multiplies it); each product with i > k is scattered into it term
+        pair by term pair, with its falling factorial in the multiplier."""
         if g.n != self.n:
             raise ValueError(f"arity mismatch: {self.n} vs {g.n}")
-        parts = [(math.perm(i, k), p, g ** (i - k)) for i, p in self.coeffs.items() if i >= k]
-        den = math.lcm(*(p.den * q.den for _, p, q in parts))
-        acc: dict = {}
+        own = self.coeffs.get(k) or Poly.zero(self.n)
+        parts = [(math.perm(i, k), p, g ** (i - k)) for i, p in self.coeffs.items() if i > k]
+        den = math.lcm(own.den, *(p.den * q.den for _, p, q in parts))
+        scale = math.factorial(k) * (den // own.den)
+        acc = {m: v * scale for m, v in own.nums.items()}
         for c, p, q in parts:
             add_product(acc, p, q, c * (den // (p.den * q.den)))
         return Poly.from_contents(self.n, acc, den)
@@ -71,13 +74,6 @@ def _aux_vecs(ws: WeightSystem, phi: AuxPoly, g: Poly) -> list[tuple[int, tuple]
             for i, p in phi.coeffs.items()]
 
 
-def aux_degree(ws: WeightSystem, phi: AuxPoly, g: Poly) -> DegreeValue:
-    """Max over i of deg(phi_i * g^i)."""
-    if phi.is_zero or g.is_zero:
-        raise ValueError("aux_degree requires nonzero inputs")
-    return DegreeValue(max(v for _, v in _aux_vecs(ws, phi, g)))
-
-
 def aux_leading(ws: WeightSystem, phi: AuxPoly, g: Poly) -> AuxPoly:
     """Coefficients achieving the max, replaced by their leading forms."""
     if phi.is_zero or g.is_zero:
@@ -87,21 +83,21 @@ def aux_leading(ws: WeightSystem, phi: AuxPoly, g: Poly) -> AuxPoly:
     return AuxPoly(phi.n, {i: ws.leading_form(phi.coeffs[i]) for i, v in vecs if v == top})
 
 
-def aux_multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly,
-                     deg: Optional[DegreeValue] = None) -> int:
-    """Minimal k with aux_degree(Phi^(k)) == deg(Phi^(k)(g)).
-
-    ``deg`` is deg(Phi(g)) when the caller has it already.  The auxiliary
-    degree of Phi^(k) is the max over i >= k of deg phi_i + (i - k) deg g,
-    read off Phi's own coefficients.  Terminates at k <= y-degree of Phi:
-    the top derivative is y-free.
-    """
+def aux_multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly) -> int:
+    """Minimal k with deg^g Phi^(k) == deg(Phi^(k)(g)), where the auxiliary
+    degree deg^g is the max over i of deg(phi_i * g^i).  Terminates at k <=
+    y-degree of Phi: the top derivative is y-free."""
     if phi.is_zero or g.is_zero:
         raise ValueError("aux_multiplicity requires nonzero inputs")
+    return _multiplicity(ws, phi, g, _aux_vecs(ws, phi, g), ws.deg(phi.evaluate(g)))
+
+
+def _multiplicity(ws: WeightSystem, phi: AuxPoly, g: Poly, vecs: list, deg: DegreeValue) -> int:
+    """``aux_multiplicity`` from Phi's ``_aux_vecs`` and deg(Phi(g)): deg^g
+    Phi^(k) is the max over i >= k of deg phi_i + (i - k) deg g."""
     dg = ws.deg(g).vec
-    vecs = _aux_vecs(ws, phi, g)
     for k in range(max(phi.coeffs) + 1):
-        value = deg if k == 0 and deg is not None else ws.deg(phi.evaluate(g, k))
+        value = deg if k == 0 else ws.deg(phi.evaluate(g, k))
         top = max(v for i, v in vecs if i >= k)
         if value.vec == tuple([a - k * b for a, b in zip(top, dg)]):
             return k
@@ -227,14 +223,14 @@ def su_inequality_report(
         raise ValueError("inequality oracle requires nonzero Phi and g")
     if not 1 <= len(fs) <= g.n:
         raise ValueError("need between 1 and n generators")
-    omega = differentials_wedge(fs)
-    if omega.is_zero:
+    w_deg = wedge_degree(ws, *fs)
+    if w_deg.is_bottom:
         raise ValueError("generators are algebraically dependent")
+    vecs = _aux_vecs(ws, phi, g)
     lhs = ws.deg(phi.evaluate(g))
-    m = aux_multiplicity(ws, phi, g, lhs)
-    dphi = aux_degree(ws, phi, g)
-    w_dg = deg_form(ws, wedge(omega, differential(g)))
-    w_deg = deg_form(ws, omega)
+    m = _multiplicity(ws, phi, g, vecs, lhs)
+    dphi = DegreeValue(max(v for _, v in vecs))
+    w_dg = wedge_degree(ws, *fs, g)
     if m == 0:
         rhs = dphi
         correction = DegreeValue.of(*([0] * ws.r))

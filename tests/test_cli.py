@@ -215,6 +215,40 @@ def test_check_inequality(tmp_path):
     assert payload["holds"] is True
 
 
+_DEPENDENT = "generators are algebraically dependent"
+
+
+@pytest.mark.parametrize("text,code,out,err", [
+    ("x1\n\n0: x1\n1: 1\n\nx2\n", 0,
+     '{"aux_degree":[1],"holds":true,"lhs":[1],"multiplicity":0,"rhs":[1],"wedge_term":[2]}\n',
+     None),
+    ("x1\nx2\nx3\n\n0: x1\n1: 1\n\nx2\n", 0,
+     '{"aux_degree":[1],"holds":true,"lhs":[1],"multiplicity":0,"rhs":[1],"wedge_term":null}\n',
+     None),
+    ("x1\n\n0: -x1\n1: 1\n\nx1\n", 1,
+     '{"aux_degree":[1],"holds":"vacuous-false-precondition","lhs":null,"multiplicity":1,'
+     '"rhs":null,"wedge_term":null}\n', None),
+    ("x1\n\n0: x1\n1: 1\n\n3\n", 0,
+     '{"aux_degree":[1],"holds":true,"lhs":[1],"multiplicity":0,"rhs":[1],"wedge_term":null}\n',
+     None),
+    ("x1\nx1^2\n\n0: x1\n1: 1\n\nx2\n", 3, "", _DEPENDENT),
+    ("2\n\n0: x1\n1: 1\n\nx2\n", 3, "", _DEPENDENT),
+], ids=["readme", "three-generators", "vanishing-phi-at-g", "constant-g", "dependent-pair",
+        "constant-generator"])
+def test_check_inequality_json_bytes(tmp_path, capsys, text, code, out, err):
+    # the inputs where w = df_1 ^ ... ^ df_k or w ^ dg is zero: a grade above
+    # three, dg = 0, dependent or constant generators
+    path = tmp_path / "ineq.txt"
+    path.write_text(text)
+    assert cli.main(["check-inequality", str(path), "--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if err is None:
+        assert captured.err == ""
+    else:
+        assert captured.err == f"input error: {path}: {err}\n"
+
+
 def test_gen_deterministic():
     a = run_cli(["gen", "--seed", "3", "--count", "2", "--factors", "3", "--json"])
     b = run_cli(["gen", "--seed", "3", "--count", "2", "--factors", "3", "--json"])

@@ -280,6 +280,73 @@ def test_wedge_degree_matches_the_wedge(case):
     assert wedge_degree(ws, q, p) == expected
 
 
+# a total, a lex and a rank-2 weight at each arity
+_WEIGHTS_BY_ARITY = {n: (total_weight(n), lex_weight(n), rank_2)
+                     for n, rank_2 in ((2, WeightSystem(((1, 1), (1, -1)))),
+                                       (3, WeightSystem(((1, 0), (0, 1), (1, 1)))))}
+
+
+@st.composite
+def _wedge_families(draw):
+    """(ws, fs): k = 1..4 polynomials in n = 2 or 3 variables, so k > n
+    too; random ones, or one member replaced by a constant, or by a
+    polynomial in two other members (a dependent family, whose wedge is 0)."""
+    n = draw(st.sampled_from([2, 3]))
+    ws = draw(st.sampled_from(_WEIGHTS_BY_ARITY[n]))
+
+    def poly():
+        return Poly(n, {tuple(draw(st.integers(0, 2)) for _ in range(n)):
+                        draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]))
+                        for _ in range(draw(st.integers(1, 4)))})
+
+    fs = [poly() for _ in range(draw(st.integers(1, 4)))]
+    j = draw(st.integers(0, len(fs) - 1))
+    kind = draw(st.sampled_from(["random", "constant", "dependent"]))
+    if kind == "constant":
+        fs[j] = Poly.constant(draw(st.sampled_from([0, 1, -2, Fraction(3, 4)])), n)
+    elif kind == "dependent" and j:
+        fs[j] = fs[0] ** draw(st.integers(1, 2)) + fs[j - 1].scale(draw(st.sampled_from([1, -2])))
+    return ws, fs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wedge_families())
+def test_wedge_degree_of_any_grade_matches_the_wedge(case):
+    ws, fs = case
+    expected = deg_form(ws, differentials_wedge(fs))
+    assert wedge_degree(ws, *fs) == expected
+    assert wedge_degree(ws, *fs[::-1]) == expected
+    if len(fs) > ws.n:
+        assert expected.is_bottom
+
+
+def test_wedge_degree_in_four_variables():
+    # above three variables a grade-3 wedge has several 3-subsets I, and
+    # grade 4 is the full Jacobian
+    rng = random.Random(33)
+    for trial in range(60):
+        ws = (total_weight(4), lex_weight(4))[trial % 2]
+        fs = [Poly(4, {tuple(rng.randint(0, 2) for _ in range(4)): rng.choice([1, -1, 2])
+                       for _ in range(rng.randint(1, 3))}) for _ in range(rng.randint(3, 4))]
+        if trial % 3 == 0:
+            fs[-1] = fs[0] * fs[1]
+        assert wedge_degree(ws, *fs) == deg_form(ws, differentials_wedge(fs))
+
+
+def test_wedge_degree_rejects_an_arity_mismatch():
+    x, y = Poly.variable(0, 2), Poly.variable(0, 3)
+    for fs in ([x, y], [y, y, x], [y, x, y, y]):
+        with pytest.raises(ValueError):
+            wedge_degree(total_weight(3), *fs)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError):
+            wedge_degree(total_weight(2), *[y] * k)
+        with pytest.raises(ValueError):
+            wedge_degree(lex_weight(3), *[x] * k)
+    with pytest.raises(ValueError, match="empty wedge"):
+        wedge_degree(total_weight(3))
+
+
 @pytest.mark.parametrize("ws_name", ["total", "lex"])
 def test_wedge_equality_iff_leading_independent(ws_name):
     # the equality case of the degree bound characterizes independence of

@@ -229,6 +229,38 @@ def test_poly_field_write_detector(tmp_path):
         "13: q._powers.clear()", "17: q._probes.setdefault(1, None)"]
 
 
+def _forms_reaches(path: Path) -> list[str]:
+    """'line: name' for every import that reaches into the forms module for
+    anything but wedge_degree: another name from it, or the module itself."""
+    found = [(line, name) for line, module, name in _tame3_imports(path)
+             if (module in (".forms", "tame3.forms") and name != "wedge_degree")
+             or (module in (".", "tame3") and name == "forms")]
+    found.extend((node.lineno, alias.name)
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name == "tame3.forms")
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_univariate_reads_only_the_wedge_degree_from_forms():
+    # the inequality oracle reads deg(df_1 ^ ... ^ df_k) off the term tuples,
+    # so it never builds a DiffForm
+    assert _forms_reaches(PKG / "univariate.py") == []
+
+
+def test_forms_reach_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .forms import wedge_degree, wedge\n"
+                     "def f():\n    from tame3.forms import DiffForm\n"
+                     "from . import forms\n"
+                     "from tame3 import algebra, forms\n"
+                     "import tame3.forms\n"
+                     "from .algebra import Poly\n"
+                     "from tame3.forms import wedge_degree\n")
+    assert _forms_reaches(probe) == ["1: wedge", "3: DiffForm", "4: forms", "5: forms",
+                                     "6: tame3.forms"]
+
+
 def test_one_module_states_the_verdict():
     stating = [p.name for p in sorted(PKG.glob("*.py")) if "not tame" in p.read_text()]
     assert stating == ["engine.py"]
@@ -247,6 +279,8 @@ _KEPT_UNREFERENCED = {
     "certificate_json": "the byte-stable certificate of criterion 3",
     "jacobian_det": "the Jacobian determinant, checked against sympy",
     "max_complement_attained_twice": "the paper's max-attained-twice predicate, criterion 7",
+    "aux_multiplicity": "the paper's multiplicity by degrees, checked against the roots "
+                        "by criterion 6 and the benchmark's inequality item",
     "multiplicity_by_roots": "the independent multiplicity oracle of criterion 6",
     "degS": "the representation degree that the inequality report is checked against",
     "coprime_claims": "the integer facts of criterion 13",

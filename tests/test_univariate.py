@@ -11,7 +11,6 @@ from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, total_wei
 from tame3.univariate import (
     AuxPoly,
     BiPoly,
-    aux_degree,
     aux_leading,
     aux_multiplicity,
     coprime_claims,
@@ -32,13 +31,19 @@ def _derivative(phi):
     return AuxPoly(phi.n, {i - 1: p.scale(i) for i, p in phi.coeffs.items() if i >= 1})
 
 
+def _aux_degree(ws, phi, g):
+    """deg^g Phi, the max over i of deg(phi_i * g^i), as the inequality
+    report reads it (x3 is one independent generator)."""
+    return su_inequality_report(ws, [Poly.variable(2, 3)], phi, g).aux_deg
+
+
 def test_aux_degree_examples(xyz, wt):
     x1, x2, _ = xyz
     g = x1 + x2**2
     phi = _aux({2: Poly.constant(1, 3)})
-    assert aux_degree(wt, phi, g) == 2 * wt.deg(g)
+    assert _aux_degree(wt, phi, g) == 2 * wt.deg(g)
     phi2 = _aux({0: x1, 1: Poly.constant(1, 3)})
-    assert aux_degree(wt, phi2, x1) == wt.deg(x1)
+    assert _aux_degree(wt, phi2, x1) == wt.deg(x1)
 
 
 def test_aux_degree_brute_force(wt):
@@ -53,7 +58,7 @@ def test_aux_degree_brute_force(wt):
         if phi.is_zero:
             continue
         expected = max(wt.deg(p) + i * wt.deg(g) for i, p in phi.coeffs.items())
-        assert aux_degree(wt, phi, g) == expected
+        assert _aux_degree(wt, phi, g) == expected
 
 
 def test_aux_leading_single_term(xyz, wt):
@@ -285,7 +290,7 @@ def test_derivative_degree_drop_when_multiple(wt):
         if _derivative(phi).is_zero:
             continue
         if aux_multiplicity(wt, phi, g) >= 1:
-            assert aux_degree(wt, _derivative(phi), g) == aux_degree(wt, phi, g) - wt.deg(g)
+            assert _aux_degree(wt, _derivative(phi), g) == _aux_degree(wt, phi, g) - wt.deg(g)
 
 
 # --- inequality oracle -----------------------------------------------------
@@ -334,8 +339,8 @@ def test_integer_claims_exhaustive():
 def test_inequality_report_evaluates_phi_at_g_once(xyz, wt, wlex, monkeypatch):
     # the report's deg Phi(g) is the multiplicity's k = 0 value degree, so a
     # report evaluates exactly what the multiplicity alone evaluates (each
-    # order k = 0..m once), and it still reaches the multiplicity through
-    # the module's name
+    # order k = 0..m once), and it reaches the multiplicity loop that
+    # aux_multiplicity shares exactly once
     x1, x2, x3 = xyz
     g = x1 + x2**2
     root = _aux({0: -g, 1: Poly.constant(1, 3)})
@@ -343,11 +348,12 @@ def test_inequality_report_evaluates_phi_at_g_once(xyz, wt, wlex, monkeypatch):
              (wt, root, g), (wlex, _mul_aux(root, root), g),
              (wlex, _add_aux(_mul_aux(root, root), _aux({1: x3})), g)]
     evaluated, multiplicities = [], []
-    evaluate, multiplicity = AuxPoly.evaluate, univariate.aux_multiplicity
+    evaluate, multiplicity, loop = (AuxPoly.evaluate, univariate.aux_multiplicity,
+                                    univariate._multiplicity)
     monkeypatch.setattr(AuxPoly, "evaluate",
                         lambda self, at, k=0: evaluated.append(k) or evaluate(self, at, k))
-    monkeypatch.setattr(univariate, "aux_multiplicity",
-                        lambda *args: multiplicities.append(1) or multiplicity(*args))
+    monkeypatch.setattr(univariate, "_multiplicity",
+                        lambda *args: multiplicities.append(1) or loop(*args))
     for ws, phi, at in cases:
         evaluated.clear()
         m = multiplicity(ws, phi, at)
