@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -157,8 +157,9 @@ def wedge_degree(ws: WeightSystem, *fs: Poly) -> DegreeValue:
     (a_1 + ... + a_k, I) for each k-subset I, as ``wedge`` of their
     differentials does, and the degree is the max of deg x^(a_1 + ... + a_k)
     over the keys left nonzero.  So one factor gives the max over its
-    nonconstant monomials, more factors than variables give Bottom, and two
-    factors take the 2x2 minors of each term pair."""
+    nonconstant monomials, more factors than variables give Bottom, two
+    factors take the 2x2 minors of each term pair and three in three variables
+    the cofactors of each pair; any other grade reads the full wedge."""
     n, k = ws.n, len(fs)
     if not k:
         raise ValueError("empty wedge")
@@ -194,15 +195,8 @@ def wedge_degree(ws: WeightSystem, *fs: Poly) -> DegreeValue:
                         m = (a0 + b0 + x0, a1 + b1 + x1, a2 + b2 + x2)
                         acc[m] = acc.get(m, 0) + c * c3 * d
         tops = [m for m, v in acc.items() if v]
-    elif k <= n:  # each k x k minor of each term tuple
-        for tup in product(*[f.nums.items() for f in fs]):
-            m = tuple(map(sum, zip(*[a for a, _ in tup])))
-            c = math.prod([c for _, c in tup])
-            for idx in combinations(range(n), k):
-                d = det([[a[i] for i in idx] for a, _ in tup])
-                if d:
-                    acc[m, idx] = acc.get((m, idx), 0) + c * d
-        tops = [key[0] for key, v in acc.items() if v]
+    elif k <= n:  # grade 3 above three variables, or grade 4 and up
+        return deg_form(ws, differentials_wedge(fs))
     else:
         tops = []
     return DegreeValue(max(ws.term_vecs(tops))) if tops else DegreeValue.bottom()
