@@ -40,7 +40,7 @@ class DegreeValue:
     __slots__ = ("vec",)
 
     def __init__(self, vec: Optional[Sequence[int]]):
-        self.vec = None if vec is None else tuple(int(c) for c in vec)
+        self.vec = None if vec is None else tuple(map(int, vec))
 
     @staticmethod
     def bottom() -> "DegreeValue":
@@ -775,7 +775,7 @@ def half(d: DegreeValue) -> Optional[DegreeValue]:
         raise ValueError("half requires a vector degree")
     if any(c % 2 for c in d.vec):
         return None
-    return DegreeValue(tuple(c // 2 for c in d.vec))
+    return _degree(tuple(c // 2 for c in d.vec))
 
 
 def exists_multiple_exceeding(base: DegreeValue, bound: DegreeValue) -> bool:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -43,6 +43,13 @@ _DEGREE_CLAMP = 28  # random_tame resamples above this total degree
 
 
 def identity_endo(n: int = N) -> Triple:
+    """The variables x_1, ..., x_n: one shared triple per arity, so the
+    powers they remember outlive each composition that starts from it."""
+    return _identity(n)
+
+
+@lru_cache(maxsize=None)  # one entry per arity
+def _identity(n: int) -> Triple:
     return tuple(Poly.variable(i, n) for i in range(n))
 
 
@@ -147,10 +154,11 @@ class TameFactor:
         An elementary factor changes only component i, to
         acc[i] + phi(acc), one ``compose`` pass onto acc[i]; phi omits x_i,
         so no power of acc[i] is built.
-        An affine component is one integer combination of acc's contents.
+        An affine factor is one integer combination of acc's contents per
+        row (``_affine_apply``).
         """
         if self.kind == "affine":
-            return tuple(_combine(nums, den, acc) for nums, den in self.rows)
+            return _affine_apply(self.rows, acc)
         out = list(acc)
         i = self.index - 1
         out[i] = self.phi.compose(acc, acc[i])
@@ -194,36 +202,48 @@ def _inverse_rows(rows: Sequence[tuple]) -> tuple:
     y = Ax + b  =>  x = A^-1 y - A^-1 b.
     """
     r = [nums[1:] for nums, _ in rows]
-    d = det(r)
+    adj = _adj3(r)
+    d = sum(a * row[0] for a, row in zip(r[0], adj))  # det R along its first row
     t = [nums[0] for nums, _ in rows]
     return tuple(((-sum(a * c for a, c in zip(row, t)),
-                   *(a * den for a, (_, den) in zip(row, rows))), d) for row in _adj3(r))
+                   *(a * den for a, (_, den) in zip(row, rows))), d) for row in adj)
 
 
-def _combine(nums: Sequence[int], den: int, acc: Sequence[Poly]) -> Poly:
-    """(nums[0] + sum_j nums[j + 1] * acc[j]) / den, over one integer
-    accumulator on the common denominator of the acc[j] it uses."""
+def _affine_apply(rows: Sequence[tuple], acc: Sequence[Poly]) -> Triple:
+    """The affine rows (nums, den) applied to acc: row i gives
+    (nums[0] + sum_j nums[j + 1] * acc[j]) / den, in one integer
+    accumulator on the common denominator of the acc[j] that row uses.
+    The largest of them seeds the accumulator and the others are scattered
+    into it.  den may be negative."""
     n = acc[0].n
-    common = math.lcm(*(p.den for c, p in zip(nums[1:], acc) if c))
-    out: dict = {(0,) * n: nums[0] * common} if nums[0] else {}
-    for c, p in zip(nums[1:], acc):
-        if c:
-            k = c * (common // p.den)
-            for m, v in p.nums.items():
-                out[m] = out.get(m, 0) + k * v
-    return Poly.from_contents(n, out, den * common)
+    one = (0,) * n
+    order = sorted(range(len(acc)), key=lambda j: -len(acc[j].nums))
+    out = []
+    for nums, den in rows:
+        row: dict = {}
+        used = [j for j in order if nums[j + 1]]
+        common = math.lcm(*[acc[j].den for j in used])
+        for j in used:
+            p = acc[j]
+            k = nums[j + 1] * (common // p.den)
+            if not row:
+                row = {m: k * v for m, v in p.nums.items()}
+            else:
+                for m, v in p.nums.items():
+                    row[m] = row.get(m, 0) + k * v
+        if nums[0]:
+            row[one] = row.get(one, 0) + nums[0] * common
+        out.append(Poly.from_contents(n, row, den * common))
+    return tuple(out)
 
 
-def _adj3(m) -> list[list[int]]:
-    """The adjugate of a 3x3 matrix: m * adj(m) == det(m) * I."""
-    return [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
+def _adj3(m) -> tuple:
+    """The adjugate of a 3x3 matrix, cofactor by cofactor:
+    m * adj(m) == det(m) * I."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return ((e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d))
 
 
 def recompose(factors: Sequence[TameFactor]) -> Triple:
@@ -487,7 +507,7 @@ def triangularize_at_floor(ws: WeightSystem, F: Triple) -> list[TameFactor]:
     except ValueError:
         raise ValueError("internal inconsistency: singular linear part") from None
     # the inverse affine map applied to F: A^-1 (F - b), linear part the identity
-    K = [_combine(nums, den, F) for nums, den in _inverse_rows(affine.rows)]
+    K = _affine_apply(_inverse_rows(affine.rows), F)
 
     def key(i):
         return (ws.weights[i], i)

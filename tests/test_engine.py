@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tame3 import engine
-from tame3.algebra import DegreeValue, Poly, WeightSystem, lex_weight, parse_poly, total_weight
+from tame3.algebra import (DegreeValue, Poly, WeightSystem, det, lex_weight, parse_poly,
+                           total_weight)
 from tame3.conditions import check_su_conditions
 from tame3.engine import (
     Endo3,
@@ -584,8 +585,111 @@ def test_floor_reads_its_tails_off_the_inverse_rows(xyz):
     assert triangularize_at_floor(total_weight(3), F) == [affine, *tails]
     inverse = engine._inverse_rows(affine.rows)
     assert any(den < 0 for _, den in inverse)
-    assert tuple(engine._combine(nums, den, affine.as_endo())
-                 for nums, den in inverse) == identity_endo()
+    assert engine._affine_apply(inverse, affine.as_endo()) == identity_endo()
+
+
+# --- the affine layer on integer rows ----------------------------------------------
+
+
+def _apply_rows_by_hand(rows, acc):
+    """Each row (nums, den) applied to acc by Poly.scale and +."""
+    return tuple(
+        sum((p.scale(Fraction(c, den)) for c, p in zip(nums[1:], acc)),
+            Poly.constant(Fraction(nums[0], den), 3))
+        for nums, den in rows)
+
+
+_ROW_ENTRIES = st.one_of(st.just(0), st.integers(-5, 5))
+
+
+@st.composite
+def _integer_rows(draw):
+    """Three rows (nums, den): drawn entries, zeros frequent, over a den of
+    either sign, or the inverse rows of an affine factor, whose den det R
+    may be negative and is not made primitive."""
+    if draw(st.booleans()):
+        factor = draw(_rational_factors().filter(lambda f: f.kind == "affine"))
+        return engine._inverse_rows(factor.rows)
+    return tuple((tuple(draw(_ROW_ENTRIES) for _ in range(4)),
+                  draw(st.integers(-6, 6).filter(bool))) for _ in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_rows(), st.tuples(*[_rational_polys()] * 3))
+def test_affine_apply_matches_scale_and_add(rows, acc):
+    out = engine._affine_apply(rows, acc)
+    assert out == _apply_rows_by_hand(rows, acc)
+    for q in out:
+        assert q.den > 0 and math.gcd(q.den, *q.nums.values()) == 1
+        assert all(q.nums.values())
+
+
+def test_affine_apply_edge_rows(xyz):
+    x1, x2, x3 = xyz
+    half_x1 = x1.scale(Fraction(1, 2))
+    acc = (half_x1, x2.scale(Fraction(-1, 3)) + Poly.constant(1, 3), Poly.zero(3))
+    rows = (((0, 2, 0, 0), 1),     # no translation, one component
+            ((3, 2, 3, 0), -6),    # a negative den, components over 2 and 3
+            ((-4, 0, 0, 7), 5),    # only the zero component: the constant
+            ((0, 2, 0, 9), 1))     # terms that cancel to zero
+    assert engine._affine_apply(rows, acc) == (
+        x1, (x1 - x2 + Poly.constant(6, 3)).scale(Fraction(-1, 6)),
+        Poly.constant(Fraction(-4, 5), 3), x1)
+    assert engine._affine_apply(rows[3:], (half_x1, x2, x1.scale(Fraction(-1, 9)))) == (
+        Poly.zero(3),)
+
+
+def _adj3_by_minors(m):
+    """adj(m)[j][i] = (-1)^(i + j) times the minor of m without row i and
+    column j."""
+    def minor(i, j):
+        (a, b), (c, d) = [[m[r][k] for k in range(3) if k != j] for r in range(3) if r != i]
+        return a * d - b * c
+    return tuple(tuple((-1) ** (i + j) * minor(i, j) for i in range(3)) for j in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=9, max_size=9), st.integers(-3, 3),
+       st.integers(-3, 3), st.booleans())
+def test_adj3_is_the_adjugate(entries, a, b, singular):
+    m = [entries[0:3], entries[3:6], entries[6:9]]
+    if singular:  # the last row a combination of the first two
+        m[2] = [a * u + b * v for u, v in zip(m[0], m[1])]
+    adj = engine._adj3(m)
+    d = det(m)
+    assert not singular or d == 0
+    assert adj == _adj3_by_minors(m)
+    for i in range(3):
+        for j in range(3):
+            assert sum(m[i][k] * adj[k][j] for k in range(3)) == d * (i == j)
+            assert sum(adj[i][k] * m[k][j] for k in range(3)) == d * (i == j)
+
+
+def test_identity_endo_is_one_shared_triple_per_arity():
+    ident = identity_endo()
+    assert identity_endo() is ident and identity_endo(3) is ident and identity_endo(n=3) is ident
+    pair = identity_endo(2)
+    assert pair is identity_endo(2) and pair is not ident
+    assert pair == (Poly.variable(0, 2), Poly.variable(1, 2))
+    assert ident == tuple(Poly.variable(i, 3) for i in range(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10_000), st.integers(0, 5))
+def test_shared_identity_is_left_as_it_was(seed, count):
+    # recompose, as_endo and verify_automorphism all start from the shared
+    # triple; it and every power it remembers stay those of fresh variables
+    endo, factors = random_tame(seed, count)
+    assert recompose(factors) == endo.components
+    assert recompose(invert_factors(factors)) == endo.inverse
+    for f in factors:
+        assert verify_automorphism(f.as_endo(), f.inverted().as_endo())
+    if max(p.total_degree() for p in endo.components) <= 4:
+        assert verify_automorphism(endo.components, endo.inverse)
+    fresh = tuple(Poly.variable(i, 3) for i in range(3))
+    assert identity_endo() == fresh
+    for x, y in zip(identity_endo(), fresh):
+        assert all(power == y**k for k, power in (x._powers or {}).items())
 
 
 def test_factor_tame_roundtrip(wt, wlex, small_corpus):
